@@ -19,11 +19,10 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from . import cohomology as coh
 from .errors import DeskScaleExceeded
-from .ffgeom import drinfeld_points, enumerate_flags
+from .ffgeom import drinfeld_points
 from .gmodules import pullback_matrix, steinberg_dim, steinberg_resolution
 from .orlik import build_function_complex, e2_page
 from .qarith import is_prime, parabolic_index, projective_count
@@ -41,19 +40,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    n: int
-    q: list[int]
-    m_max: int
-    fmt: str
-    cache_dir: str | None
-    jobs: int
-    seed: int
-    suite: str
 
 
 def _parse_q_list(text: str) -> list[int]:
@@ -74,11 +60,11 @@ def build_parser() -> _Parser:
         sp.add_argument(n_flag, type=int, required=True, dest="n")
         sp.add_argument("--q", type=_parse_q_list, required=True,
                         help="comma-separated list of primes")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--cache-dir", default=None)
+        sp.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
 
     sp = sub.add_parser("cohomology", help="print and cross-check the three tables")
     common(sp, "--n")
+    sp.set_defaults(m_max=1, jobs=1)
 
     sp = sub.add_parser("verify", help="run verification suites over a grid")
     common(sp, "--n-max")
@@ -90,10 +76,11 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("dims", help="Steinberg dimension and index tables")
     common(sp, "--n")
+    sp.set_defaults(m_max=1, jobs=1)
     return p
 
 
-def _validate(cfg: RunConfig) -> str | None:
+def _validate(cfg: argparse.Namespace) -> str | None:
     if cfg.n < 1:
         return f"n must be >= 1, got {cfg.n}"
     for q in cfg.q:
@@ -122,7 +109,7 @@ def _table_diff(name: str, got, want) -> list[str]:
     return lines
 
 
-def cmd_cohomology(cfg: RunConfig) -> int:
+def cmd_cohomology(cfg: argparse.Namespace) -> int:
     failures: list[str] = []
     payload = []
     for q in cfg.q:
@@ -162,9 +149,8 @@ def cmd_cohomology(cfg: RunConfig) -> int:
 def _job_steinberg(n: int, q: int, m: int, seed: int) -> str:
     for c in range(n):
         for J in subsets_of_size(n, c, proper=True):
-            data = steinberg_resolution(J, q)
-            # construction already validates exactness and the closed form
-            assert data.dim_v == steinberg_dim(J, q)
+            # raises unless exact with the inclusion-exclusion cokernel dim
+            steinberg_resolution(J, q)
     width = parabolic_index(ParabolicType.empty(n), q)
     return f"all J exact, |G/B|={width}"
 
@@ -246,7 +232,7 @@ _JOBS = {
 _PER_M = {"orlik", "lefschetz", "cohomology"}
 
 
-def _grid(cfg: RunConfig) -> list[tuple[str, int, int, int]]:
+def _grid(cfg: argparse.Namespace) -> list[tuple[str, int, int, int]]:
     suites = SUITES if cfg.suite == "all" else (cfg.suite,)
     jobs = []
     for suite in suites:
@@ -274,7 +260,7 @@ def _run_job(args) -> dict:
     }
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     jobs = [(s, n, q, m, cfg.seed) for (s, n, q, m) in _grid(cfg)]
     workers = cfg.jobs if cfg.jobs > 0 else (os.cpu_count() or 1)
     if workers == 1 or len(jobs) <= 1:
@@ -301,7 +287,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_dims(cfg: RunConfig) -> int:
+def cmd_dims(cfg: argparse.Namespace) -> int:
     payload = []
     for q in cfg.q:
         rows = []
@@ -330,28 +316,11 @@ def cmd_dims(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        n=args.n,
-        q=args.q,
-        m_max=getattr(args, "m_max", 1),
-        fmt=args.format,
-        cache_dir=args.cache_dir,
-        jobs=getattr(args, "jobs", 1),
-        seed=getattr(args, "seed", 2024),
-        suite=getattr(args, "suite", "all"),
-    )
+    cfg = build_parser().parse_args(argv)
     problem = _validate(cfg)
     if problem:
         print(f"drincoh: error: {problem}", file=sys.stderr)
         return EXIT_USAGE
-    if cfg.cache_dir:
-        # warm the flag cache so later enumerations read through it
-        for c in range(cfg.n):
-            for I in subsets_of_size(cfg.n, c, proper=True):
-                for q in cfg.q:
-                    enumerate_flags(I, q, cache_dir=cfg.cache_dir)
     handler = {"cohomology": cmd_cohomology, "verify": cmd_verify, "dims": cmd_dims}
     return handler[cfg.command](cfg)
 

@@ -19,18 +19,15 @@ Conventions
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from pathlib import Path
 
 from .errors import DeskScaleExceeded
 from .qarith import is_prime
 from .rootdata import ParabolicType
 
 POINT_GUARD = 10**8
-_CACHE_FORMAT_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +342,8 @@ def enumerate_subspaces(ambient_dim: int, d: int, q: int) -> tuple[Subspace, ...
 
 def intersect_subspaces(U: Subspace, V: Subspace) -> Subspace | None:
     """Intersection of two subspaces; None if it is zero."""
-    assert U.q == V.q and U.ambient_dim == V.ambient_dim
+    if U.q != V.q or U.ambient_dim != V.ambient_dim:
+        raise ValueError("subspaces must share the field and the ambient space")
     q, N = U.q, U.ambient_dim
     a, b = U.dim, V.dim
     # kernel of the (a+b) x N stack [U; V] gives coefficients (x, y) with
@@ -442,7 +440,11 @@ def chain_dims(I: ParabolicType) -> tuple[int, ...]:
     return tuple(sums)
 
 
-def _enumerate_flags_uncached(I: ParabolicType, q: int) -> tuple[Flag, ...]:
+@lru_cache(maxsize=None)
+def enumerate_flags(I: ParabolicType, q: int) -> tuple[Flag, ...]:
+    """All flags of type I over F_q, in canonical (chain-lex) order."""
+    if not is_prime(q):
+        raise ValueError(f"q must be prime, got {q}")
     n = I.n
     dims = chain_dims(I)
     if not dims:  # I is the full subset: the single coset G/G
@@ -461,72 +463,6 @@ def _enumerate_flags_uncached(I: ParabolicType, q: int) -> tuple[Flag, ...]:
     extend([], 0)
     flags.sort()
     return tuple(flags)
-
-
-_memory_flag_cache: dict[tuple[int, int, int], tuple[Flag, ...]] = {}
-
-
-def enumerate_flags(I: ParabolicType, q: int, cache_dir=None) -> tuple[Flag, ...]:
-    """All flags of type I over F_q, in canonical (chain-lex) order.
-
-    `cache_dir`, if given, is used as a read-through JSON cache keyed by
-    (n, q, I); stale or unreadable files are ignored and recomputed.
-    """
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
-    key = (I.n, q, I.mask)
-    if key in _memory_flag_cache:
-        return _memory_flag_cache[key]
-    path = None
-    if cache_dir is not None:
-        path = Path(cache_dir) / f"flags_n{I.n}_q{q}_I{I.mask}.json"
-        flags = _load_flag_cache(path, I, q)
-        if flags is not None:
-            _memory_flag_cache[key] = flags
-            return flags
-    flags = _enumerate_flags_uncached(I, q)
-    _memory_flag_cache[key] = flags
-    if path is not None:
-        _store_flag_cache(path, I, q, flags)
-    return flags
-
-
-def _load_flag_cache(path: Path, I: ParabolicType, q: int):
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    if (
-        data.get("version") != _CACHE_FORMAT_VERSION
-        or data.get("n") != I.n
-        or data.get("q") != q
-        or data.get("mask") != I.mask
-    ):
-        return None
-    return tuple(
-        Flag(
-            I,
-            tuple(
-                Subspace(q, I.n + 1, tuple(tuple(row) for row in member))
-                for member in chain
-            ),
-        )
-        for chain in data["flags"]
-    )
-
-
-def _store_flag_cache(path: Path, I: ParabolicType, q: int, flags):
-    payload = {
-        "version": _CACHE_FORMAT_VERSION,
-        "n": I.n,
-        "q": q,
-        "mask": I.mask,
-        "flags": [
-            [[list(row) for row in member.basis] for member in f.chain] for f in flags
-        ],
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload))
 
 
 def forget(f: Flag, J: ParabolicType) -> Flag:

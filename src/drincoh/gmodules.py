@@ -17,27 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ExactnessError
-from .ffgeom import Flag, enumerate_flags, forget
+from .ffgeom import enumerate_flags, forget
 from .homalg import ChainComplex, ExactMatrix
 from .qarith import parabolic_index
 from .rootdata import ParabolicType, cover_sign, subsets_of_size
-
-
-@dataclass(frozen=True)
-class PermModule:
-    """Ind_{P_I}^G K as functions on the canonical flag list of type I."""
-
-    I: ParabolicType
-    q: int
-    basis: tuple[Flag, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def perm_module(I: ParabolicType, q: int, cache_dir=None) -> PermModule:
-    return PermModule(I, q, enumerate_flags(I, q, cache_dir=cache_dir))
 
 
 def pullback_matrix(I: ParabolicType, J: ParabolicType, q: int) -> ExactMatrix:
@@ -51,13 +34,11 @@ def pullback_matrix(I: ParabolicType, J: ParabolicType, q: int) -> ExactMatrix:
         raise ValueError(
             f"pullback needs I ⊆ J, got I={I.subset_str()}, J={J.subset_str()}"
         )
-    source = perm_module(J, q)
-    target = perm_module(I, q)
-    col_of = {f: idx for idx, f in enumerate(source.basis)}
-    entries = {
-        (row, col_of[forget(f, J)]): 1 for row, f in enumerate(target.basis)
-    }
-    return ExactMatrix(target.dim, source.dim, entries)
+    source = enumerate_flags(J, q)
+    target = enumerate_flags(I, q)
+    col_of = {f: idx for idx, f in enumerate(source)}
+    entries = {(row, col_of[forget(f, J)]): 1 for row, f in enumerate(target)}
+    return ExactMatrix(len(target), len(source), entries)
 
 
 def _interval_levels(J: ParabolicType) -> list[list[ParabolicType]]:
@@ -115,7 +96,8 @@ def steinberg_dim(J: ParabolicType, q: int) -> int:
         for I in levels:
             sign = -1 if (I.size - J.size) % 2 else 1
             total += sign * parabolic_index(I, q)
-    assert total > 0, "inclusion-exclusion must give a positive dimension"
+    if total <= 0:
+        raise ExactnessError("inclusion-exclusion must give a positive dimension")
     return total
 
 

@@ -3,9 +3,8 @@
 Ranks are computed by Gaussian elimination over the rationals, never
 numerically: entries are Python ints as long as pivots are units (the usual
 case for the signed incidence matrices built here) and fall back to
-`fractions.Fraction` otherwise.  Small matrices take a dense path, larger
-ones a sparse path with Markowitz-style pivoting.  Both are deterministic:
-pivot ties are broken by index.
+`fractions.Fraction` otherwise.  Elimination is sparse with Markowitz-style
+pivoting and deterministic: pivot ties are broken by index.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ExactnessError
-
-DENSE_LIMIT = 256
 
 
 def _norm(x):
@@ -101,8 +98,7 @@ class ExactMatrix:
             isinstance(other, ExactMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and {k: Fraction(v) for k, v in self.entries.items()}
-            == {k: Fraction(v) for k, v in other.entries.items()}
+            and self.entries == other.entries
         )
 
     def __repr__(self):
@@ -146,36 +142,6 @@ class ExactMatrix:
     # -- rank ---------------------------------------------------------------
 
     def rank(self) -> int:
-        if not self.entries:
-            return 0
-        if max(self.rows, self.cols) < DENSE_LIMIT:
-            return self._rank_dense()
-        return self._rank_sparse()
-
-    def _rank_dense(self) -> int:
-        mat = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            mat[i][j] = v
-        rank = 0
-        for c in range(self.cols):
-            piv = next((r for r in range(rank, self.rows) if mat[r][c]), None)
-            if piv is None:
-                continue
-            mat[rank], mat[piv] = mat[piv], mat[rank]
-            pv = mat[rank][c]
-            for r in range(self.rows):
-                if r != rank and mat[r][c]:
-                    f = _norm(Fraction(mat[r][c], 1) / pv)
-                    row, prow = mat[r], mat[rank]
-                    for k in range(c, self.cols):
-                        if prow[k]:
-                            row[k] = _norm(row[k] - f * prow[k])
-            rank += 1
-            if rank == self.rows:
-                break
-        return rank
-
-    def _rank_sparse(self) -> int:
         rows: dict[int, dict] = {}
         cols: dict[int, set] = {}
         for (i, j), v in sorted(self.entries.items()):
@@ -278,7 +244,8 @@ class ChainComplex:
             r_out = self._rank(i) if i < len(self.diffs) else 0
             r_in = self._rank(i - 1) if i > 0 else 0
             h = t - r_out - r_in
-            assert h >= 0, f"negative homology dim at {i}: rank bookkeeping broken"
+            if h < 0:
+                raise ExactnessError(f"negative homology dim at {i}: rank bookkeeping broken")
             out.append(h)
         return tuple(out)
 

@@ -241,14 +241,3 @@ def e2_page(n: int, q: int) -> dict[tuple[int, int], TwistedModule]:
                 page[(r, s)] = TwistedModule.of(labels[r])
     return page
 
-
-def page_to_json(page: dict[tuple[int, int], TwistedModule]) -> list[dict]:
-    """Flatten a page to records {"r", "s", "dim", "twist", "label"}."""
-    out = []
-    for (r, s), mod in page.items():
-        for piece in mod.summands:
-            out.append(
-                {"r": r, "s": s, "dim": piece.dim, "twist": piece.twist, "label": piece.label}
-            )
-    out.sort(key=lambda rec: (rec["s"], rec["r"], rec["label"]))
-    return out

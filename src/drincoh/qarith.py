@@ -1,12 +1,13 @@
 """q-analog arithmetic: Gaussian binomials, flag counts, projective point counts.
 
 Everything returns Python ints (arbitrary precision).  All divisions are
-exact integer divisions guarded by a divisibility assertion, so a formula
+exact integer divisions guarded by a divisibility check, so a formula
 bug surfaces immediately instead of corrupting downstream dimensions.
 """
 
 from __future__ import annotations
 
+from .errors import ExactnessError
 from .rootdata import ParabolicType
 
 
@@ -36,7 +37,8 @@ def prime_power_base(q: int) -> int | None:
 
 
 def _exact_div(num: int, den: int) -> int:
-    assert den != 0 and num % den == 0, f"nonexact division {num}/{den}"
+    if den == 0 or num % den:
+        raise ExactnessError(f"nonexact division {num}/{den}")
     return num // den
 
 

@@ -43,9 +43,6 @@ class Summand:
             return "K"
         return f"{self.kind}{self.subset.composition_str()}"
 
-    def twisted(self, l: int) -> "Summand":
-        return Summand(self.kind, self.subset, self.dim, self.twist + l)
-
     def __str__(self) -> str:
         return f"{self.label}({self.twist})"
 

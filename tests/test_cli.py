@@ -1,9 +1,14 @@
 """CLI behavior: exit codes, formats, and the verify grid."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import drincoh
 from drincoh import cli
 from drincoh.cohomology import h_of_y, hc_of_x, h_of_x
 from drincoh.tables import CohomologyTable
@@ -43,6 +48,9 @@ def test_usage_errors(capsys):
     assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
+    assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        run(["cohomology", "--n", "1", "--q", "2", "--cache-dir", "/tmp/x"])
     assert exc.value.code == 1
 
 
@@ -126,17 +134,16 @@ def test_table_diff_renders_per_degree():
     assert cli._table_diff("same", got, h_of_y(2, 2)) == []
 
 
-def test_cache_dir_creates_files(tmp_path, capsys):
-    import drincoh.ffgeom as ffgeom
+def test_checks_hold_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(drincoh.__file__).parents[1]))
 
-    ffgeom._memory_flag_cache.clear()
-    assert run(["cohomology", "--n", "1", "--q", "2",
-                "--cache-dir", str(tmp_path)]) == 0
-    capsys.readouterr()
-    assert list(tmp_path.glob("flags_*.json"))
-    ffgeom._memory_flag_cache.clear()
-    # results served from the cache agree
-    assert run(["cohomology", "--n", "1", "--q", "2",
-                "--cache-dir", str(tmp_path)]) == 0
-    assert "all cross-checks passed" in capsys.readouterr().out
-    ffgeom._memory_flag_cache.clear()
+    def run_O(*argv):
+        return subprocess.run([sys.executable, "-O", *argv], env=env,
+                              capture_output=True, text=True)
+
+    proc = run_O("-c", "from drincoh.qarith import _exact_div; _exact_div(3, 2)")
+    assert proc.returncode != 0 and "ExactnessError" in proc.stderr
+    proc = run_O("-m", "drincoh.cli", "verify", "--suite", "steinberg",
+                 "--n-max", "2", "--q", "2")
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert "2 passed, 0 failed" in proc.stdout

@@ -26,7 +26,6 @@ from drincoh.ffgeom import (
 )
 from drincoh.qarith import gauss_binomial, parabolic_index, projective_count
 from drincoh.rootdata import ParabolicType
-import drincoh.ffgeom as ffgeom
 
 
 # -- fields -------------------------------------------------------------------
@@ -253,23 +252,6 @@ def test_flag_subvariety_is_first_member():
     top = enumerate_flags(ParabolicType.full(2), 2)[0]
     with pytest.raises(ValueError):
         flag_subvariety(top)
-
-
-def test_flag_disk_cache_round_trip(tmp_path):
-    I = ParabolicType.of(2, [0])
-    direct = enumerate_flags(I, 2)
-    ffgeom._memory_flag_cache.clear()
-    first = enumerate_flags(I, 2, cache_dir=tmp_path)
-    cache_file = tmp_path / "flags_n2_q2_I1.json"
-    assert cache_file.exists()
-    ffgeom._memory_flag_cache.clear()
-    second = enumerate_flags(I, 2, cache_dir=tmp_path)
-    assert first == second == direct
-    # corrupted cache files are ignored, not fatal
-    cache_file.write_text("{broken")
-    ffgeom._memory_flag_cache.clear()
-    assert enumerate_flags(I, 2, cache_dir=tmp_path) == direct
-    ffgeom._memory_flag_cache.clear()
 
 
 # -- point counts -----------------------------------------------------------------

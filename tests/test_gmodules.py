@@ -3,7 +3,6 @@
 import pytest
 
 from drincoh.gmodules import (
-    perm_module,
     pullback_matrix,
     steinberg_dim,
     steinberg_resolution,
@@ -63,13 +62,6 @@ def test_pullback_functoriality_exhaustive_small():
                     assert pullback_matrix(I, J, q) @ pullback_matrix(
                         J, L, q
                     ) == pullback_matrix(I, L, q)
-
-
-def test_perm_module_dims():
-    for n, q in [(1, 2), (2, 2), (2, 3)]:
-        for mask in range(1 << n):
-            I = ParabolicType(n, mask)
-            assert perm_module(I, q).dim == parabolic_index(I, q)
 
 
 def test_steinberg_dim_examples():

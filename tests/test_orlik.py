@@ -10,7 +10,6 @@ from drincoh.orlik import (
     build_e1_row,
     build_function_complex,
     e2_page,
-    page_to_json,
 )
 from drincoh.qarith import parabolic_index
 from drincoh.rootdata import ParabolicType, standard_subset
@@ -166,13 +165,4 @@ def test_function_complex_is_reproducible_bit_for_bit():
     again = build_function_complex(1, 2, 1)
     assert [d.dump() for d in again.complex.diffs] == [
         d.dump() for d in fc.complex.diffs
-    ]
-
-
-def test_page_to_json():
-    records = page_to_json(e2_page(2, 2))
-    assert records == [
-        {"r": 0, "s": 0, "dim": 1, "twist": 0, "label": "K"},
-        {"r": 1, "s": 0, "dim": 8, "twist": 0, "label": "v(1,1,1)"},
-        {"r": 0, "s": 2, "dim": 7, "twist": -1, "label": "Ind(2,1)"},
     ]
