@@ -114,8 +114,8 @@ def cmd_cohomology(cfg: argparse.Namespace) -> int:
     payload = []
     for q in cfg.q:
         hy = coh.h_of_y(cfg.n, q)
-        hc = coh.hc_of_x(cfg.n, q)
-        hx = coh.h_of_x(cfg.n, q)
+        hc = coh.hc_of_x(hy)
+        hx = coh.h_of_x(hc)
         failures += _table_diff(f"H(Y) n={cfg.n} q={q}", hy, coh.closed_form_h_of_y(cfg.n, q))
         failures += _table_diff(f"Hc(X) n={cfg.n} q={q}", hc, coh.expected_hc_of_x(cfg.n, q))
         failures += _table_diff(f"H(X) n={cfg.n} q={q}", hx, coh.expected_h_of_x(cfg.n, q))
@@ -169,9 +169,10 @@ def _job_cohomology(n: int, q: int, m: int, seed: int) -> str:
     hy = coh.h_of_y(n, q)
     if hy != coh.closed_form_h_of_y(n, q):
         raise AssertionError("H(Y) differs from closed form")
-    if coh.hc_of_x(n, q) != coh.expected_hc_of_x(n, q):
+    hc = coh.hc_of_x(hy)
+    if hc != coh.expected_hc_of_x(n, q):
         raise AssertionError("Hc(X) differs from closed form")
-    if coh.h_of_x(n, q) != coh.expected_h_of_x(n, q):
+    if coh.h_of_x(hc) != coh.expected_h_of_x(n, q):
         raise AssertionError("H(X) differs from closed form")
     trace = hy.euler_trace(m)
     expected = projective_count(n, q, m) - drinfeld_points(n, q, m)

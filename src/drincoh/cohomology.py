@@ -122,15 +122,16 @@ def _restriction_cokernel(
     )
 
 
-def hc_of_x(n: int, q: int) -> CohomologyTable:
+def hc_of_x(hy: CohomologyTable) -> CohomologyTable:
     """H*_c(X) solved degreewise from the long exact sequence with purity.
 
-    For each degree i the sequence pins H^i_c between the cokernel of the
-    restriction in degree i-1 and the kernel in degree i.  Rules R1-R3 must
-    determine every degree; a violation (or any nonzero answer below degree
-    n, or a mixed-twist answer) raises LESUnderdetermined.
+    `hy` is the H*(Y) table (from h_of_y), which fixes n and q.  For each
+    degree i the sequence pins H^i_c between the cokernel of the restriction
+    in degree i-1 and the kernel in degree i.  Rules R1-R3 must determine
+    every degree; a violation (or any nonzero answer below degree n, or a
+    mixed-twist answer) raises LESUnderdetermined.
     """
-    hy = h_of_y(n, q)
+    n, q = hy.n, hy.q
     hp = h_of_projective_space(n, q)
     cokers: dict[int, TwistedModule] = {}
     injective: dict[int, bool] = {}
@@ -181,8 +182,9 @@ def dual_table(table: CohomologyTable, theorem: str) -> CohomologyTable:
     return CohomologyTable(n, table.q, theorem, entries, metadata=(_DUAL_NOTE,))
 
 
-def h_of_x(n: int, q: int) -> CohomologyTable:
-    return dual_table(hc_of_x(n, q), "H(X)")
+def h_of_x(hc: CohomologyTable) -> CohomologyTable:
+    """H*(X) as the Poincaré dual of the H*_c(X) table (from hc_of_x)."""
+    return dual_table(hc, "H(X)")
 
 
 def expected_h_of_x(n: int, q: int) -> CohomologyTable:

@@ -1,33 +1,25 @@
-"""Exact rational sparse matrices and chain-complex homology dimensions.
+"""Exact sparse integer matrices and chain-complex homology dimensions.
 
-Ranks are computed by Gaussian elimination over the rationals, never
-numerically: entries are Python ints as long as pivots are units (the usual
-case for the signed incidence matrices built here) and fall back to
-`fractions.Fraction` otherwise.  Elimination is sparse with Markowitz-style
-pivoting and deterministic: pivot ties are broken by index.
+Every entry is a Python int, and ranks are ranks over the rationals, never
+numerical.  They come from one sparse, fraction-free Gaussian elimination
+with Markowitz-style pivoting: a unit pivot clears its column by integer
+subtraction, any other pivot by scaling the target row first.  Elimination
+is deterministic: pivot ties are broken by index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .errors import ExactnessError
 
 
-def _norm(x):
-    """Collapse integral Fractions back to int to keep arithmetic fast."""
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
-
-
 class ExactMatrix:
-    """A rows x cols matrix over Q with sparse storage.
+    """A rows x cols integer matrix with sparse storage, ranked over Q.
 
-    `entries` maps (i, j) to a nonzero int or Fraction.  The matrix acts on
-    coordinate columns of its source: a map V -> W with dim V = cols and
-    dim W = rows.
+    `entries` maps (i, j) to a nonzero int; any other entry type raises
+    TypeError.  The matrix acts on coordinate columns of its source: a map
+    V -> W with dim V = cols and dim W = rows.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -42,7 +34,8 @@ class ExactMatrix:
             for (i, j), v in entries.items():
                 if not 0 <= i < rows or not 0 <= j < cols:
                     raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
-                v = _norm(v)
+                if type(v) is not int:
+                    raise TypeError(f"entry ({i},{j}) is {v!r}, not an int")
                 if v:
                     self.entries[(i, j)] = v
 
@@ -79,7 +72,7 @@ class ExactMatrix:
             r0, c0 = row_off[bi], col_off[bj]
             for (i, j), v in block.entries.items():
                 key = (r0 + i, c0 + j)
-                w = _norm(entries.get(key, 0) + v)
+                w = entries.get(key, 0) + v
                 if w:
                     entries[key] = w
                 else:
@@ -124,7 +117,7 @@ class ExactMatrix:
         for (k, j), w in other.entries.items():
             for i, v in by_col.get(k, ()):
                 key = (i, j)
-                s = _norm(out.get(key, 0) + v * w)
+                s = out.get(key, 0) + v * w
                 if s:
                     out[key] = s
                 else:
@@ -142,6 +135,7 @@ class ExactMatrix:
     # -- rank ---------------------------------------------------------------
 
     def rank(self) -> int:
+        """Rank over Q by fraction-free elimination over the integers."""
         rows: dict[int, dict] = {}
         cols: dict[int, set] = {}
         for (i, j), v in sorted(self.entries.items()):
@@ -165,9 +159,14 @@ class ExactMatrix:
             targets = list(cols.get(c, ()))
             for r in targets:
                 row = rows[r]
-                f = row[c] if pv == 1 else (-row[c] if pv == -1 else _norm(Fraction(row[c]) / pv))
+                if pv == 1 or pv == -1:
+                    f = row[c] * pv
+                else:  # row <- pv * row - row[c] * pivot_row keeps integers
+                    f = row[c]
+                    for j in row:
+                        row[j] *= pv
                 for j, pvv in pivot_row.items():
-                    new = _norm(row.get(j, 0) - f * pvv)
+                    new = row.get(j, 0) - f * pvv
                     if new:
                         if j not in row:
                             cols.setdefault(j, set()).add(r)
@@ -187,11 +186,10 @@ class ExactMatrix:
     # -- debug dump ----------------------------------------------------------
 
     def dump(self) -> str:
-        """Text dump: header 'rows cols nnz', then 'i j numerator/denominator' lines."""
+        """Text dump: header 'rows cols nnz', then 'i j value/1' lines."""
         lines = [f"{self.rows} {self.cols} {self.nnz}"]
         for (i, j) in sorted(self.entries):
-            v = Fraction(self.entries[(i, j)])
-            lines.append(f"{i} {j} {v.numerator}/{v.denominator}")
+            lines.append(f"{i} {j} {self.entries[(i, j)]}/1")
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -202,7 +200,9 @@ class ExactMatrix:
         for ln in lines[1 : nnz + 1]:
             si, sj, sv = ln.split()
             num, den = sv.split("/")
-            entries[(int(si), int(sj))] = Fraction(int(num), int(den))
+            if int(den) != 1:
+                raise ValueError(f"non-integral entry {sv!r} in dump")
+            entries[(int(si), int(sj))] = int(num)
         return ExactMatrix(rows, cols, entries)
 
 
@@ -217,7 +217,6 @@ class ChainComplex:
 
     terms: tuple[int, ...]
     diffs: tuple[ExactMatrix, ...]
-    _rank_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.diffs) != max(len(self.terms) - 1, 0):
@@ -232,18 +231,12 @@ class ChainComplex:
             if not (self.diffs[i + 1] @ self.diffs[i]).is_zero():
                 raise ExactnessError(f"d∘d != 0 between positions {i} and {i + 2}")
 
-    def _rank(self, i: int) -> int:
-        if i not in self._rank_cache:
-            self._rank_cache[i] = self.diffs[i].rank()
-        return self._rank_cache[i]
-
     def homology_dims(self) -> tuple[int, ...]:
         """dim H_i = dim V_i - rank(d_i) - rank(d_{i-1}), off-end ranks zero."""
+        ranks = [0] + [d.rank() for d in self.diffs] + [0]
         out = []
         for i, t in enumerate(self.terms):
-            r_out = self._rank(i) if i < len(self.diffs) else 0
-            r_in = self._rank(i - 1) if i > 0 else 0
-            h = t - r_out - r_in
+            h = t - ranks[i + 1] - ranks[i]
             if h < 0:
                 raise ExactnessError(f"negative homology dim at {i}: rank bookkeeping broken")
             out.append(h)

@@ -7,15 +7,14 @@ dual v'(I), with I rendered as a composition of n+1.  The degenerate labels
 Ind(Δ), v(Δ), v'(Δ) all denote the trivial module and are normalized to K
 at construction.
 
-A twist of -l contributes q^{lm} per dimension to the trace of the m-th
-Frobenius power; this is the only way twists are consumed numerically.
+A twist of -l (l >= 0) contributes q^{lm} per dimension to the trace of the
+m-th Frobenius power; this is the only way twists are consumed numerically.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .rootdata import ParabolicType
 
@@ -117,15 +116,17 @@ class TwistedModule:
             )
         )
 
-    def trace_frobenius(self, q: int, m: int):
-        """Trace of the m-th Frobenius power: each twist -l piece gives dim * q^{lm}."""
+    def trace_frobenius(self, q: int, m: int) -> int:
+        """Trace of the m-th Frobenius power: each twist -l piece gives dim * q^{lm}.
+
+        No table computed here has a positive twist; one raises ValueError
+        rather than yield a non-integral trace.
+        """
         total = 0
         for s in self.summands:
-            l = -s.twist
-            if l >= 0:
-                total += s.dim * q ** (l * m)
-            else:
-                total += Fraction(s.dim, q ** (-l * m))
+            if s.twist > 0:
+                raise ValueError(f"positive twist in {s}: trace is not an integer")
+            total += s.dim * q ** (-s.twist * m)
         return total
 
     def __str__(self) -> str:
@@ -157,7 +158,7 @@ class CohomologyTable:
     def degrees(self) -> list[int]:
         return sorted(self.entries)
 
-    def euler_trace(self, m: int):
+    def euler_trace(self, m: int) -> int:
         """Alternating sum over degrees of Frobenius traces (Lefschetz number)."""
         return sum(
             (-1) ** d * mod.trace_frobenius(self.q, m) for d, mod in self.entries.items()

@@ -116,17 +116,18 @@ def test_criterion_4_h_of_y_closed_form():
 def test_criterion_5_hc_of_x():
     t0 = time.time()
     for n, q in FULL_GRID:
-        assert hc_of_x(n, q) == expected_hc_of_x(n, q), (n, q)
-    t = hc_of_x(2, 2)
+        assert hc_of_x(h_of_y(n, q)) == expected_hc_of_x(n, q), (n, q)
+    t = hc_of_x(h_of_y(2, 2))
     assert [t.module(d).dim for d in (2, 3, 4)] == [8, 6, 1]
-    assert hc_of_x(3, 2).module(3).dim == 64
+    assert hc_of_x(h_of_y(3, 2)).module(3).dim == 64
     _report(5, "LES solver reproduces ⊕ v(P_{I_i})(-i)[-n-i] exactly", t0)
 
 
 def test_criterion_6_duality():
     t0 = time.time()
     for n, q in FULL_GRID:
-        hx, hc = h_of_x(n, q), hc_of_x(n, q)
+        hc = hc_of_x(h_of_y(n, q))
+        hx = h_of_x(hc)
         assert hx == expected_h_of_x(n, q)
         for j in range(2 * n + 1):
             a, b = hx.module(j), hc.module(2 * n - j)

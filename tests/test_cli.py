@@ -30,7 +30,24 @@ def test_cohomology_json_round_trips(capsys):
     assert run(["cohomology", "--n", "1", "--q", "2", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     tables = [CohomologyTable.from_json_dict(d) for d in data]
-    assert tables == [h_of_y(1, 2), hc_of_x(1, 2), h_of_x(1, 2)]
+    hy = h_of_y(1, 2)
+    hc = hc_of_x(hy)
+    assert tables == [hy, hc, h_of_x(hc)]
+
+
+def test_cohomology_builds_each_e2_page_once(monkeypatch, capsys):
+    from drincoh import cohomology
+
+    calls = []
+    real = cohomology.e2_page
+
+    def counting(n, q):
+        calls.append((n, q))
+        return real(n, q)
+
+    monkeypatch.setattr(cohomology, "e2_page", counting)
+    assert run(["cohomology", "--n", "2", "--q", "2,3"]) == 0
+    assert calls == [(2, 2), (2, 3)]
 
 
 def test_cohomology_multiple_q(capsys):

@@ -61,21 +61,21 @@ def test_h_of_y_trace_counts_points_of_the_union():
 
 
 def test_hc_of_x_examples():
-    t = hc_of_x(1, 2)
+    t = hc_of_x(h_of_y(1, 2))
     assert t.module(1) == TwistedModule.of(summand("v", ParabolicType.empty(1), 2, 0))
     assert t.module(2) == TwistedModule.of(summand("K", None, 1, -1))
-    t = hc_of_x(2, 2)
+    t = hc_of_x(h_of_y(2, 2))
     assert [t.module(d).dim for d in (2, 3, 4)] == [8, 6, 1]
     assert [next(iter(t.module(d).summands)).twist for d in (2, 3, 4)] == [0, -1, -2]
     assert t.degrees() == [2, 3, 4]
-    t = hc_of_x(3, 2)
+    t = hc_of_x(h_of_y(3, 2))
     assert t.module(3).dim == 64
 
 
 def test_hc_of_x_matches_theorem_table():
     for n in (1, 2, 3):
         for q in (2, 3):
-            got = hc_of_x(n, q)
+            got = hc_of_x(h_of_y(n, q))
             want = expected_hc_of_x(n, q)
             assert got == want
             # exactly one pure summand per degree n..2n
@@ -91,12 +91,13 @@ def test_hc_of_x_matches_theorem_table():
 
 
 def test_h_of_x_examples_and_duality():
-    t = h_of_x(2, 2)
+    t = h_of_x(hc_of_x(h_of_y(2, 2)))
     assert [t.module(d).dim for d in (0, 1, 2)] == [1, 6, 8]
     assert t.module(1) == TwistedModule.of(summand("v'", standard_subset(2, 1), 6, -1))
     for n in (1, 2, 3):
         for q in (2, 3):
-            hx, hc = h_of_x(n, q), hc_of_x(n, q)
+            hc = hc_of_x(h_of_y(n, q))
+            hx = h_of_x(hc)
             assert hx == expected_h_of_x(n, q)
             for j in range(2 * n + 1):
                 a, b = hx.module(j), hc.module(2 * n - j)
@@ -111,7 +112,7 @@ def test_h_of_x_examples_and_duality():
 
 
 def test_dual_table_is_an_involution_on_dims():
-    t = hc_of_x(2, 3)
+    t = hc_of_x(h_of_y(2, 3))
     tt = dual_table(dual_table(t, "H(X)"), "Hc(X)")
     assert {d: m.dim for d, m in tt.entries.items()} == {
         d: m.dim for d, m in t.entries.items()
@@ -126,7 +127,7 @@ def test_lefschetz_count_examples():
 
 def test_lefschetz_equals_trace_of_hc():
     for n, q in [(1, 2), (2, 2), (2, 3), (3, 2)]:
-        t = hc_of_x(n, q)
+        t = hc_of_x(h_of_y(n, q))
         for m in (1, 2, 3):
             assert t.euler_trace(m) == lefschetz_count(n, q, m)
 

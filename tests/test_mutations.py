@@ -1,0 +1,68 @@
+"""Injected bugs must make `verify` fail, in the suites that should catch them.
+
+Each case patches one deliberate bug into every module that imported the
+name, runs the verify battery in-process and expects exit code 2 with FAIL
+lines naming exactly the suites listed.  This shows the battery is not vacuous.
+"""
+
+import pytest
+
+from drincoh import cli, cohomology, gmodules, orlik, rootdata
+from drincoh.tables import CohomologyTable, Summand, TwistedModule
+
+VERIFY = ["verify", "--n-max", "2", "--q", "2", "--m-max", "1"]
+
+
+def _failed_suites(capsys) -> set[str]:
+    out = capsys.readouterr().out
+    return {ln.split()[1] for ln in out.splitlines() if ln.startswith("FAIL")}
+
+
+def _patch_everywhere(monkeypatch, name, fn, modules):
+    for mod in modules:
+        assert hasattr(mod, name), (mod.__name__, name)
+        monkeypatch.setattr(mod, name, fn)
+
+
+def _flipped_cover_sign(I, a):
+    # one edge only: flipping a root everywhere is a basis change, not a bug
+    sign = rootdata.cover_sign(I, a)
+    return -sign if I.mask == 0 and a == 0 else sign
+
+
+def _steinberg_dim_plus_one(J, q, _orig=gmodules.steinberg_dim):
+    return _orig(J, q) + 1
+
+
+def _shifted_h_of_y(n, q, _orig=cohomology.closed_form_h_of_y):
+    table = _orig(n, q)
+    entries = dict(table.entries)
+    entries[0] = TwistedModule.of(
+        *(Summand(s.kind, s.subset, s.dim, s.twist - 1) for s in entries[0].summands)
+    )
+    return CohomologyTable(table.n, table.q, table.theorem, entries, table.metadata)
+
+
+CASES = {
+    "cover_sign": (_flipped_cover_sign, (gmodules, orlik), {"steinberg", "orlik"}),
+    "steinberg_dim": (
+        _steinberg_dim_plus_one,
+        (gmodules, orlik, cohomology, cli),
+        {"steinberg", "e2", "lefschetz", "cohomology"},
+    ),
+    "closed_form_h_of_y": (_shifted_h_of_y, (cohomology,), {"cohomology"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_injected_bug_fails_verify(name, monkeypatch, capsys):
+    fn, modules, suites = CASES[name]
+    _patch_everywhere(monkeypatch, name, fn, modules)
+    assert cli.main(VERIFY) == cli.EXIT_FAIL
+    failed = _failed_suites(capsys)
+    assert failed == suites, (name, failed)
+
+
+def test_unpatched_battery_passes(capsys):
+    assert cli.main(VERIFY) == cli.EXIT_OK
+    assert _failed_suites(capsys) == set()

@@ -74,12 +74,16 @@ def test_trace_frobenius():
     assert mod.trace_frobenius(2, 1) == 14
     assert mod.trace_frobenius(2, 3) == 7 * 8
     assert TwistedModule.of(summand("v", B, 8, 0)).trace_frobenius(2, 5) == 8
+    with pytest.raises(ValueError):
+        TwistedModule.of(summand("K", None, 1, 1)).trace_frobenius(2, 1)
 
 
 def test_table_round_trip_and_rendering():
     from drincoh.cohomology import h_of_x, h_of_y, hc_of_x
 
-    for table in [h_of_y(2, 2), hc_of_x(2, 2), h_of_x(2, 2), h_of_y(1, 3)]:
+    hy = h_of_y(2, 2)
+    hc = hc_of_x(hy)
+    for table in [hy, hc, h_of_x(hc), h_of_y(1, 3)]:
         again = CohomologyTable.from_json_dict(table.to_json_dict())
         assert again == table
         text = table.render_text()
