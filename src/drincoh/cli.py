@@ -24,7 +24,7 @@ from . import cohomology as coh
 from .errors import DeskScaleExceeded
 from .ffgeom import drinfeld_points
 from .gmodules import pullback_matrix, steinberg_dim, steinberg_resolution
-from .orlik import build_function_complex, e2_page
+from .orlik import build_function_complex, clear_e2_pages, e2_page
 from .qarith import is_prime, parabolic_index, projective_count
 from .rootdata import ParabolicType, subsets_of_size
 
@@ -247,7 +247,7 @@ def _grid(cfg: argparse.Namespace) -> list[tuple[str, int, int, int]]:
 
 def _run_job(args) -> dict:
     suite, n, q, m, seed = args
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         detail = _JOBS[suite](n, q, m, seed)
         status = "pass"
@@ -257,7 +257,7 @@ def _run_job(args) -> dict:
         status, detail = "fail", f"{type(exc).__name__}: {exc}"
     return {
         "suite": suite, "n": n, "q": q, "m": m,
-        "status": status, "detail": detail, "seconds": round(time.time() - t0, 3),
+        "status": status, "detail": detail, "seconds": round(time.perf_counter() - t0, 3),
     }
 
 
@@ -317,6 +317,7 @@ def cmd_dims(cfg: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
+    clear_e2_pages()  # each run builds its own pages, whatever ran earlier in this process
     cfg = build_parser().parse_args(argv)
     problem = _validate(cfg)
     if problem:

@@ -3,12 +3,15 @@
 Every entry is a Python int, and ranks are ranks over the rationals, never
 numerical.  They come from one sparse, fraction-free Gaussian elimination
 with Markowitz-style pivoting: a unit pivot clears its column by integer
-subtraction, any other pivot by scaling the target row first.  Elimination
-is deterministic: pivot ties are broken by index.
+subtraction, any other pivot by scaling the target row first.  The pivot
+column comes from a lazy min-heap keyed on (column count, index), so no
+step scans every column; it picks the same column as a full scan would.
+Elimination is deterministic: pivot ties are broken by index.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import ExactnessError
@@ -135,17 +138,26 @@ class ExactMatrix:
     # -- rank ---------------------------------------------------------------
 
     def rank(self) -> int:
-        """Rank over Q by fraction-free elimination over the integers."""
+        """Rank over Q by fraction-free elimination over the integers.
+
+        Pivot columns come from a pivot queue, a lazy min-heap of (count,
+        column), in the same order as a scan over all active columns.
+        """
         rows: dict[int, dict] = {}
         cols: dict[int, set] = {}
         for (i, j), v in sorted(self.entries.items()):
             rows.setdefault(i, {})[j] = v
             cols.setdefault(j, set()).add(i)
+        # every active column keeps one entry with its current count
+        queue = [(len(rs), j) for j, rs in cols.items()]
+        heapq.heapify(queue)
         rank = 0
         while cols:
             # cheapest active column, then its best row: unit pivot first,
             # then fewest entries; index-ordered ties
-            c = min(cols, key=lambda j: (len(cols[j]), j))
+            k, c = heapq.heappop(queue)
+            if c not in cols or len(cols[c]) != k:
+                continue  # stale entry
             i = min(
                 cols[c],
                 key=lambda r: (0 if abs(rows[r][c]) == 1 else 1, len(rows[r]), r),
@@ -180,6 +192,10 @@ class ExactMatrix:
                                 del cols[j]
                 if not row:
                     del rows[r]
+            # only the pivot row's columns lost the pivot row or took fill-in
+            for j in pivot_row:
+                if j in cols:
+                    heapq.heappush(queue, (len(cols[j]), j))
             rank += 1
         return rank
 

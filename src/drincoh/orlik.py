@@ -15,7 +15,10 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import DeskScaleExceeded, ExactnessError
 from .ffgeom import (
@@ -206,13 +209,16 @@ def build_e1_page(n: int, q: int) -> dict[tuple[int, int], TwistedModule]:
     return page
 
 
-def e2_page(n: int, q: int) -> dict[tuple[int, int], TwistedModule]:
+@lru_cache(maxsize=None)
+def e2_page(n: int, q: int) -> Mapping[tuple[int, int], TwistedModule]:
     """Homology of the E1 rows, labeled and checked against closed forms.
 
     Nonzero entries: the Steinberg module v(I_{s/2})(-s/2) at the row end,
     the trivial module K(-s/2) at r = 0 for the longer rows, and the full
     induced module at the single-term row s = 2n-2.  Any computed dimension
-    that disagrees with its closed form raises ExactnessError.
+    that disagrees with its closed form raises ExactnessError.  Each page is
+    built once per (n, q) and process and returned read-only; a failed build
+    is not cached, so it raises again on the next call.
     """
     _guard_page(n, q)
     page: dict[tuple[int, int], TwistedModule] = {}
@@ -239,5 +245,9 @@ def e2_page(n: int, q: int) -> dict[tuple[int, int], TwistedModule]:
                 )
             if h:
                 page[(r, s)] = TwistedModule.of(labels[r])
-    return page
+    return MappingProxyType(page)
+
+
+# bound to the cache itself, so it still works where a wrapper replaced e2_page
+clear_e2_pages = e2_page.cache_clear
 

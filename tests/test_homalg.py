@@ -1,10 +1,12 @@
 """Exact linear algebra: ranks against a naive oracle, homology bookkeeping."""
 
 import random
+import types
 from fractions import Fraction
 
 import pytest
 
+from drincoh import homalg
 from drincoh.errors import ExactnessError
 from drincoh.ffgeom import enumerate_subspaces
 from drincoh.homalg import ChainComplex, ExactMatrix
@@ -178,3 +180,114 @@ def test_reindexed_roundtrip():
     rp_inv = [rp.index(i) for i in range(2)]
     cp_inv = [cp.index(j) for j in range(3)]
     assert N.reindexed(rp_inv, cp_inv) == M
+
+
+def _random_sparse(rng, rows, cols, density, values):
+    entries = {}
+    for i in range(rows):
+        for j in range(cols):
+            if rng.random() < density:
+                entries[(i, j)] = rng.choice(values)
+    return ExactMatrix(rows, cols, entries)
+
+
+def _check_rank(M):
+    r = M.rank()
+    assert r == M.transpose().rank() == naive_rank(M), M
+    return r
+
+
+def test_rank_with_non_unit_pivots_only():
+    rng = random.Random(101)
+    for _ in range(30):
+        M = _random_sparse(rng, rng.randrange(1, 15), rng.randrange(1, 15), 0.3,
+                           [-6, -4, -3, -2, 2, 3, 4, 6, 9])
+        _check_rank(M)
+
+
+def test_rank_with_many_count_ties():
+    # every column has exactly two entries and every row about the same
+    # number, so nearly every pivot choice is decided by the index
+    rng = random.Random(102)
+    for _ in range(30):
+        rows, cols = rng.randrange(2, 16), rng.randrange(1, 25)
+        entries = {}
+        for j in range(cols):
+            a, b = rng.sample(range(rows), 2)
+            entries[(a, j)] = rng.choice([1, 2, -3])
+            entries[(b, j)] = rng.choice([-1, 2, 5])
+        _check_rank(ExactMatrix(rows, cols, entries))
+
+
+def test_rank_when_cancellation_empties_columns():
+    # rows that are integer combinations of earlier rows cancel to zero,
+    # emptying their columns part-way through the elimination
+    rng = random.Random(103)
+    for _ in range(30):
+        base = _random_sparse(rng, rng.randrange(1, 6), rng.randrange(2, 14), 0.4,
+                              [-2, -1, 1, 3])
+        dense = [[base.entries.get((i, j), 0) for j in range(base.cols)]
+                 for i in range(base.rows)]
+        for _ in range(rng.randrange(1, 6)):
+            a, b = rng.choice([-2, -1, 1, 2]), rng.choice([-1, 1, 3])
+            r1, r2 = rng.choice(dense), rng.choice(dense)
+            dense.append([a * x + b * y for x, y in zip(r1, r2)])
+        rng.shuffle(dense)
+        M = ExactMatrix.from_dense(dense)
+        assert _check_rank(M) <= base.rows
+
+
+def test_rank_with_duplicate_rows():
+    rng = random.Random(104)
+    for _ in range(20):
+        base = _random_sparse(rng, rng.randrange(1, 8), rng.randrange(1, 12), 0.35,
+                              [-1, 1, 2, -5])
+        dense = [[base.entries.get((i, j), 0) for j in range(base.cols)]
+                 for i in range(base.rows)]
+        dense += [list(row) for row in rng.choices(dense, k=rng.randrange(1, 8))]
+        rng.shuffle(dense)
+        M = ExactMatrix.from_dense(dense)
+        assert _check_rank(M) == base.rank()
+
+
+def test_rank_of_empty_shapes():
+    for k in (0, 1, 5):
+        assert ExactMatrix(0, k).rank() == 0
+        assert ExactMatrix(k, 0).rank() == 0
+
+
+def test_rank_of_large_graph_incidence_with_stale_queue_entries(monkeypatch):
+    # signed vertex-edge incidence of a random multigraph, columns scaled by
+    # non-units: rank = vertices - components, over Q whatever the scaling
+    rng = random.Random(105)
+    vertices, edges = 700, 2400
+    parent = list(range(vertices))
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    entries = {}
+    for j in range(edges):
+        a, b = rng.sample(range(vertices), 2)
+        c = rng.choice([1, -1, 2, 3, -4])
+        entries[(a, j)], entries[(b, j)] = c, -c
+        parent[root(a)] = root(b)
+    components = len({root(v) for v in range(vertices)})
+    M = ExactMatrix(vertices, edges, entries)
+
+    pops = []
+    real_pop = homalg.heapq.heappop
+    counting = types.SimpleNamespace(
+        heapify=homalg.heapq.heapify,
+        heappush=homalg.heapq.heappush,
+        heappop=lambda heap: pops.append(None) or real_pop(heap),
+    )
+    monkeypatch.setattr(homalg, "heapq", counting)
+    assert M.rank() == vertices - components
+    # one pop per pivot; every further pop met a stale entry and skipped it
+    assert len(pops) > 2 * (vertices - components)
+    monkeypatch.undo()
+    assert M.transpose().rank() == vertices - components

@@ -7,7 +7,8 @@ lines naming exactly the suites listed.  This shows the battery is not vacuous.
 
 import pytest
 
-from drincoh import cli, cohomology, gmodules, orlik, rootdata
+from drincoh import cli, cohomology, ffgeom, gmodules, orlik, rootdata
+from drincoh.homalg import ExactMatrix
 from drincoh.tables import CohomologyTable, Summand, TwistedModule
 
 VERIFY = ["verify", "--n-max", "2", "--q", "2", "--m-max", "1"]
@@ -43,6 +44,21 @@ def _shifted_h_of_y(n, q, _orig=cohomology.closed_form_h_of_y):
     return CohomologyTable(table.n, table.q, table.theorem, entries, table.metadata)
 
 
+def _enumerate_flags_missing_one(I, q, _orig=ffgeom.enumerate_flags):
+    # drops one summand of build_function_complex: the last full flag
+    flags = _orig(I, q)
+    return flags[:-1] if I.mask == 0 else flags
+
+
+def _rational_forms_missing_one(n, q, _orig=ffgeom.rational_forms):
+    return _orig(n, q)[1:]
+
+
+def _rank_one_short(self, _orig=ExactMatrix.rank):
+    r = _orig(self)
+    return r - 1 if r > 0 else r
+
+
 CASES = {
     "cover_sign": (_flipped_cover_sign, (gmodules, orlik), {"steinberg", "orlik"}),
     "steinberg_dim": (
@@ -51,6 +67,13 @@ CASES = {
         {"steinberg", "e2", "lefschetz", "cohomology"},
     ),
     "closed_form_h_of_y": (_shifted_h_of_y, (cohomology,), {"cohomology"}),
+    "enumerate_flags": (_enumerate_flags_missing_one, (orlik,), {"orlik"}),
+    "rational_forms": (
+        _rational_forms_missing_one,
+        (ffgeom,),
+        {"orlik", "cohomology", "lefschetz"},
+    ),
+    "rank": (_rank_one_short, (ExactMatrix,), {"steinberg", "orlik", "e2", "cohomology"}),
 }
 
 

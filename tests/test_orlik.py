@@ -2,6 +2,7 @@
 
 import pytest
 
+from drincoh import cli, orlik
 from drincoh.errors import DeskScaleExceeded, ExactnessError
 from drincoh.ffgeom import enumerate_subspaces, field, in_extension_span, intersect_subspaces
 from drincoh.gmodules import steinberg_dim
@@ -9,6 +10,7 @@ from drincoh.orlik import (
     build_e1_page,
     build_e1_row,
     build_function_complex,
+    clear_e2_pages,
     e2_page,
 )
 from drincoh.qarith import parabolic_index
@@ -166,3 +168,33 @@ def test_function_complex_is_reproducible_bit_for_bit():
     assert [d.dump() for d in again.complex.diffs] == [
         d.dump() for d in fc.complex.diffs
     ]
+
+
+def test_e2_page_is_built_once_and_read_only():
+    clear_e2_pages()
+    page = e2_page(2, 3)
+    assert e2_page(2, 3) is page
+    with pytest.raises(TypeError):
+        page[(9, 9)] = page[(0, 0)]
+    with pytest.raises(AttributeError):
+        page.clear()
+
+
+def test_failed_e2_page_is_not_cached(monkeypatch):
+    monkeypatch.setattr(orlik, "steinberg_dim", lambda J, q: steinberg_dim(J, q) + 1)
+    clear_e2_pages()
+    for _ in range(2):
+        with pytest.raises(ExactnessError):
+            e2_page(2, 2)
+    monkeypatch.undo()
+    assert e2_page(2, 2)[(1, 0)].dim == 8
+
+
+def test_cli_run_rebuilds_cached_pages(monkeypatch, capsys):
+    e2_page(2, 2)  # cached from correct code
+    monkeypatch.setattr(orlik, "steinberg_dim", lambda J, q: steinberg_dim(J, q) + 1)
+    args = ["verify", "--suite", "e2", "--n-max", "2", "--q", "2"]
+    assert cli.main(args) == cli.EXIT_FAIL
+    assert "FAIL  e2          n=2 q=2" in capsys.readouterr().out
+    monkeypatch.undo()
+    assert cli.main(args) == cli.EXIT_OK
