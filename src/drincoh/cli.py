@@ -263,8 +263,9 @@ def _run_job(args) -> dict:
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
     jobs = [(s, n, q, m, cfg.seed) for (s, n, q, m) in _grid(cfg)]
-    workers = cfg.jobs if cfg.jobs > 0 else (os.cpu_count() or 1)
-    if workers == 1 or len(jobs) <= 1:
+    # a pool forks all its workers up front, so never ask for more than jobs
+    workers = min(cfg.jobs if cfg.jobs > 0 else (os.cpu_count() or 1), len(jobs))
+    if workers <= 1:
         results = [_run_job(j) for j in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

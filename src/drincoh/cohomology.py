@@ -46,16 +46,6 @@ def h_of_projective_space(n: int, q: int) -> CohomologyTable:
     return CohomologyTable(n, q, "H(P^n)", entries)
 
 
-def hc_of_affine_space(n: int, q: int) -> CohomologyTable:
-    entries = {2 * n: TwistedModule.of(summand("K", None, 1, -n))}
-    return CohomologyTable(n, q, "Hc(A^n)", entries)
-
-
-def h_of_affine_space(n: int, q: int) -> CohomologyTable:
-    entries = {0: TwistedModule.of(summand("K", None, 1, 0))}
-    return CohomologyTable(n, q, "H(A^n)", entries)
-
-
 # -- H*(Y) --------------------------------------------------------------------
 
 

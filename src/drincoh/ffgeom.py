@@ -15,13 +15,19 @@ Conventions
   right multiplication with g^{-1} on row coordinates; it is never
   materialized, since every map needed downstream is a chain-forgetting or
   point-membership relation.
+* The subspaces of one dimension are indexed by their enumerate_subspaces
+  order, and a flag is keyed by the indices of its chain members
+  (flag_keys).  Keys are built top-down: a cached table lists, for each
+  subspace, the indices of its subspaces one step down in the chain.
+  Forgetting is the integer column map forget_map, so pullbacks and
+  restrictions are assembled without building or hashing Flag objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, pairwise, product
 
 from .errors import DeskScaleExceeded
 from .qarith import is_prime
@@ -261,23 +267,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains_vector(self, vec) -> bool:
-        return not any(_reduce_mod_basis(list(vec), self.basis, self.q))
-
-    def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(row) for row in other.basis)
-
-
-def _reduce_mod_basis(vec: list[int], basis, q: int) -> list[int]:
-    """Subtract multiples of the RREF basis rows; the result has zeros at pivots."""
-    for row in basis:
-        piv = next(j for j, x in enumerate(row) if x)
-        c = vec[piv] % q
-        if c:
-            for j in range(piv, len(vec)):
-                vec[j] = (vec[j] - c * row[j]) % q
-    return vec
-
 
 def rref(rows, q: int) -> tuple[tuple[int, ...], ...]:
     """Reduced row echelon form over F_q (prime), zero rows dropped."""
@@ -340,39 +329,6 @@ def enumerate_subspaces(ambient_dim: int, d: int, q: int) -> tuple[Subspace, ...
     return tuple(out)
 
 
-def intersect_subspaces(U: Subspace, V: Subspace) -> Subspace | None:
-    """Intersection of two subspaces; None if it is zero."""
-    if U.q != V.q or U.ambient_dim != V.ambient_dim:
-        raise ValueError("subspaces must share the field and the ambient space")
-    q, N = U.q, U.ambient_dim
-    a, b = U.dim, V.dim
-    # kernel of the (a+b) x N stack [U; V] gives coefficients (x, y) with
-    # x.U = -y.V, i.e. vectors of the intersection
-    stacked = [list(r) for r in U.basis] + [list(r) for r in V.basis]
-    # row-reduce the transpose-augmented system: solve z . stacked = 0
-    cols = list(zip(*stacked))  # N rows of length a+b
-    reduced = rref(cols, q)
-    pivots = [next(j for j, x in enumerate(row) if x) for row in reduced]
-    vectors = []
-    for f in range(a + b):
-        if f in pivots:
-            continue
-        z = [0] * (a + b)
-        z[f] = 1
-        for row, p in zip(reduced, pivots):
-            z[p] = (-row[f]) % q
-        vec = [0] * N
-        for coeff, row in zip(z[:a], U.basis):
-            if coeff:
-                for j in range(N):
-                    vec[j] = (vec[j] + coeff * row[j]) % q
-        if any(vec):
-            vectors.append(vec)
-    if not vectors:
-        return None
-    return span(vectors, q, N)
-
-
 def subspace_points(U: Subspace, m: int = 1) -> list[tuple[int, ...]]:
     """Sorted F_{q^m}-points of P(U), as normalized ambient coordinate tuples.
 
@@ -394,19 +350,6 @@ def subspace_points(U: Subspace, m: int = 1) -> list[tuple[int, ...]]:
             pts.append(tuple(vec))
     pts.sort()
     return pts
-
-
-def in_extension_span(pt: tuple[int, ...], U: Subspace, F: GaloisField) -> bool:
-    """Whether an F_{q^m}-point lies on P(U), i.e. its vector is in U ⊗ F_{q^m}."""
-    vec = list(pt)
-    for row in U.basis:
-        piv = next(j for j, x in enumerate(row) if x)
-        c = vec[piv]
-        if c:
-            for j in range(piv, len(vec)):
-                if row[j]:
-                    vec[j] = F.add(vec[j], F.neg(F.mul(c, row[j])))
-    return not any(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -441,28 +384,76 @@ def chain_dims(I: ParabolicType) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _subspace_lookup(ambient_dim: int, d: int, q: int) -> dict:
+    """RREF basis -> index in enumerate_subspaces(ambient_dim, d, q)."""
+    return {U.basis: k for k, U in enumerate(enumerate_subspaces(ambient_dim, d, q))}
+
+
+@lru_cache(maxsize=None)
+def _inner_subspaces(ambient_dim: int, big: int, small: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """For each big-dimensional subspace V, the indices of its small ones.
+
+    Every small subspace of V is the image of exactly one small subspace W of
+    F_q^big under the coordinates of V's basis: the rows of W times V's rows.
+    """
+    lookup = _subspace_lookup(ambient_dim, small, q)
+    local = enumerate_subspaces(big, small, q)
+    table = []
+    for V in enumerate_subspaces(ambient_dim, big, q):
+        cols = list(zip(*V.basis))
+        images = (
+            rref([[sum(a * b for a, b in zip(w, col)) % q for col in cols] for w in W.basis], q)
+            for W in local
+        )
+        table.append(tuple(lookup[basis] for basis in images))
+    return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def flag_keys(I: ParabolicType, q: int) -> tuple[tuple[int, ...], ...]:
+    """The type-I flags as index chains, in the order of enumerate_flags.
+
+    Entry l of a key is the index of the chain's l-th member in
+    enumerate_subspaces(n+1, chain_dims(I)[l], q).  Chains grow top-down,
+    from each largest member through the table of its subspaces one step
+    down.  Indices follow the sorted Subspace order, so sorted keys are the
+    chain-lex order of the flags.
+    """
+    if not is_prime(q):
+        raise ValueError(f"q must be prime, got {q}")
+    N = I.n + 1
+    dims = chain_dims(I)
+    if not dims:  # I is the full subset: the single coset G/G
+        return ((),)
+    keys = [(k,) for k in range(len(enumerate_subspaces(N, dims[-1], q)))]
+    for big, small in pairwise(reversed(dims)):
+        inner = _inner_subspaces(N, big, small, q)
+        keys = [(k,) + key for key in keys for k in inner[key[0]]]
+    keys.sort()
+    return tuple(keys)
+
+
+@lru_cache(maxsize=None)
 def enumerate_flags(I: ParabolicType, q: int) -> tuple[Flag, ...]:
     """All flags of type I over F_q, in canonical (chain-lex) order."""
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
-    n = I.n
+    levels = [enumerate_subspaces(I.n + 1, d, q) for d in chain_dims(I)]
+    return tuple(
+        Flag(I, tuple(level[k] for level, k in zip(levels, key))) for key in flag_keys(I, q)
+    )
+
+
+@lru_cache(maxsize=None)
+def forget_map(I: ParabolicType, J: ParabolicType, q: int) -> tuple[int, ...]:
+    """The column map of forget: entry k is the position in flag_keys(J, q)
+    of the image of the k-th type-I flag.  Raises ValueError unless I ⊆ J."""
+    if not J.contains(I):
+        raise ValueError(f"cannot forget {I.subset_str()} to non-superset {J.subset_str()}")
     dims = chain_dims(I)
-    if not dims:  # I is the full subset: the single coset G/G
-        return (Flag(I, ()),)
-    levels = [enumerate_subspaces(n + 1, d, q) for d in dims]
-    flags = []
-
-    def extend(chain, level):
-        if level == len(levels):
-            flags.append(Flag(I, tuple(chain)))
-            return
-        for U in levels[level]:
-            if not chain or U.contains(chain[-1]):
-                extend(chain + [U], level + 1)
-
-    extend([], 0)
-    flags.sort()
-    return tuple(flags)
+    keep = [dims.index(d) for d in chain_dims(J)]
+    position = {key: k for k, key in enumerate(flag_keys(J, q))}
+    return tuple(position[tuple(key[l] for l in keep)] for key in flag_keys(I, q))
 
 
 def forget(f: Flag, J: ParabolicType) -> Flag:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ExactnessError
-from .ffgeom import enumerate_flags, forget
+from .ffgeom import flag_keys, forget_map
 from .homalg import ChainComplex, ExactMatrix
 from .qarith import parabolic_index
 from .rootdata import ParabolicType, cover_sign, subsets_of_size
@@ -28,17 +28,11 @@ def pullback_matrix(I: ParabolicType, J: ParabolicType, q: int) -> ExactMatrix:
 
     Maps functions on type-J flags to functions on type-I flags: one 1 per
     row, at the column of the row flag's image under forgetting.  Requires
-    I ⊆ J.
+    I ⊆ J; forget_map raises ValueError otherwise.
     """
-    if not J.contains(I):
-        raise ValueError(
-            f"pullback needs I ⊆ J, got I={I.subset_str()}, J={J.subset_str()}"
-        )
-    source = enumerate_flags(J, q)
-    target = enumerate_flags(I, q)
-    col_of = {f: idx for idx, f in enumerate(source)}
-    entries = {(row, col_of[forget(f, J)]): 1 for row, f in enumerate(target)}
-    return ExactMatrix(len(target), len(source), entries)
+    image = forget_map(I, J, q)
+    entries = {(row, col): 1 for row, col in enumerate(image)}
+    return ExactMatrix(len(image), len(flag_keys(J, q)), entries)
 
 
 def _interval_levels(J: ParabolicType) -> list[list[ParabolicType]]:

@@ -43,15 +43,6 @@ class ExactMatrix:
                     self.entries[(i, j)] = v
 
     @staticmethod
-    def from_dense(data) -> "ExactMatrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        entries = {
-            (i, j): v for i, row in enumerate(data) for j, v in enumerate(row) if v
-        }
-        return ExactMatrix(rows, cols, entries)
-
-    @staticmethod
     def identity(n: int) -> "ExactMatrix":
         return ExactMatrix(n, n, {(i, i): 1 for i in range(n)})
 
@@ -127,14 +118,6 @@ class ExactMatrix:
                     out.pop(key, None)
         return ExactMatrix(self.rows, other.cols, out)
 
-    def reindexed(self, row_perm, col_perm) -> "ExactMatrix":
-        """Apply basis permutations: entry (i, j) moves to (row_perm[i], col_perm[j])."""
-        return ExactMatrix(
-            self.rows,
-            self.cols,
-            {(row_perm[i], col_perm[j]): v for (i, j), v in self.entries.items()},
-        )
-
     # -- rank ---------------------------------------------------------------
 
     def rank(self) -> int:
@@ -208,19 +191,6 @@ class ExactMatrix:
             lines.append(f"{i} {j} {self.entries[(i, j)]}/1")
         return "\n".join(lines) + "\n"
 
-    @staticmethod
-    def parse_dump(text: str) -> "ExactMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        rows, cols, nnz = (int(x) for x in lines[0].split())
-        entries = {}
-        for ln in lines[1 : nnz + 1]:
-            si, sj, sv = ln.split()
-            num, den = sv.split("/")
-            if int(den) != 1:
-                raise ValueError(f"non-integral entry {sv!r} in dump")
-            entries[(int(si), int(sj))] = int(num)
-        return ExactMatrix(rows, cols, entries)
-
 
 @dataclass(frozen=True)
 class ChainComplex:
@@ -265,6 +235,3 @@ class ChainComplex:
         ok = all(h == 0 for i, h in enumerate(dims) if i not in allowed)
         report = {i: dims[i] for i in sorted(allowed) if i < len(dims)}
         return ok, report
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** i * t for i, t in enumerate(self.terms))

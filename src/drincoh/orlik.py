@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from types import MappingProxyType
 
 from .errors import DeskScaleExceeded, ExactnessError
@@ -26,7 +27,7 @@ from .ffgeom import (
     Subspace,
     enumerate_flags,
     flag_subvariety,
-    forget,
+    forget_map,
     hyperplane_union_points,
     subspace_points,
 )
@@ -65,20 +66,17 @@ class FunctionComplex:
     complex: ChainComplex
 
 
-def _restriction_block(
-    target: StratumSummand, source_index: dict[tuple[int, ...], int], sign: int
-) -> ExactMatrix:
-    entries = {
-        (row, source_index[pt]): sign for row, pt in enumerate(target.points)
-    }
-    return ExactMatrix(len(target.points), len(source_index), entries)
+def _point_offsets(level) -> list[int]:
+    """First row of each summand's points in the level's term, then the total."""
+    return list(accumulate((len(s.points) for s in level), initial=0))
 
 
 def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
     """The complex 0 -> Fun(Y) -> ⊕_{#I=n-1} ⊕_g Fun(g.Y_I) -> ... -> ⊕_{G/B} -> 0.
 
     Differentials are signed point-restriction maps; distinct cosets keep
-    separate summands even when they cut out the same subvariety.
+    separate summands even when they cut out the same subvariety, but each
+    subvariety's points are listed and indexed once.
     """
     # closed-form size estimate first, so oversize requests fail fast
     bound = projective_count(n, q, m)
@@ -91,63 +89,56 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
         )
 
     y_points = tuple(hyperplane_union_points(n, q, m))
+    points_of: dict[Subspace, tuple[tuple[int, ...], ...]] = {}
     levels = []
+    # per level: subset I -> the positions of its summands, one per type-I flag
+    where: list[dict[ParabolicType, range]] = []
     for size in range(n - 1, -1, -1):
-        level = []
+        level, positions_of = [], {}
         for I in subsets_of_size(n, size, proper=True):
+            start = len(level)
             for f in enumerate_flags(I, q):
                 U = flag_subvariety(f)
-                level.append(StratumSummand(I, f, U, tuple(subspace_points(U, m))))
+                if U not in points_of:
+                    points_of[U] = tuple(subspace_points(U, m))
+                level.append(StratumSummand(I, f, U, points_of[U]))
+            positions_of[I] = range(start, len(level))
         levels.append(tuple(level))
+        where.append(positions_of)
     terms = [len(y_points)] + [sum(len(s.points) for s in lv) for lv in levels]
 
     y_set = set(y_points)
     covered = set()
-    for lv in levels:
-        for s in lv:
-            if not set(s.points) <= y_set:
-                raise ExactnessError("summand points escape the hyperplane union")
-            covered.update(s.points)
+    for pts in points_of.values():
+        if not y_set.issuperset(pts):
+            raise ExactnessError("summand points escape the hyperplane union")
+        covered.update(pts)
     if covered != y_set:
         raise ExactnessError("summands do not cover the hyperplane union")
+    index_of = {U: {pt: k for k, pt in enumerate(pts)} for U, pts in points_of.items()}
 
-    diffs = []
     # augmentation: restriction of functions on Y to each top-level summand
     y_index = {pt: k for k, pt in enumerate(y_points)}
-    blocks = {
-        (bi, 0): _restriction_block(s, y_index, 1) for bi, s in enumerate(levels[0])
-    }
-    diffs.append(
-        ExactMatrix.from_blocks(
-            [len(s.points) for s in levels[0]], [len(y_points)], blocks
-        )
-    )
+    rows = [y_index[pt] for s in levels[0] for pt in s.points]
+    diffs = [ExactMatrix(len(rows), len(y_points), {(i, j): 1 for i, j in enumerate(rows)})]
     for t in range(len(levels) - 1):
         sources, targets = levels[t], levels[t + 1]
-        src_pos = {(s.I, s.flag): k for k, s in enumerate(sources)}
-        src_index = [
-            {pt: k for k, pt in enumerate(s.points)} for s in sources
-        ]
-        blocks = {}
-        for bi, tgt in enumerate(targets):
+        col0, row0 = _point_offsets(sources), _point_offsets(targets)
+        entries = {}
+        for I, positions in where[t + 1].items():
             for a in range(n):
-                if tgt.I.mask >> a & 1:
+                J = I.union(a)
+                if I.mask >> a & 1 or not J.is_proper:
                     continue
-                J = tgt.I.union(a)
-                if not J.is_proper:
-                    continue
-                h = forget(tgt.flag, J)
-                bj = src_pos[(J, h)]
-                blocks[(bi, bj)] = _restriction_block(
-                    tgt, src_index[bj], cover_sign(tgt.I, a)
-                )
-        diffs.append(
-            ExactMatrix.from_blocks(
-                [len(s.points) for s in targets],
-                [len(s.points) for s in sources],
-                blocks,
-            )
-        )
+                sign = cover_sign(I, a)
+                image = forget_map(I, J, q)
+                first = where[t][J].start
+                for k, pos in enumerate(positions):
+                    src = first + image[k]
+                    index, r, c = index_of[sources[src].subspace], row0[pos], col0[src]
+                    for i, pt in enumerate(targets[pos].points):
+                        entries[(r + i, c + index[pt])] = sign
+        diffs.append(ExactMatrix(row0[-1], col0[-1], entries))
     cx = ChainComplex(tuple(terms), tuple(diffs))
     return FunctionComplex(n, q, m, y_points, tuple(levels), cx)
 
@@ -194,19 +185,6 @@ def _guard_page(n: int, q: int):
         raise DeskScaleExceeded(
             f"full flag variety of GL_{n + 1}(F_{q}) exceeds the {E2_FLAG_GUARD} guard"
         )
-
-
-def build_e1_page(n: int, q: int) -> dict[tuple[int, int], TwistedModule]:
-    """Term contents of the first page: (r, s) -> ⊕ Ind(I)(-s/2)."""
-    _guard_page(n, q)
-    page = {}
-    for s in range(0, 2 * n - 1, 2):
-        row = build_e1_row(s, n, q)
-        for r, pos in enumerate(row.subsets):
-            page[(r, s)] = TwistedModule.of(
-                *(summand("Ind", I, parabolic_index(I, q), row.twist) for I in pos)
-            )
-    return page
 
 
 @lru_cache(maxsize=None)

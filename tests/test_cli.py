@@ -128,6 +128,29 @@ def test_verify_parallel_jobs(capsys):
     assert out.count("PASS") == 4
 
 
+def test_verify_pool_is_capped_at_the_job_count(monkeypatch, capsys):
+    started = []
+
+    class InlinePool:  # records the requested size, runs the jobs in-process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    assert run(["verify", "--suite", "steinberg", "--n-max", "2", "--q", "2,3",
+                "--jobs", "64"]) == 0
+    assert capsys.readouterr().out.count("PASS") == 4
+    assert started == [4]
+
+
 def test_verify_seed_is_configurable(capsys):
     def stripped():
         out = capsys.readouterr().out

@@ -7,11 +7,9 @@ from drincoh.cohomology import (
     dual_table,
     expected_h_of_x,
     expected_hc_of_x,
-    h_of_affine_space,
     h_of_projective_space,
     h_of_x,
     h_of_y,
-    hc_of_affine_space,
     hc_of_x,
     lefschetz_count,
     _restriction_cokernel,
@@ -21,6 +19,7 @@ from drincoh.ffgeom import drinfeld_points
 from drincoh.qarith import projective_count
 from drincoh.rootdata import ParabolicType, standard_subset
 from drincoh.tables import TwistedModule, summand
+from oracles import h_of_affine_space, hc_of_affine_space
 
 
 def test_reference_tables_trace_to_point_counts():

@@ -13,11 +13,11 @@ from drincoh.ffgeom import (
     enumerate_flags,
     enumerate_subspaces,
     field,
+    flag_keys,
     flag_subvariety,
     forget,
+    forget_map,
     hyperplane_union_points,
-    in_extension_span,
-    intersect_subspaces,
     projective_points,
     rational_forms,
     rref,
@@ -26,6 +26,13 @@ from drincoh.ffgeom import (
 )
 from drincoh.qarith import gauss_binomial, parabolic_index, projective_count
 from drincoh.rootdata import ParabolicType
+from oracles import (
+    contains,
+    contains_vector,
+    flags_by_containment,
+    in_extension_span,
+    intersect_subspaces,
+)
 
 
 # -- fields -------------------------------------------------------------------
@@ -151,8 +158,8 @@ def test_span_and_rref():
     U = span([(1, 1, 0), (0, 1, 1)], 2)
     assert U.dim == 2
     assert U.basis == ((1, 0, 1), (0, 1, 1))
-    assert U.contains_vector((1, 0, 1))
-    assert not U.contains_vector((1, 0, 0))
+    assert contains_vector(U, (1, 0, 1))
+    assert not contains_vector(U, (1, 0, 0))
     with pytest.raises(ValueError):
         span([(0, 0, 0)], 2)
 
@@ -210,7 +217,7 @@ def test_flag_chains_are_strictly_nested_with_prescribed_dims():
     assert chain_dims(I) == (1, 3)
     for f in enumerate_flags(I, 2):
         assert tuple(U.dim for U in f.chain) == (1, 3)
-        assert f.chain[1].contains(f.chain[0])
+        assert contains(f.chain[1], f.chain[0])
 
 
 def test_forget_examples():
@@ -243,6 +250,41 @@ def test_forget_fibers_are_constant():
             fiber = parabolic_index(I, q) // parabolic_index(J, q)
             assert set(images) == set(enumerate_flags(J, q))  # surjective
             assert all(v == fiber for v in images.values())
+
+
+SMALL = [(n, q) for n in (1, 2, 3) for q in (2, 3)]
+
+
+def all_subsets(n):
+    return [ParabolicType(n, mask) for mask in range(1 << n)]
+
+
+@pytest.mark.parametrize("n,q", SMALL)
+def test_enumerate_flags_matches_containment_oracle(n, q):
+    for I in all_subsets(n):
+        flags = enumerate_flags(I, q)
+        assert flags == flags_by_containment(I, q)
+        levels = [enumerate_subspaces(n + 1, d, q) for d in chain_dims(I)]
+        for f, key in zip(flags, flag_keys(I, q), strict=True):
+            assert f.chain == tuple(level[k] for level, k in zip(levels, key))
+
+
+def test_full_flags_n4_match_containment_oracle():
+    I = ParabolicType.empty(4)
+    assert enumerate_flags(I, 2) == flags_by_containment(I, 2)
+
+
+@pytest.mark.parametrize("n,q", SMALL)
+def test_forget_map_matches_forget(n, q):
+    for I in all_subsets(n):
+        flags = enumerate_flags(I, q)
+        for J in all_subsets(n):
+            if not J.contains(I):
+                with pytest.raises(ValueError):
+                    forget_map(I, J, q)
+                continue
+            position = {g: k for k, g in enumerate(enumerate_flags(J, q))}
+            assert forget_map(I, J, q) == tuple(position[forget(f, J)] for f in flags)
 
 
 def test_flag_subvariety_is_first_member():

