@@ -1,14 +1,20 @@
-"""Finite-field geometry: extension fields F_{q^m}, subspaces in reduced row
-echelon form, flags as canonical models of parabolic cosets, and brute-force
-point enumeration on projective spaces and Drinfeld half spaces.
+"""Finite-field geometry: points over F_{q^m} as F_q digit planes, subspaces
+in reduced row echelon form, flags as canonical models of parabolic cosets,
+and brute-force point enumeration on projective spaces and Drinfeld half
+spaces.
 
 Conventions
 -----------
-* q is prime everywhere in this module; extension fields F_{q^m} are built as
-  F_q[t]/(f) for the monic irreducible f of degree m with the least
-  coefficient encoding (so all runs agree bit for bit).
-* Field elements are ints in 0..q^m-1, base-q digits = polynomial
-  coefficients, constant term last digit (value c in F_q embeds as c).
+* q is prime everywhere in this module, and the only arithmetic is % q.
+* An element of F_{q^m} is an int in 0..q^m-1 whose base-q digits are its
+  coordinates over F_q in a fixed F_q-basis 1, t, ..., t^{m-1} (digit k is
+  the coefficient of t^k, so c in F_q is the int c).  No modulus is fixed
+  here: nothing multiplies two elements of F_{q^m}.  Point counts,
+  rational-hyperplane tests and subspace points are F_q-linear, so they do
+  not depend on one.
+* Digit k of every coordinate of a point forms its digit plane k, a vector
+  in F_q^{n+1}.  A form with F_q coefficients vanishes at the point iff it
+  vanishes on every digit plane, and an F_q-scalar acts on each plane alone.
 * A subspace is identified with its unique reduced-row-echelon basis; a flag
   of type I is the strictly increasing chain of subspaces whose dimensions
   are the interior partial sums of I's composition.  The group action is by
@@ -37,185 +43,52 @@ POINT_GUARD = 10**8
 
 
 # ---------------------------------------------------------------------------
-# extension fields
-# ---------------------------------------------------------------------------
-
-
-def _poly_mul_mod(a: tuple[int, ...], b: tuple[int, ...], mod: tuple[int, ...], q: int):
-    """Multiply coefficient tuples (index = degree) modulo the monic poly `mod`."""
-    deg_m = len(mod) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % q
-    for d in range(len(out) - 1, deg_m - 1, -1):
-        c = out[d]
-        if c:
-            out[d] = 0
-            for j in range(deg_m):
-                out[d - deg_m + j] = (out[d - deg_m + j] - c * mod[j]) % q
-    return tuple(out[:deg_m]) + (0,) * (deg_m - len(out))
-
-
-def _encode(coeffs, q: int) -> int:
-    v = 0
-    for d, c in enumerate(coeffs):
-        v += c * q**d
-    return v
-
-
-def _decode(v: int, q: int, m: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(m):
-        out.append(v % q)
-        v //= q
-    return tuple(out)
-
-
-def _is_irreducible(f: tuple[int, ...], q: int) -> bool:
-    """Trial division by all monic polys of degree 1..deg(f)//2."""
-    deg = len(f) - 1
-    for d in range(1, deg // 2 + 1):
-        for enc in range(q**d):
-            g = _decode(enc, q, d) + (1,)
-            # long division remainder of f by g
-            rem = list(f)
-            for k in range(len(rem) - 1, d - 1, -1):
-                c = rem[k] % q
-                if c:
-                    rem[k] = 0
-                    for j in range(d):
-                        rem[k - d + j] = (rem[k - d + j] - c * g[j]) % q
-            if not any(x % q for x in rem):
-                return False
-    return True
-
-
-class GaloisField:
-    """F_{q^m} with int-encoded elements and exp/log multiplication tables."""
-
-    def __init__(self, q: int, m: int):
-        if not is_prime(q):
-            raise ValueError(f"q must be prime, got {q}")
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
-        self.q = q
-        self.m = m
-        self.size = q**m
-        self.modulus = self._least_irreducible(q, m)
-        self._build_tables()
-
-    @staticmethod
-    def _least_irreducible(q: int, m: int) -> tuple[int, ...]:
-        for enc in range(q**m):
-            f = _decode(enc, q, m) + (1,)
-            if _is_irreducible(f, q):
-                return f
-        raise AssertionError("no irreducible polynomial found")  # unreachable
-
-    def _build_tables(self):
-        q, m, N = self.q, self.m, self.size
-        mod = self.modulus
-
-        def raw_mul(a: int, b: int) -> int:
-            return _encode(_poly_mul_mod(_decode(a, q, m), _decode(b, q, m), mod, q), q)
-
-        # find a multiplicative generator by brute force
-        order = N - 1
-        for g in range(2 if N > 2 else 1, N):
-            x, k = g, 1
-            while x != 1:
-                x = raw_mul(x, g)
-                k += 1
-            if k == order:
-                break
-        else:
-            g = 1  # F_2: trivial group
-        exp = [1] * max(order, 1)
-        for i in range(1, order):
-            exp[i] = raw_mul(exp[i - 1], g)
-        log = [0] * N
-        for i, v in enumerate(exp):
-            log[v] = i
-        self._exp, self._log = exp, log
-
-    def add(self, a: int, b: int) -> int:
-        q = self.q
-        if self.m == 1:
-            return (a + b) % q
-        s = 0
-        mult = 1
-        while a or b:
-            s += ((a + b) % q) * mult
-            a //= q
-            b //= q
-            mult *= q
-        return s
-
-    def neg(self, a: int) -> int:
-        q = self.q
-        if self.m == 1:
-            return (-a) % q
-        s = 0
-        mult = 1
-        while a:
-            s += (-a % q) * mult
-            a //= q
-            mult *= q
-        return s
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        order = self.size - 1
-        return self._exp[(self._log[a] + self._log[b]) % order]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        order = self.size - 1
-        return self._exp[(-self._log[a]) % order]
-
-    def __repr__(self):
-        return f"GaloisField(q={self.q}, m={self.m})"
-
-
-@lru_cache(maxsize=None)
-def field(q: int, m: int = 1) -> GaloisField:
-    return GaloisField(q, m)
-
-
-# ---------------------------------------------------------------------------
 # projective points
 # ---------------------------------------------------------------------------
 
 
-def projective_points(n: int, F: GaloisField) -> list[tuple[int, ...]]:
-    """All points of P^n(F), as normalized coordinate tuples, sorted."""
-    pts = []
-    for lead in range(n + 1):
-        for tail in product(range(F.size), repeat=n - lead):
-            pts.append((0,) * lead + (1,) + tail)
-    pts.sort()
-    return pts
+def _normalized(length: int, size: int):
+    """Nonzero vectors of the given length over 0..size-1 whose first nonzero
+    entry is 1, in increasing lex order."""
+    for lead in range(length - 1, -1, -1):
+        for tail in product(range(size), repeat=length - 1 - lead):
+            yield (0,) * lead + (1,) + tail
+
+
+@lru_cache(maxsize=None)
+def _digits(q: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Entry x: the m base-q digits of x, digit 0 (the constant) first."""
+    return tuple(tuple(x // q**k % q for k in range(m)) for x in range(q**m))
+
+
+def projective_points(n: int, q: int, m: int = 1) -> list[tuple[int, ...]]:
+    """All points of P^n(F_{q^m}), as normalized coordinate tuples, sorted."""
+    return list(_normalized(n + 1, q**m))
 
 
 def rational_forms(n: int, q: int) -> list[tuple[int, ...]]:
     """Nonzero F_q-linear forms on F_q^{n+1}, one per hyperplane (normalized)."""
-    return projective_points(n, field(q, 1))
+    return projective_points(n, q)
 
 
-def _form_vanishes(form: tuple[int, ...], pt: tuple[int, ...], F: GaloisField) -> bool:
-    s = 0
-    for a, x in zip(form, pt):
-        if a and x:
-            s = F.add(s, F.mul(a, x))
-    return s == 0
+@lru_cache(maxsize=None)
+def _vanishing_masks(forms: tuple[tuple[int, ...], ...], q: int) -> dict[tuple[int, ...], int]:
+    """Vector of F_q^{n+1} -> bitmask of the forms (bit b for forms[b]) that
+    vanish on it, every form evaluated on every vector."""
+    return {
+        vec: sum(
+            1 << b for b, form in enumerate(forms) if sum(a * x for a, x in zip(form, vec)) % q == 0
+        )
+        for vec in product(range(q), repeat=len(forms[0]))
+    }
 
 
-def on_rational_hyperplane(pt: tuple[int, ...], forms, F: GaloisField) -> bool:
-    return any(_form_vanishes(f, pt, F) for f in forms)
+def _on_rational_hyperplane(pt, masks, digits) -> bool:
+    """Whether one form vanishes on every digit plane of pt."""
+    common = -1
+    for plane in zip(*[digits[x] for x in pt]):
+        common &= masks[plane]
+    return common != 0
 
 
 def _check_point_guard(n: int, q: int, m: int):
@@ -223,6 +96,8 @@ def _check_point_guard(n: int, q: int, m: int):
         raise ValueError(f"n must be >= 1, got {n}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    if not is_prime(q):
+        raise ValueError(f"q must be prime, got {q}")
     if q ** (m * (n + 1)) >= POINT_GUARD:
         raise DeskScaleExceeded(
             f"q^(m(n+1)) = {q ** (m * (n + 1))} exceeds the {POINT_GUARD} vector guard"
@@ -232,19 +107,17 @@ def _check_point_guard(n: int, q: int, m: int):
 def drinfeld_points(n: int, q: int, m: int) -> int:
     """Number of F_{q^m}-points of P^n avoiding every F_q-rational hyperplane."""
     _check_point_guard(n, q, m)
-    F = field(q, m)
-    forms = rational_forms(n, q)
+    masks, digits = _vanishing_masks(tuple(rational_forms(n, q)), q), _digits(q, m)
     return sum(
-        1 for pt in projective_points(n, F) if not on_rational_hyperplane(pt, forms, F)
+        1 for pt in projective_points(n, q, m) if not _on_rational_hyperplane(pt, masks, digits)
     )
 
 
 def hyperplane_union_points(n: int, q: int, m: int) -> list[tuple[int, ...]]:
     """Sorted F_{q^m}-points of the union of all F_q-rational hyperplanes in P^n."""
     _check_point_guard(n, q, m)
-    F = field(q, m)
-    forms = rational_forms(n, q)
-    return [pt for pt in projective_points(n, F) if on_rational_hyperplane(pt, forms, F)]
+    masks, digits = _vanishing_masks(tuple(rational_forms(n, q)), q), _digits(q, m)
+    return [pt for pt in projective_points(n, q, m) if _on_rational_hyperplane(pt, masks, digits)]
 
 
 # ---------------------------------------------------------------------------
@@ -329,26 +202,30 @@ def enumerate_subspaces(ambient_dim: int, d: int, q: int) -> tuple[Subspace, ...
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _subspace_vectors(U: Subspace) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Coefficients c over U's basis -> the vector sum(c_i U_i) of F_q^{ambient}."""
+    q = U.q
+    return {
+        c: tuple(sum(a * x for a, x in zip(c, col)) % q for col in zip(*U.basis))
+        for c in product(range(q), repeat=U.dim)
+    }
+
+
 def subspace_points(U: Subspace, m: int = 1) -> list[tuple[int, ...]]:
     """Sorted F_{q^m}-points of P(U), as normalized ambient coordinate tuples.
 
-    Normalized linear combinations of an RREF basis are already normalized
-    as ambient vectors, so no rescaling is needed.
+    Digit plane k of sum(lam_i U_i) is the vector of U whose coefficients
+    are the k-th digits of the lam_i.  Normalized combinations of an RREF
+    basis are already normalized as ambient vectors, and taken in lex order
+    of lam they come out in lex order.
     """
-    F = field(U.q, m)
-    d, N = U.dim, U.ambient_dim
+    vectors, digits = _subspace_vectors(U), _digits(U.q, m)
+    weights = [U.q**k for k in range(m)]
     pts = []
-    for lead in range(d):
-        for tail in product(range(F.size), repeat=d - lead - 1):
-            lam = (0,) * lead + (1,) + tail
-            vec = [0] * N
-            for coeff, row in zip(lam, U.basis):
-                if coeff:
-                    for j in range(N):
-                        if row[j]:
-                            vec[j] = F.add(vec[j], F.mul(coeff, row[j]))
-            pts.append(tuple(vec))
-    pts.sort()
+    for lam in _normalized(U.dim, U.q**m):
+        planes = [vectors[c] for c in zip(*[digits[x] for x in lam])]
+        pts.append(tuple(sum(w * x for w, x in zip(weights, col)) for col in zip(*planes)))
     return pts
 
 

@@ -15,6 +15,7 @@ the subset lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import ExactnessError
 from .ffgeom import flag_keys, forget_map
@@ -53,19 +54,23 @@ def lattice_differential(
     """Signed block matrix of pullbacks for one layer of the subset lattice.
 
     Block (I, J) is cover_sign(I, a) * pullback(I, J) when J = I ∪ {a},
-    zero otherwise.
+    zero otherwise.  Each entry is written once, from forget_map.
     """
-    blocks = {}
+    row_off = list(accumulate((dims[I] for I in targets), initial=0))
+    col_off = list(accumulate((dims[J] for J in sources), initial=0))
+    entries = {}
     for bj, J in enumerate(sources):
         for bi, I in enumerate(targets):
             diff = J.mask & ~I.mask
             if J.contains(I) and diff.bit_count() == 1:
-                a = diff.bit_length() - 1
-                block = pullback_matrix(I, J, q).scaled(cover_sign(I, a))
-                blocks[(bi, bj)] = block
-    return ExactMatrix.from_blocks(
-        [dims[I] for I in targets], [dims[J] for J in sources], blocks
-    )
+                image = forget_map(I, J, q)
+                if len(image) != dims[I] or len(flag_keys(J, q)) != dims[J]:
+                    raise ValueError(f"block ({bi},{bj}) has wrong shape")
+                sign = cover_sign(I, diff.bit_length() - 1)
+                r0, c0 = row_off[bi], col_off[bj]
+                for row, col in enumerate(image):
+                    entries[(r0 + row, c0 + col)] = sign
+    return ExactMatrix(row_off[-1], col_off[-1], entries)
 
 
 @dataclass(frozen=True)

@@ -96,11 +96,6 @@ class ExactMatrix:
             self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
         )
 
-    def scaled(self, c) -> "ExactMatrix":
-        return ExactMatrix(
-            self.rows, self.cols, {k: c * v for k, v in self.entries.items()}
-        )
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")

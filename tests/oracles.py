@@ -6,9 +6,11 @@ for the library's builders and as conveniences for writing small cases.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import product
+
 from drincoh.ffgeom import (
     Flag,
-    GaloisField,
     Subspace,
     chain_dims,
     enumerate_subspaces,
@@ -17,9 +19,215 @@ from drincoh.ffgeom import (
 )
 from drincoh.homalg import ChainComplex, ExactMatrix
 from drincoh.orlik import _guard_page, build_e1_row
-from drincoh.qarith import parabolic_index
+from drincoh.qarith import is_prime, parabolic_index
 from drincoh.rootdata import ParabolicType
 from drincoh.tables import CohomologyTable, TwistedModule, summand
+
+
+# -- the reference field ---------------------------------------------------------
+#
+# F_{q^m} = F_q[t]/(f) for the monic irreducible f of degree m with the least
+# coefficient encoding, with exp/log multiplication tables.  Elements are
+# ints whose base-q digits are the polynomial coefficients, constant term
+# first, the encoding drincoh.ffgeom uses.
+
+
+def _poly_mul_mod(a: tuple[int, ...], b: tuple[int, ...], mod: tuple[int, ...], q: int):
+    """Multiply coefficient tuples (index = degree) modulo the monic poly `mod`."""
+    deg_m = len(mod) - 1
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % q
+    for d in range(len(out) - 1, deg_m - 1, -1):
+        c = out[d]
+        if c:
+            out[d] = 0
+            for j in range(deg_m):
+                out[d - deg_m + j] = (out[d - deg_m + j] - c * mod[j]) % q
+    return tuple(out[:deg_m]) + (0,) * (deg_m - len(out))
+
+
+def _encode(coeffs, q: int) -> int:
+    v = 0
+    for d, c in enumerate(coeffs):
+        v += c * q**d
+    return v
+
+
+def _decode(v: int, q: int, m: int) -> tuple[int, ...]:
+    out = []
+    for _ in range(m):
+        out.append(v % q)
+        v //= q
+    return tuple(out)
+
+
+def _is_irreducible(f: tuple[int, ...], q: int) -> bool:
+    """Trial division by all monic polys of degree 1..deg(f)//2."""
+    deg = len(f) - 1
+    for d in range(1, deg // 2 + 1):
+        for enc in range(q**d):
+            g = _decode(enc, q, d) + (1,)
+            # long division remainder of f by g
+            rem = list(f)
+            for k in range(len(rem) - 1, d - 1, -1):
+                c = rem[k] % q
+                if c:
+                    rem[k] = 0
+                    for j in range(d):
+                        rem[k - d + j] = (rem[k - d + j] - c * g[j]) % q
+            if not any(x % q for x in rem):
+                return False
+    return True
+
+
+class GaloisField:
+    """F_{q^m} with int-encoded elements and exp/log multiplication tables."""
+
+    def __init__(self, q: int, m: int):
+        if not is_prime(q):
+            raise ValueError(f"q must be prime, got {q}")
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
+        self.q = q
+        self.m = m
+        self.size = q**m
+        self.modulus = self._least_irreducible(q, m)
+        self._build_tables()
+
+    @staticmethod
+    def _least_irreducible(q: int, m: int) -> tuple[int, ...]:
+        for enc in range(q**m):
+            f = _decode(enc, q, m) + (1,)
+            if _is_irreducible(f, q):
+                return f
+        raise AssertionError("no irreducible polynomial found")  # unreachable
+
+    def _build_tables(self):
+        q, m, N = self.q, self.m, self.size
+        mod = self.modulus
+
+        def raw_mul(a: int, b: int) -> int:
+            return _encode(_poly_mul_mod(_decode(a, q, m), _decode(b, q, m), mod, q), q)
+
+        # find a multiplicative generator by brute force
+        order = N - 1
+        for g in range(2 if N > 2 else 1, N):
+            x, k = g, 1
+            while x != 1:
+                x = raw_mul(x, g)
+                k += 1
+            if k == order:
+                break
+        else:
+            g = 1  # F_2: trivial group
+        exp = [1] * max(order, 1)
+        for i in range(1, order):
+            exp[i] = raw_mul(exp[i - 1], g)
+        log = [0] * N
+        for i, v in enumerate(exp):
+            log[v] = i
+        self._exp, self._log = exp, log
+
+    def add(self, a: int, b: int) -> int:
+        q = self.q
+        if self.m == 1:
+            return (a + b) % q
+        s = 0
+        mult = 1
+        while a or b:
+            s += ((a + b) % q) * mult
+            a //= q
+            b //= q
+            mult *= q
+        return s
+
+    def neg(self, a: int) -> int:
+        q = self.q
+        if self.m == 1:
+            return (-a) % q
+        s = 0
+        mult = 1
+        while a:
+            s += (-a % q) * mult
+            a //= q
+            mult *= q
+        return s
+
+    def mul(self, a: int, b: int) -> int:
+        if a == 0 or b == 0:
+            return 0
+        order = self.size - 1
+        return self._exp[(self._log[a] + self._log[b]) % order]
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("inverse of 0")
+        order = self.size - 1
+        return self._exp[(-self._log[a]) % order]
+
+    def __repr__(self):
+        return f"GaloisField(q={self.q}, m={self.m})"
+
+
+@lru_cache(maxsize=None)
+def field(q: int, m: int = 1) -> GaloisField:
+    return GaloisField(q, m)
+
+
+
+def projective_points_over(n: int, F: GaloisField) -> list[tuple[int, ...]]:
+    """All points of P^n(F), as normalized coordinate tuples, sorted."""
+    pts = []
+    for lead in range(n + 1):
+        for tail in product(range(F.size), repeat=n - lead):
+            pts.append((0,) * lead + (1,) + tail)
+    pts.sort()
+    return pts
+
+
+def _form_vanishes(form: tuple[int, ...], pt: tuple[int, ...], F: GaloisField) -> bool:
+    s = 0
+    for a, x in zip(form, pt):
+        if a and x:
+            s = F.add(s, F.mul(a, x))
+    return s == 0
+
+
+def split_by_rational_hyperplanes(n: int, q: int, m: int):
+    """(points of P^n(F_{q^m}) on some F_q-rational hyperplane, the others),
+    each sorted, every form tested at every point in the field."""
+    F = field(q, m)
+    forms = projective_points_over(n, field(q, 1))
+    on, off = [], []
+    for pt in projective_points_over(n, F):
+        (on if any(_form_vanishes(f, pt, F) for f in forms) else off).append(pt)
+    return on, off
+
+
+def subspace_points_over(U: Subspace, m: int = 1) -> list[tuple[int, ...]]:
+    """Sorted F_{q^m}-points of P(U), as normalized ambient coordinate tuples.
+
+    Normalized linear combinations of an RREF basis are already normalized
+    as ambient vectors, so no rescaling is needed.
+    """
+    F = field(U.q, m)
+    d, N = U.dim, U.ambient_dim
+    pts = []
+    for lead in range(d):
+        for tail in product(range(F.size), repeat=d - lead - 1):
+            lam = (0,) * lead + (1,) + tail
+            vec = [0] * N
+            for coeff, row in zip(lam, U.basis):
+                if coeff:
+                    for j in range(N):
+                        if row[j]:
+                            vec[j] = F.add(vec[j], F.mul(coeff, row[j]))
+            pts.append(tuple(vec))
+    pts.sort()
+    return pts
 
 
 # -- subspaces and flags --------------------------------------------------------

@@ -132,7 +132,7 @@ def test_lefschetz_equals_trace_of_hc():
 
 
 def test_lefschetz_matches_enumeration_spot_checks():
-    for n, q, m in [(1, 2, 3), (1, 3, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2)]:
+    for n, q, m in [(1, 2, 3), (1, 3, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2), (3, 3, 4)]:
         assert lefschetz_count(n, q, m) == drinfeld_points(n, q, m)
 
 

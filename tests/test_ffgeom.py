@@ -12,7 +12,6 @@ from drincoh.ffgeom import (
     drinfeld_points,
     enumerate_flags,
     enumerate_subspaces,
-    field,
     flag_keys,
     flag_subvariety,
     forget,
@@ -29,9 +28,12 @@ from drincoh.rootdata import ParabolicType
 from oracles import (
     contains,
     contains_vector,
+    field,
     flags_by_containment,
     in_extension_span,
     intersect_subspaces,
+    split_by_rational_hyperplanes,
+    subspace_points_over,
 )
 
 
@@ -82,8 +84,7 @@ def test_field_rejects_nonprime():
 
 def test_projective_points_counts_and_normalization():
     for n, q, m in [(1, 2, 1), (1, 2, 2), (2, 2, 1), (2, 3, 1), (1, 5, 1)]:
-        F = field(q, m)
-        pts = projective_points(n, F)
+        pts = projective_points(n, q, m)
         assert len(pts) == projective_count(n, q, m)
         assert len(set(pts)) == len(pts)
         assert pts == sorted(pts)
@@ -330,6 +331,36 @@ def test_drinfeld_complement_partition():
 def test_drinfeld_size_guard():
     with pytest.raises(DeskScaleExceeded):
         drinfeld_points(3, 5, 3)
+
+
+def test_point_counts_reject_nonprime_q():
+    with pytest.raises(ValueError, match="prime"):
+        drinfeld_points(1, 4, 2)
+    with pytest.raises(ValueError, match="prime"):
+        hyperplane_union_points(1, 4, 2)
+
+
+REFERENCE_POINTS = [
+    (n, q, m)
+    for n in (1, 2, 3)
+    for q in (2, 3, 5)
+    for m in (1, 2, 3)
+    if q ** (m * (n + 1)) <= 10**6
+]
+
+
+@pytest.mark.parametrize("n,q,m", REFERENCE_POINTS)
+def test_point_counts_match_reference_field(n, q, m):
+    on, off = split_by_rational_hyperplanes(n, q, m)
+    assert hyperplane_union_points(n, q, m) == on
+    assert drinfeld_points(n, q, m) == len(off)
+
+
+@pytest.mark.parametrize("n,q,m", [(n, q, m) for n in (1, 2, 3) for q in (2, 3) for m in (1, 2, 3)])
+def test_subspace_points_match_reference_field(n, q, m):
+    for d in range(1, n + 2):
+        for U in enumerate_subspaces(n + 1, d, q):
+            assert subspace_points(U, m) == subspace_points_over(U, m), U
 
 
 def test_subspace_points():

@@ -98,7 +98,7 @@ def test_matmul_and_blocks():
     assert A @ B == from_dense([[-1, 2], [-1, 1]])
     with pytest.raises(ValueError):
         A @ ExactMatrix.zero(3, 3)
-    C = ExactMatrix.from_blocks([2, 1], [2], {(0, 0): A.scaled(1) @ B, (1, 0): from_dense([[1, 1]])})
+    C = ExactMatrix.from_blocks([2, 1], [2], {(0, 0): A @ B, (1, 0): from_dense([[1, 1]])})
     assert C.rows == 3 and C.cols == 2
     assert C.entries[(2, 0)] == 1 and C.entries[(2, 1)] == 1
 

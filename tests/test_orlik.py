@@ -4,7 +4,7 @@ import pytest
 
 from drincoh import cli, orlik
 from drincoh.errors import DeskScaleExceeded, ExactnessError
-from drincoh.ffgeom import enumerate_subspaces, field
+from drincoh.ffgeom import enumerate_subspaces
 from drincoh.gmodules import steinberg_dim
 from drincoh.orlik import (
     build_e1_row,
@@ -18,6 +18,7 @@ from drincoh.tables import TwistedModule, summand
 from oracles import (
     build_e1_page,
     euler_characteristic,
+    field,
     in_extension_span,
     intersect_subspaces,
 )
