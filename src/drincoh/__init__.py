@@ -1,5 +1,6 @@
 """Exact-arithmetic toolkit for the cohomology of Drinfeld upper half spaces
-over finite fields, at desk scale (n <= 3, small q).
+over finite fields, at desk scale: n <= 3 and small q, and n = 4 at q = 2
+except for the function complex.  Size guards raise DeskScaleExceeded beyond.
 
 Everything is computed twice where it matters: once through actual incidence
 matrices and exact rational linear algebra, once through closed-form

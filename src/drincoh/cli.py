@@ -7,7 +7,7 @@ Three subcommands:
   verify       run the invariant battery over a (n, q, m) grid
   dims         print parabolic indices and Steinberg dimensions for all I
 
-Exit codes: 0 success, 1 usage error, 2 verification failure.
+Exit codes: 0 success, 1 usage error or size guard, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -325,7 +325,11 @@ def main(argv=None) -> int:
         print(f"drincoh: error: {problem}", file=sys.stderr)
         return EXIT_USAGE
     handler = {"cohomology": cmd_cohomology, "verify": cmd_verify, "dims": cmd_dims}
-    return handler[cfg.command](cfg)
+    try:
+        return handler[cfg.command](cfg)
+    except DeskScaleExceeded as exc:  # verify turns these into SKIPs itself
+        print(f"drincoh: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -27,6 +27,9 @@ Conventions
   subspace, the indices of its subspaces one step down in the chain.
   Forgetting is the integer column map forget_map, so pullbacks and
   restrictions are assembled without building or hashing Flag objects.
+* Guards raise DeskScaleExceeded before any work: FLAG_GUARD on |G/B| in
+  flag_keys, the only source of flags (n <= 4 at q = 2, n <= 3 at q = 3),
+  and POINT_GUARD and MASK_GUARD on a point count and its mask table.
 """
 
 from __future__ import annotations
@@ -36,10 +39,12 @@ from functools import lru_cache
 from itertools import combinations, pairwise, product
 
 from .errors import DeskScaleExceeded
-from .qarith import is_prime
+from .qarith import is_prime, parabolic_index, projective_count
 from .rootdata import ParabolicType
 
-POINT_GUARD = 10**8
+POINT_GUARD = 10**8  # candidate vectors q^(m(n+1))
+MASK_GUARD = 10**7  # form evaluations in the vanishing-mask table
+FLAG_GUARD = 10**4  # full flags |G/B|, the largest flag set of one (n, q)
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +106,11 @@ def _check_point_guard(n: int, q: int, m: int):
     if q ** (m * (n + 1)) >= POINT_GUARD:
         raise DeskScaleExceeded(
             f"q^(m(n+1)) = {q ** (m * (n + 1))} exceeds the {POINT_GUARD} vector guard"
+        )
+    evaluations = projective_count(n, q) * q ** (n + 1)
+    if evaluations > MASK_GUARD:
+        raise DeskScaleExceeded(
+            f"vanishing-mask table needs {evaluations} form evaluations, over the {MASK_GUARD} guard"
         )
 
 
@@ -245,10 +255,6 @@ class Flag:
     type: ParabolicType
     chain: tuple[Subspace, ...]
 
-    @property
-    def q(self) -> int:
-        return self.chain[0].q
-
 
 def chain_dims(I: ParabolicType) -> tuple[int, ...]:
     comp = I.to_composition()
@@ -294,10 +300,16 @@ def flag_keys(I: ParabolicType, q: int) -> tuple[tuple[int, ...], ...]:
     enumerate_subspaces(n+1, chain_dims(I)[l], q).  Chains grow top-down,
     from each largest member through the table of its subspaces one step
     down.  Indices follow the sorted Subspace order, so sorted keys are the
-    chain-lex order of the flags.
+    chain-lex order of the flags.  Raises DeskScaleExceeded, before any key
+    is built, when |G/B| exceeds FLAG_GUARD, so a whole (n, q) is in or out.
     """
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
+    full = parabolic_index(ParabolicType.empty(I.n), q)
+    if full > FLAG_GUARD:
+        raise DeskScaleExceeded(
+            f"full flag variety of GL_{I.n + 1}(F_{q}) has {full} flags, over the {FLAG_GUARD} guard"
+        )
     N = I.n + 1
     dims = chain_dims(I)
     if not dims:  # I is the full subset: the single coset G/G
@@ -310,11 +322,9 @@ def flag_keys(I: ParabolicType, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(keys)
 
 
-@lru_cache(maxsize=None)
 def enumerate_flags(I: ParabolicType, q: int) -> tuple[Flag, ...]:
-    """All flags of type I over F_q, in canonical (chain-lex) order."""
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
+    """All flags of type I over F_q, in canonical (chain-lex) order: a view
+    of flag_keys as Flag objects, built on each call."""
     levels = [enumerate_subspaces(I.n + 1, d, q) for d in chain_dims(I)]
     return tuple(
         Flag(I, tuple(level[k] for level, k in zip(levels, key))) for key in flag_keys(I, q)
@@ -344,9 +354,3 @@ def forget(f: Flag, J: ParabolicType) -> Flag:
     chain = tuple(U for U in f.chain if U.dim in keep)
     return Flag(J, chain)
 
-
-def flag_subvariety(f: Flag) -> Subspace:
-    """The subspace U with g.Y_I = P(U): the first (smallest) chain member."""
-    if not f.chain:
-        raise ValueError("the full-group coset has no associated proper subvariety")
-    return f.chain[0]

@@ -56,9 +56,6 @@ class ParabolicType:
             m |= 1 << j
         return ParabolicType(self.n, m)
 
-    def without(self, root: int) -> "ParabolicType":
-        return ParabolicType(self.n, self.mask & ~(1 << root))
-
     @staticmethod
     def full(n: int) -> "ParabolicType":
         return ParabolicType(n, (1 << n) - 1)

@@ -18,7 +18,7 @@ from drincoh.ffgeom import (
     span,
 )
 from drincoh.homalg import ChainComplex, ExactMatrix
-from drincoh.orlik import _guard_page, build_e1_row
+from drincoh.orlik import build_e1_row
 from drincoh.qarith import is_prime, parabolic_index
 from drincoh.rootdata import ParabolicType
 from drincoh.tables import CohomologyTable, TwistedModule, summand
@@ -371,7 +371,6 @@ def h_of_affine_space(n: int, q: int) -> CohomologyTable:
 
 def build_e1_page(n: int, q: int) -> dict[tuple[int, int], TwistedModule]:
     """Term contents of the first page: (r, s) -> ⊕ Ind(I)(-s/2)."""
-    _guard_page(n, q)
     page = {}
     for s in range(0, 2 * n - 1, 2):
         row = build_e1_row(s, n, q)

@@ -71,6 +71,13 @@ def test_usage_errors(capsys):
     assert exc.value.code == 1
 
 
+def test_cohomology_over_the_flag_guard_is_a_usage_error(capsys):
+    assert run(["cohomology", "--n", "5", "--q", "2"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("drincoh: error: full flag variety of GL_6(F_2)")
+
+
 def test_dims_table(capsys):
     assert run(["dims", "--n", "2", "--q", "2"]) == 0
     out = capsys.readouterr().out

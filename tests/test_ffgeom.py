@@ -6,6 +6,9 @@ import pytest
 
 from drincoh.errors import DeskScaleExceeded
 from drincoh.ffgeom import (
+    FLAG_GUARD,
+    MASK_GUARD,
+    POINT_GUARD,
     Flag,
     Subspace,
     chain_dims,
@@ -13,7 +16,6 @@ from drincoh.ffgeom import (
     enumerate_flags,
     enumerate_subspaces,
     flag_keys,
-    flag_subvariety,
     forget,
     forget_map,
     hyperplane_union_points,
@@ -288,13 +290,15 @@ def test_forget_map_matches_forget(n, q):
             assert forget_map(I, J, q) == tuple(position[forget(f, J)] for f in flags)
 
 
-def test_flag_subvariety_is_first_member():
-    I = ParabolicType.of(2, [0])
-    f = enumerate_flags(I, 2)[0]
-    assert flag_subvariety(f) == f.chain[0]
-    top = enumerate_flags(ParabolicType.full(2), 2)[0]
-    with pytest.raises(ValueError):
-        flag_subvariety(top)
+def test_flag_guard_decides_by_full_flags():
+    # |G/B| is 9765 at (4,2), whose full flags are built above, and 29016 at
+    # (3,5): every type of (3,5) is refused, even the 156 lines
+    assert parabolic_index(ParabolicType.empty(3), 5) > FLAG_GUARD
+    for I in (ParabolicType.empty(3), ParabolicType.of(3, [1, 2])):
+        with pytest.raises(DeskScaleExceeded):
+            flag_keys(I, 5)
+        with pytest.raises(DeskScaleExceeded):
+            enumerate_flags(I, 5)
 
 
 # -- point counts -----------------------------------------------------------------
@@ -331,6 +335,17 @@ def test_drinfeld_complement_partition():
 def test_drinfeld_size_guard():
     with pytest.raises(DeskScaleExceeded):
         drinfeld_points(3, 5, 3)
+
+
+def test_drinfeld_mask_table_guard():
+    # 5^6 candidates pass the vector guard, but the mask table would evaluate
+    # 3906 forms on 15625 vectors; (4,5) needs 781 * 3125 and is admitted
+    assert 5**6 < POINT_GUARD
+    with pytest.raises(DeskScaleExceeded, match="vanishing-mask"):
+        drinfeld_points(5, 5, 1)
+    with pytest.raises(DeskScaleExceeded, match="vanishing-mask"):
+        hyperplane_union_points(5, 5, 1)
+    assert projective_count(4, 5, 1) * 5**5 <= MASK_GUARD
 
 
 def test_point_counts_reject_nonprime_q():

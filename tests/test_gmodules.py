@@ -2,6 +2,7 @@
 
 import pytest
 
+from drincoh.errors import DeskScaleExceeded
 from drincoh.gmodules import (
     pullback_matrix,
     steinberg_dim,
@@ -136,3 +137,12 @@ def test_resolution_levels_metadata():
     data = steinberg_resolution(ParabolicType.empty(2), 2)
     assert data.levels[0] == (ParabolicType.full(2),)
     assert data.levels[-1] == (ParabolicType.empty(2),)
+
+
+def test_flag_guard_stops_resolutions_and_pullbacks():
+    # the flag guard sits in flag_keys, so these fail before any matrix:
+    # |G/B| is 615195 at (5,2) and 251680 at (4,3)
+    with pytest.raises(DeskScaleExceeded):
+        steinberg_resolution(ParabolicType.empty(5), 2)
+    with pytest.raises(DeskScaleExceeded):
+        pullback_matrix(ParabolicType.empty(4), ParabolicType.of(4, [0]), 3)

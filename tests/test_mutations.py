@@ -44,10 +44,10 @@ def _shifted_h_of_y(n, q, _orig=cohomology.closed_form_h_of_y):
     return CohomologyTable(table.n, table.q, table.theorem, entries, table.metadata)
 
 
-def _enumerate_flags_missing_one(I, q, _orig=ffgeom.enumerate_flags):
-    # drops one summand of build_function_complex: the last full flag
-    flags = _orig(I, q)
-    return flags[:-1] if I.mask == 0 else flags
+def _flag_keys_missing_one(I, q, _orig=ffgeom.flag_keys):
+    # drops one summand of build_function_complex: the last full-flag key
+    keys = _orig(I, q)
+    return keys[:-1] if I.mask == 0 else keys
 
 
 def _forget_map_one_wrong(I, J, q, _orig=ffgeom.forget_map):
@@ -75,7 +75,7 @@ CASES = {
         {"steinberg", "e2", "lefschetz", "cohomology"},
     ),
     "closed_form_h_of_y": (_shifted_h_of_y, (cohomology,), {"cohomology"}),
-    "enumerate_flags": (_enumerate_flags_missing_one, (orlik,), {"orlik"}),
+    "flag_keys": (_flag_keys_missing_one, (orlik,), {"orlik"}),
     "forget_map": (_forget_map_one_wrong, (gmodules, orlik), {"orlik", "pullbacks"}),
     "rational_forms": (
         _rational_forms_missing_one,
