@@ -15,10 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import cohomology as coh
 from .errors import DeskScaleExceeded
@@ -187,8 +185,9 @@ def _job_lefschetz(n: int, q: int, m: int, seed: int) -> str:
         raise AssertionError(f"lefschetz {lc} != enumeration {dp}")
     return f"both sides {lc}"
 
-def sample_nested_triple(rng: random.Random, n: int):
-    """A random nested triple I ⊆ J ⊆ L of simple-root subsets."""
+def sample_nested_triple(rng, n: int):
+    """A random nested triple I ⊆ J ⊆ L of simple-root subsets; rng is a
+    random.Random."""
     L = [r for r in range(n) if rng.random() < 0.7]
     J = [r for r in L if rng.random() < 0.7]
     I = [r for r in J if rng.random() < 0.7]
@@ -214,6 +213,8 @@ def check_pullback_properties(I: ParabolicType, J: ParabolicType, L: ParabolicTy
 
 
 def _job_pullbacks(n: int, q: int, m: int, seed: int) -> str:
+    import random  # only this suite samples
+
     rng = random.Random(seed + 1000 * n + q)
     for _ in range(20):
         I, J, L = sample_nested_triple(rng, n)
@@ -268,6 +269,9 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     if workers <= 1:
         results = [_run_job(j) for j in jobs]
     else:
+        # imported here: the pool machinery costs every run that does not use it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_job, jobs))
     results.sort(key=lambda r: (r["suite"], r["n"], r["q"], r["m"]))

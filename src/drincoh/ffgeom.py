@@ -34,16 +34,15 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from itertools import combinations, pairwise, product
 
 from .errors import DeskScaleExceeded
 from .qarith import is_prime, parabolic_index, projective_count
-from .rootdata import ParabolicType
+from .rootdata import Frozen, ParabolicType
 
 POINT_GUARD = 10**8  # candidate vectors q^(m(n+1))
-MASK_GUARD = 10**7  # form evaluations in the vanishing-mask table
+MASK_GUARD = 10**7  # forms x vectors, the bits of the vanishing-mask table
 FLAG_GUARD = 10**4  # full flags |G/B|, the largest flag set of one (n, q)
 
 
@@ -79,13 +78,27 @@ def rational_forms(n: int, q: int) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def _vanishing_masks(forms: tuple[tuple[int, ...], ...], q: int) -> dict[tuple[int, ...], int]:
     """Vector of F_q^{n+1} -> bitmask of the forms (bit b for forms[b]) that
-    vanish on it, every form evaluated on every vector."""
-    return {
-        vec: sum(
-            1 << b for b, form in enumerate(forms) if sum(a * x for a, x in zip(form, vec)) % q == 0
-        )
-        for vec in product(range(q), repeat=len(forms[0]))
-    }
+    vanish on it, in lex order of the vectors.
+
+    Built one coordinate at a time.  For a vector prefix, res[r] is the
+    bitmask of forms whose partial sum over the prefix is r.  Appending digit
+    x at coordinate k moves each form by f_k x, so the new residue-r set is
+    the union over s of (old residue r - s) & (forms with f_k x = s); these
+    pieces are disjoint, so the union is their sum, and res[r - s] wraps mod
+    q since res has q entries.  A vector's mask is its residue-0 set.
+    """
+    level = [((), [(1 << len(forms)) - 1] + [0] * (q - 1))]
+    for k in range(len(forms[0])):
+        shifts = [[0] * q for _ in range(q)]  # shifts[x][s]: forms with f_k x = s
+        for b, form in enumerate(forms):
+            for x in range(q):
+                shifts[x][form[k] * x % q] |= 1 << b
+        level = [
+            (prefix + (x,), [sum(res[r - s] & by_s[s] for s in range(q)) for r in range(q)])
+            for prefix, res in level
+            for x, by_s in enumerate(shifts)
+        ]
+    return {vec: res[0] for vec, res in level}
 
 
 def _on_rational_hyperplane(pt, masks, digits) -> bool:
@@ -107,10 +120,10 @@ def _check_point_guard(n: int, q: int, m: int):
         raise DeskScaleExceeded(
             f"q^(m(n+1)) = {q ** (m * (n + 1))} exceeds the {POINT_GUARD} vector guard"
         )
-    evaluations = projective_count(n, q) * q ** (n + 1)
-    if evaluations > MASK_GUARD:
+    bits = projective_count(n, q) * q ** (n + 1)
+    if bits > MASK_GUARD:
         raise DeskScaleExceeded(
-            f"vanishing-mask table needs {evaluations} form evaluations, over the {MASK_GUARD} guard"
+            f"vanishing-mask table needs {bits} form-vector bits, over the {MASK_GUARD} guard"
         )
 
 
@@ -135,16 +148,33 @@ def hyperplane_union_points(n: int, q: int, m: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class Subspace:
+@total_ordering
+class Subspace(Frozen):
     """A nonzero subspace of F_q^{ambient}, stored as its unique RREF basis.
 
-    `basis` is a tuple of row tuples with entries in 0..q-1.
+    `basis` is a tuple of row tuples with entries in 0..q-1.  Subspaces
+    compare and sort as their (q, ambient_dim, basis) tuples.
     """
 
-    q: int
-    ambient_dim: int
-    basis: tuple[tuple[int, ...], ...]
+    __slots__ = ("q", "ambient_dim", "basis")
+
+    def __init__(self, q: int, ambient_dim: int, basis: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "basis", basis)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.q, self.ambient_dim, self.basis) == (other.q, other.ambient_dim, other.basis)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.q, self.ambient_dim, self.basis) < (other.q, other.ambient_dim, other.basis)
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.ambient_dim, self.basis))
 
     @property
     def dim(self) -> int:
@@ -244,16 +274,33 @@ def subspace_points(U: Subspace, m: int = 1) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class Flag:
+@total_ordering
+class Flag(Frozen):
     """A nested chain of subspaces realizing one coset of G/P_I.
 
     The chain dimensions are the interior partial sums of I's composition
-    (the full space itself is omitted).
+    (the full space itself is omitted).  Flags compare and sort as their
+    (type, chain) tuples.
     """
 
-    type: ParabolicType
-    chain: tuple[Subspace, ...]
+    __slots__ = ("type", "chain")
+
+    def __init__(self, type: ParabolicType, chain: tuple[Subspace, ...]):
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "chain", chain)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.type, self.chain) == (other.type, other.chain)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.type, self.chain) < (other.type, other.chain)
+
+    def __hash__(self) -> int:
+        return hash((self.type, self.chain))
 
 
 def chain_dims(I: ParabolicType) -> tuple[int, ...]:

@@ -14,7 +14,6 @@ the subset lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import ExactnessError
@@ -73,15 +72,18 @@ def lattice_differential(
     return ExactMatrix(row_off[-1], col_off[-1], entries)
 
 
-@dataclass(frozen=True)
 class SteinbergData:
     """The resolution complex of one generalized Steinberg representation."""
 
-    J: ParabolicType
-    q: int
-    resolution: ChainComplex
-    levels: tuple[tuple[ParabolicType, ...], ...]
-    dim_v: int
+    __slots__ = ("J", "q", "resolution", "levels", "dim_v")
+
+    def __init__(self, J: ParabolicType, q: int, resolution: ChainComplex,
+                 levels: tuple[tuple[ParabolicType, ...], ...], dim_v: int):
+        self.J = J
+        self.q = q
+        self.resolution = resolution
+        self.levels = levels
+        self.dim_v = dim_v
 
 
 def steinberg_dim(J: ParabolicType, q: int) -> int:

@@ -12,7 +12,6 @@ Elimination is deterministic: pivot ties are broken by index.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .errors import ExactnessError
 
@@ -187,17 +186,21 @@ class ExactMatrix:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
 class ChainComplex:
     """A finite complex 0 -> V_0 -> V_1 -> ... -> V_k -> 0 of Q-vector spaces.
 
-    `diffs[i]` maps V_i to V_{i+1}; d∘d = 0 is verified at construction and
-    a violation raises ExactnessError (it means the builder's signs or
-    indexing are wrong, so computing anything further would be meaningless).
+    `diffs[i]` maps V_i to V_{i+1}; d∘d = 0 is verified at construction, in
+    __post_init__, and a violation raises ExactnessError (it means the
+    builder's signs or indexing are wrong, so computing anything further
+    would be meaningless).
     """
 
-    terms: tuple[int, ...]
-    diffs: tuple[ExactMatrix, ...]
+    __slots__ = ("terms", "diffs")
+
+    def __init__(self, terms: tuple[int, ...], diffs: tuple[ExactMatrix, ...]):
+        self.terms = terms
+        self.diffs = diffs
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.diffs) != max(len(self.terms) - 1, 0):

@@ -16,7 +16,6 @@
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from types import MappingProxyType
@@ -45,23 +44,28 @@ FUNCTION_COMPLEX_GUARD = 2 * 10**4
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class StratumSummand:
     """One summand: the points of P(U)(F_{q^m}) for U the flag's first member."""
 
-    I: ParabolicType
-    subspace: Subspace
-    points: tuple[tuple[int, ...], ...]
+    __slots__ = ("I", "subspace", "points")
+
+    def __init__(self, I: ParabolicType, subspace: Subspace, points: tuple[tuple[int, ...], ...]):
+        self.I = I
+        self.subspace = subspace
+        self.points = points
 
 
-@dataclass(frozen=True)
 class FunctionComplex:
-    n: int
-    q: int
-    m: int
-    y_points: tuple[tuple[int, ...], ...]
-    levels: tuple[tuple[StratumSummand, ...], ...]
-    complex: ChainComplex
+    __slots__ = ("n", "q", "m", "y_points", "levels", "complex")
+
+    def __init__(self, n: int, q: int, m: int, y_points: tuple[tuple[int, ...], ...],
+                 levels: tuple[tuple[StratumSummand, ...], ...], complex: ChainComplex):
+        self.n = n
+        self.q = q
+        self.m = m
+        self.y_points = y_points
+        self.levels = levels
+        self.complex = complex
 
 
 def _point_offsets(level) -> list[int]:
@@ -147,16 +151,19 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class E1Row:
     """Row s: permutation modules over subsets containing I_{s/2}, twist -s/2."""
 
-    s: int
-    n: int
-    q: int
-    twist: int
-    subsets: tuple[tuple[ParabolicType, ...], ...]
-    complex: ChainComplex
+    __slots__ = ("s", "n", "q", "twist", "subsets", "complex")
+
+    def __init__(self, s: int, n: int, q: int, twist: int,
+                 subsets: tuple[tuple[ParabolicType, ...], ...], complex: ChainComplex):
+        self.s = s
+        self.n = n
+        self.q = q
+        self.twist = twist
+        self.subsets = subsets
+        self.complex = complex
 
 
 def build_e1_row(s: int, n: int, q: int) -> E1Row:

@@ -9,26 +9,58 @@ from I.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 
-@dataclass(frozen=True)
-class ParabolicType:
+class Frozen:
+    """Base of the immutable value classes.  Their fields are their
+    __slots__, set once in __init__ through object.__setattr__; assigning
+    or deleting one afterwards raises AttributeError.  repr and pickling go
+    through the fields in slot order, which is also __init__'s argument
+    order.  Each class writes its own __init__, __eq__ and __hash__ on its
+    field tuple, since these run in the inner loops.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+class ParabolicType(Frozen):
     """A subset of the n simple roots, as a bitmask over {0, ..., n-1}.
 
     Ordering is lexicographic on the sorted member tuple, so lists of
     subsets sort the same way on every run.
     """
 
-    n: int
-    mask: int
+    __slots__ = ("n", "mask")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"rank must be >= 1, got n={self.n}")
-        if self.mask < 0 or self.mask >> self.n:
-            raise ValueError(f"mask {self.mask:#b} has bits outside 0..{self.n - 1}")
+    def __init__(self, n: int, mask: int):
+        if n < 1:
+            raise ValueError(f"rank must be >= 1, got n={n}")
+        if mask < 0 or mask >> n:
+            raise ValueError(f"mask {mask:#b} has bits outside 0..{n - 1}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mask", mask)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.mask) == (other.n, other.mask)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.mask))
 
     def __lt__(self, other: "ParabolicType") -> bool:
         if self.n != other.n:

@@ -14,27 +14,36 @@ m-th Frobenius power; this is the only way twists are consumed numerically.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
-from .rootdata import ParabolicType
+from .rootdata import Frozen, ParabolicType
 
 _KINDS = ("K", "Ind", "v", "v'")
 
 
-@dataclass(frozen=True)
-class Summand:
-    kind: str
-    subset: ParabolicType | None
-    dim: int
-    twist: int
+class Summand(Frozen):
+    __slots__ = ("kind", "subset", "dim", "twist")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown label kind {self.kind!r}")
-        if (self.kind == "K") != (self.subset is None):
+    def __init__(self, kind: str, subset: ParabolicType | None, dim: int, twist: int):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown label kind {kind!r}")
+        if (kind == "K") != (subset is None):
             raise ValueError("label K carries no subset; others need one")
-        if self.dim <= 0:
-            raise ValueError(f"summand dims must be positive, got {self.dim}")
+        if dim <= 0:
+            raise ValueError(f"summand dims must be positive, got {dim}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "subset", subset)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "twist", twist)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.subset, self.dim, self.twist) == (
+            other.kind, other.subset, other.dim, other.twist
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.subset, self.dim, self.twist))
 
     @property
     def label(self) -> str:
@@ -73,11 +82,21 @@ def parse_label(label: str) -> tuple[str, ParabolicType | None]:
     return kind, ParabolicType.from_composition(parts)
 
 
-@dataclass(frozen=True)
-class TwistedModule:
+class TwistedModule(Frozen):
     """A formal direct sum of summands, canonically sorted by (twist, label)."""
 
-    summands: tuple[Summand, ...]
+    __slots__ = ("summands",)
+
+    def __init__(self, summands: tuple[Summand, ...]):
+        object.__setattr__(self, "summands", summands)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.summands == other.summands
+
+    def __hash__(self) -> int:
+        return hash(self.summands)
 
     @staticmethod
     def of(*parts: Summand) -> "TwistedModule":
@@ -138,19 +157,20 @@ class TwistedModule:
         )
 
 
-@dataclass(frozen=True, eq=False)
 class CohomologyTable:
-    """Map degree -> TwistedModule plus (n, q, which computation) metadata."""
+    """Map degree -> TwistedModule plus (n, q, which computation) metadata.
+    Zero entries are dropped at construction."""
 
-    n: int
-    q: int
-    theorem: str
-    entries: dict[int, TwistedModule] = field(default_factory=dict)
-    metadata: tuple[tuple[str, str], ...] = ()
+    __slots__ = ("n", "q", "theorem", "entries", "metadata")
 
-    def __post_init__(self):
-        clean = {d: mod for d, mod in self.entries.items() if not mod.is_zero()}
-        object.__setattr__(self, "entries", clean)
+    def __init__(self, n: int, q: int, theorem: str,
+                 entries: dict[int, TwistedModule] | None = None,
+                 metadata: tuple[tuple[str, str], ...] = ()):
+        self.n = n
+        self.q = q
+        self.theorem = theorem
+        self.entries = {d: mod for d, mod in (entries or {}).items() if not mod.is_zero()}
+        self.metadata = metadata
 
     def module(self, degree: int) -> TwistedModule:
         return self.entries.get(degree, TwistedModule.zero())

@@ -196,6 +196,17 @@ def _form_vanishes(form: tuple[int, ...], pt: tuple[int, ...], F: GaloisField) -
     return s == 0
 
 
+def vanishing_masks_by_evaluation(forms, q: int) -> dict[tuple[int, ...], int]:
+    """Vector of F_q^{n+1} -> bitmask of the forms (bit b for forms[b]) that
+    vanish on it, every form evaluated on every vector, in lex order."""
+    return {
+        vec: sum(
+            1 << b for b, form in enumerate(forms) if sum(a * x for a, x in zip(form, vec)) % q == 0
+        )
+        for vec in product(range(q), repeat=len(forms[0]))
+    }
+
+
 def split_by_rational_hyperplanes(n: int, q: int, m: int):
     """(points of P^n(F_{q^m}) on some F_q-rational hyperplane, the others),
     each sorted, every form tested at every point in the field."""

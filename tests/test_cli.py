@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, formats, and the verify grid."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -151,7 +152,8 @@ def test_verify_pool_is_capped_at_the_job_count(monkeypatch, capsys):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    # cmd_verify imports the pool class from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     assert run(["verify", "--suite", "steinberg", "--n-max", "2", "--q", "2,3",
                 "--jobs", "64"]) == 0
     assert capsys.readouterr().out.count("PASS") == 4
@@ -181,12 +183,24 @@ def test_table_diff_renders_per_degree():
     assert cli._table_diff("same", got, h_of_y(2, 2)) == []
 
 
-def test_checks_hold_under_python_O():
+def fresh_python(*argv):
+    """Run a new interpreter with this checkout's drincoh on its path."""
     env = dict(os.environ, PYTHONPATH=str(Path(drincoh.__file__).parents[1]))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
 
+
+def test_import_loads_no_pool_or_dataclass_machinery():
+    # every CLI run pays for what importing the CLI loads
+    heavy = ("dataclasses", "inspect", "concurrent.futures", "multiprocessing")
+    proc = fresh_python("-c", "import sys, drincoh.cli; "
+                              f"print([m for m in {heavy!r} if m in sys.modules])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_checks_hold_under_python_O():
     def run_O(*argv):
-        return subprocess.run([sys.executable, "-O", *argv], env=env,
-                              capture_output=True, text=True)
+        return fresh_python("-O", *argv)
 
     proc = run_O("-c", "from drincoh.qarith import _exact_div; _exact_div(3, 2)")
     assert proc.returncode != 0 and "ExactnessError" in proc.stderr

@@ -24,6 +24,7 @@ from drincoh.ffgeom import (
     rref,
     span,
     subspace_points,
+    _vanishing_masks,
 )
 from drincoh.qarith import gauss_binomial, parabolic_index, projective_count
 from drincoh.rootdata import ParabolicType
@@ -36,6 +37,7 @@ from oracles import (
     intersect_subspaces,
     split_by_rational_hyperplanes,
     subspace_points_over,
+    vanishing_masks_by_evaluation,
 )
 
 
@@ -152,7 +154,9 @@ def test_enumerate_subspaces_counts_and_canonical_form():
                 subs = enumerate_subspaces(N, d, q)
                 assert len(subs) == gauss_binomial(N, d, q)
                 assert len(set(subs)) == len(subs)
-                assert list(subs) == sorted(subs)
+                # subspaces sort as their field tuples, from any starting order
+                assert list(subs) == sorted(subs[::-1])
+                assert list(subs) == sorted(subs, key=lambda U: (U.q, U.ambient_dim, U.basis))
                 for U in subs:
                     assert rref(U.basis, q) == U.basis  # already reduced
 
@@ -212,7 +216,9 @@ def test_enumerate_flags_counts_match_parabolic_index():
                 flags = enumerate_flags(I, q)
                 assert len(flags) == parabolic_index(I, q)
                 assert len(set(flags)) == len(flags)
-                assert list(flags) == sorted(flags)
+                # flags sort as their (type, chain) tuples, from any starting order
+                assert list(flags) == sorted(flags[::-1])
+                assert list(flags) == sorted(flags, key=lambda f: (f.type, f.chain))
 
 
 def test_flag_chains_are_strictly_nested_with_prescribed_dims():
@@ -338,14 +344,25 @@ def test_drinfeld_size_guard():
 
 
 def test_drinfeld_mask_table_guard():
-    # 5^6 candidates pass the vector guard, but the mask table would evaluate
-    # 3906 forms on 15625 vectors; (4,5) needs 781 * 3125 and is admitted
+    # 5^6 candidates pass the vector guard, but the mask table would hold a
+    # bit for each of 3906 forms on 15625 vectors; (4,5) needs 781 * 3125
     assert 5**6 < POINT_GUARD
     with pytest.raises(DeskScaleExceeded, match="vanishing-mask"):
         drinfeld_points(5, 5, 1)
     with pytest.raises(DeskScaleExceeded, match="vanishing-mask"):
         hyperplane_union_points(5, 5, 1)
     assert projective_count(4, 5, 1) * 5**5 <= MASK_GUARD
+
+
+@pytest.mark.parametrize(
+    "n,q", [(n, q) for q in (2, 3) for n in (1, 2, 3, 4)] + [(n, 5) for n in (1, 2, 3)]
+)
+def test_vanishing_masks_match_evaluation(n, q):
+    forms = tuple(rational_forms(n, q))
+    masks = _vanishing_masks(forms, q)
+    want = vanishing_masks_by_evaluation(forms, q)
+    assert masks == want
+    assert list(masks) == list(want)
 
 
 def test_point_counts_reject_nonprime_q():

@@ -126,7 +126,13 @@ def test_is_exact_except_reports():
     assert not ok
 
 
-def test_chain_complex_validation():
+def test_chain_complex_validation(monkeypatch):
+    # the d∘d check is the __post_init__ hook, called once per construction
+    calls = []
+    check = ChainComplex.__post_init__
+    monkeypatch.setattr(ChainComplex, "__post_init__", lambda cx: calls.append(cx) or check(cx))
+    cx = ChainComplex((2, 2), (ExactMatrix.identity(2),))
+    assert calls == [cx]
     with pytest.raises(ValueError):
         ChainComplex((2, 2), ())
     with pytest.raises(ValueError):

@@ -1,7 +1,11 @@
-"""Subset/composition dictionary and the lattice sign convention."""
+"""Subset/composition dictionary, the lattice sign convention, and the
+semantics of the frozen value classes."""
+
+import pickle
 
 import pytest
 
+from drincoh.ffgeom import Flag, Subspace
 from drincoh.rootdata import (
     ParabolicType,
     cover_sign,
@@ -9,6 +13,7 @@ from drincoh.rootdata import (
     standard_subset,
     subsets_of_size,
 )
+from drincoh.tables import Summand, TwistedModule
 
 
 def all_compositions(total):
@@ -133,3 +138,41 @@ def test_mask_validation():
         ParabolicType(2, 1 << 2)
     with pytest.raises(ValueError):
         ParabolicType(0, 0)
+
+
+LINE = "Subspace(q=2, ambient_dim=2, basis=((0, 1),))"
+K0 = "Summand(kind='K', subset=None, dim=1, twist=0)"
+# (builder, a field, the repr a frozen dataclass of the same fields gives)
+VALUES = {
+    "ParabolicType": (lambda: ParabolicType(3, 5), "mask", "ParabolicType(n=3, mask=5)"),
+    "Subspace": (lambda: Subspace(2, 2, ((0, 1),)), "basis", LINE),
+    "Flag": (
+        lambda: Flag(ParabolicType(1, 0), (Subspace(2, 2, ((0, 1),)),)),
+        "chain",
+        f"Flag(type=ParabolicType(n=1, mask=0), chain=({LINE},))",
+    ),
+    "Summand": (
+        lambda: Summand("v", ParabolicType(3, 5), 2, -1),
+        "twist",
+        "Summand(kind='v', subset=ParabolicType(n=3, mask=5), dim=2, twist=-1)",
+    ),
+    "TwistedModule": (
+        lambda: TwistedModule((Summand("K", None, 1, 0),)),
+        "summands",
+        f"TwistedModule(summands=({K0},))",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_classes_are_frozen_and_compare_by_fields(name):
+    make, field, text = VALUES[name]
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != getattr(a, field)  # another type never compares equal
+    assert repr(a) == text
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(a, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert pickle.loads(pickle.dumps(a)) == a
