@@ -1,17 +1,17 @@
 """Exact sparse integer matrices and chain-complex homology dimensions.
 
 Every entry is a Python int, and ranks are ranks over the rationals, never
-numerical.  They come from one sparse, fraction-free Gaussian elimination
-with Markowitz-style pivoting: a unit pivot clears its column by integer
-subtraction, any other pivot by scaling the target row first.  The pivot
-column comes from a lazy min-heap keyed on (column count, index), so no
-step scans every column; it picks the same column as a full scan would.
-Elimination is deterministic: pivot ties are broken by index.
+numerical.  They come from one fraction-free row reduction against a pivot
+table: rows are taken in index order, each is reduced against the pivot
+stored for its largest column until it is zero or that column has no pivot
+yet, and then it becomes that column's pivot.  A unit pivot clears by
+integer subtraction, any other by scaling the reduced row first.  Homology
+ranks its differentials with clearing: the pivot rows of d_i are columns of
+d_{i+1} that lie in the span of its other columns (d∘d = 0), so they are
+skipped.
 """
 
 from __future__ import annotations
-
-import heapq
 
 from .errors import ExactnessError
 
@@ -114,67 +114,46 @@ class ExactMatrix:
 
     # -- rank ---------------------------------------------------------------
 
-    def rank(self) -> int:
-        """Rank over Q by fraction-free elimination over the integers.
+    def rank(self, *, skip_cols=(), pivot_rows=None) -> int:
+        """Rank over Q by fraction-free row reduction over the integers.
 
-        Pivot columns come from a pivot queue, a lazy min-heap of (count,
-        column), in the same order as a scan over all active columns.
+        Columns in `skip_cols` are left out.  If `pivot_rows` is a list, the
+        index of each row that became a pivot is appended to it, in order;
+        those rows, without the skipped columns, are independent and span
+        the row space.
         """
+        skip = set(skip_cols)
         rows: dict[int, dict] = {}
-        cols: dict[int, set] = {}
-        for (i, j), v in sorted(self.entries.items()):
-            rows.setdefault(i, {})[j] = v
-            cols.setdefault(j, set()).add(i)
-        # every active column keeps one entry with its current count
-        queue = [(len(rs), j) for j, rs in cols.items()]
-        heapq.heapify(queue)
-        rank = 0
-        while cols:
-            # cheapest active column, then its best row: unit pivot first,
-            # then fewest entries; index-ordered ties
-            k, c = heapq.heappop(queue)
-            if c not in cols or len(cols[c]) != k:
-                continue  # stale entry
-            i = min(
-                cols[c],
-                key=lambda r: (0 if abs(rows[r][c]) == 1 else 1, len(rows[r]), r),
-            )
-            pivot_row = rows.pop(i)
-            pv = pivot_row[c]
-            for j in pivot_row:
-                cols[j].discard(i)
-                if not cols[j]:
-                    del cols[j]
-            targets = list(cols.get(c, ()))
-            for r in targets:
-                row = rows[r]
+        for (i, j), v in self.entries.items():
+            if j not in skip:
+                rows.setdefault(i, {})[j] = v
+        pivots: dict[int, dict] = {}  # column -> the row with it as largest column
+        for i in sorted(rows):
+            row = rows[i]
+            lead = max(row)
+            while lead in pivots:
+                pivot = pivots[lead]
+                pv = pivot[lead]
                 if pv == 1 or pv == -1:
-                    f = row[c] * pv
-                else:  # row <- pv * row - row[c] * pivot_row keeps integers
-                    f = row[c]
+                    f = row[lead] * pv
+                else:  # row <- pv * row - row[lead] * pivot keeps integers
+                    f = row[lead]
                     for j in row:
                         row[j] *= pv
-                for j, pvv in pivot_row.items():
+                for j, pvv in pivot.items():
                     new = row.get(j, 0) - f * pvv
                     if new:
-                        if j not in row:
-                            cols.setdefault(j, set()).add(r)
                         row[j] = new
-                    elif j in row:
+                    else:
                         del row[j]
-                        colset = cols.get(j)
-                        if colset is not None:
-                            colset.discard(r)
-                            if not colset:
-                                del cols[j]
                 if not row:
-                    del rows[r]
-            # only the pivot row's columns lost the pivot row or took fill-in
-            for j in pivot_row:
-                if j in cols:
-                    heapq.heappush(queue, (len(cols[j]), j))
-            rank += 1
-        return rank
+                    break
+                lead = max(row)
+            else:
+                pivots[lead] = row
+                if pivot_rows is not None:
+                    pivot_rows.append(i)
+        return len(pivots)
 
     # -- debug dump ----------------------------------------------------------
 
@@ -216,8 +195,19 @@ class ChainComplex:
                 raise ExactnessError(f"d∘d != 0 between positions {i} and {i + 2}")
 
     def homology_dims(self) -> tuple[int, ...]:
-        """dim H_i = dim V_i - rank(d_i) - rank(d_{i-1}), off-end ranks zero."""
-        ranks = [0] + [d.rank() for d in self.diffs] + [0]
+        """dim H_i = dim V_i - rank(d_i) - rank(d_{i-1}), off-end ranks zero.
+
+        The pivot rows of d_i carry a nonsingular minor of d_i, so by
+        d∘d = 0 (checked at construction) the same columns of d_{i+1} are
+        combinations of its other columns, and d_{i+1} is ranked without them.
+        """
+        ranks = [0]
+        cleared: list[int] = []
+        for d in self.diffs:
+            pivot_rows: list[int] = []
+            ranks.append(d.rank(skip_cols=cleared, pivot_rows=pivot_rows))
+            cleared = pivot_rows
+        ranks.append(0)
         out = []
         for i, t in enumerate(self.terms):
             h = t - ranks[i + 1] - ranks[i]

@@ -1,12 +1,11 @@
 """Exact linear algebra: ranks against a naive oracle, homology bookkeeping."""
 
+import itertools
 import random
-import types
 from fractions import Fraction
 
 import pytest
 
-from drincoh import homalg
 from drincoh.errors import ExactnessError
 from drincoh.ffgeom import enumerate_subspaces
 from drincoh.homalg import ChainComplex, ExactMatrix
@@ -69,9 +68,14 @@ def test_rank_transpose_battery():
                 [-2, -1, 1, 2, 5, 3]
             )
         M = ExactMatrix(rows, cols, entries)
-        r = M.rank()
-        assert r == naive_rank(M)
-        assert r == M.transpose().rank()
+        r = _check_rank(M)
+        # the pivot rows are independent and span the row space
+        pivot_rows = []
+        M.rank(pivot_rows=pivot_rows)
+        assert pivot_rows == sorted(set(pivot_rows)) and len(pivot_rows) == r
+        kept = ExactMatrix(r, cols, {(pivot_rows.index(i), j): v
+                                     for (i, j), v in entries.items() if i in pivot_rows})
+        assert naive_rank(kept) == r
     with pytest.raises(TypeError):
         ExactMatrix(1, 1, {(0, 0): Fraction(1, 2)})
 
@@ -201,6 +205,13 @@ def _random_sparse(rng, rows, cols, density, values):
 def _check_rank(M):
     r = M.rank()
     assert r == M.transpose().rank() == naive_rank(M), M
+    # the pivot order follows the row and column order, the rank does not
+    rng = random.Random(M.nnz)
+    for _ in range(3):
+        rows, cols = list(range(M.rows)), list(range(M.cols))
+        rng.shuffle(rows)
+        rng.shuffle(cols)
+        assert reindexed(M, rows, cols).rank() == r, M
     return r
 
 
@@ -214,7 +225,7 @@ def test_rank_with_non_unit_pivots_only():
 
 def test_rank_with_many_count_ties():
     # every column has exactly two entries and every row about the same
-    # number, so nearly every pivot choice is decided by the index
+    # number, so many rows share a largest column and reduce in chains
     rng = random.Random(102)
     for _ in range(30):
         rows, cols = rng.randrange(2, 16), rng.randrange(1, 25)
@@ -263,7 +274,7 @@ def test_rank_of_empty_shapes():
         assert ExactMatrix(k, 0).rank() == 0
 
 
-def test_rank_of_large_graph_incidence_with_stale_queue_entries(monkeypatch):
+def test_rank_of_large_graph_incidence_with_non_unit_scaling():
     # signed vertex-edge incidence of a random multigraph, columns scaled by
     # non-units: rank = vertices - components, over Q whatever the scaling
     rng = random.Random(105)
@@ -284,17 +295,89 @@ def test_rank_of_large_graph_incidence_with_stale_queue_entries(monkeypatch):
         parent[root(a)] = root(b)
     components = len({root(v) for v in range(vertices)})
     M = ExactMatrix(vertices, edges, entries)
-
-    pops = []
-    real_pop = homalg.heapq.heappop
-    counting = types.SimpleNamespace(
-        heapify=homalg.heapq.heapify,
-        heappush=homalg.heapq.heappush,
-        heappop=lambda heap: pops.append(None) or real_pop(heap),
-    )
-    monkeypatch.setattr(homalg, "heapq", counting)
     assert M.rank() == vertices - components
-    # one pop per pivot; every further pop met a stale entry and skipped it
-    assert len(pops) > 2 * (vertices - components)
-    monkeypatch.undo()
     assert M.transpose().rank() == vertices - components
+
+
+def _coboundaries(rng, vertices, facets):
+    """Coboundary matrices d_i: C^i -> C^{i+1} of the simplicial complex
+    generated by `facets` random faces on `vertices` vertices."""
+    faces = set()
+    for _ in range(facets):
+        top = rng.sample(range(vertices), rng.randrange(2, 5))
+        for k in range(1, len(top) + 1):
+            faces.update(itertools.combinations(sorted(top), k))
+    by_dim = [sorted(f for f in faces if len(f) == k + 1) for k in range(max(map(len, faces)))]
+    index = [{f: n for n, f in enumerate(fs)} for fs in by_dim]
+    diffs = []
+    for k in range(len(by_dim) - 1):
+        entries = {}
+        for row, f in enumerate(by_dim[k + 1]):
+            for pos in range(len(f)):
+                entries[(row, index[k][f[:pos] + f[pos + 1:]])] = (-1) ** pos
+        diffs.append(ExactMatrix(len(by_dim[k + 1]), len(by_dim[k]), entries))
+    return [len(fs) for fs in by_dim], diffs
+
+
+def _add_row(M, a, b, c):
+    """Row a += c * row b."""
+    out = dict(M.entries)
+    for (i, j), v in M.entries.items():
+        if i == b:
+            w = out.get((a, j), 0) + c * v
+            if w:
+                out[(a, j)] = w
+            else:
+                del out[(a, j)]
+    return ExactMatrix(M.rows, M.cols, out)
+
+
+def _unimodular(rng, n):
+    """A random unimodular integer matrix U and its inverse, built from row
+    operations E = I + c e_ab with non-unit c."""
+    U, U_inv = ExactMatrix.identity(n), ExactMatrix.identity(n)
+    for _ in range(3 * n if n > 1 else 0):
+        a, b = rng.sample(range(n), 2)
+        c = rng.choice([-3, -2, 2, 3, 5])
+        U = _add_row(U, a, b, c)
+        # U_inv <- U_inv E^-1, i.e. column b -= c * column a
+        U_inv = _add_row(U_inv.transpose(), b, a, -c).transpose()
+    return U, U_inv
+
+
+def _naive_homology(terms, diffs):
+    ranks = [0] + [naive_rank(d) for d in diffs] + [0]
+    return tuple(t - ranks[i] - ranks[i + 1] for i, t in enumerate(terms))
+
+
+def test_homology_with_clearing_matches_naive_ranks(monkeypatch):
+    # random simplicial cochain complexes, read in both directions and
+    # conjugated by unimodular base changes, so entries are not units
+    rng = random.Random(106)
+    calls = []
+    rank = ExactMatrix.rank
+
+    def recording(M, **kwargs):
+        r = rank(M, **kwargs)
+        calls.append((M, list(kwargs.get("skip_cols", ())), r))
+        return r
+
+    monkeypatch.setattr(ExactMatrix, "rank", recording)
+    non_trivial = 0
+    for _ in range(12):
+        terms, diffs = _coboundaries(rng, rng.randrange(5, 9), rng.randrange(3, 8))
+        if rng.random() < 0.5:  # the chain complex of the same simplices
+            terms, diffs = terms[::-1], [d.transpose() for d in reversed(diffs)]
+        bases = [_unimodular(rng, t) for t in terms]
+        diffs = [bases[i + 1][0] @ d @ bases[i][1] for i, d in enumerate(diffs)]
+        assert any(v not in (1, -1) for d in diffs for v in d.entries.values())
+        cx = ChainComplex(tuple(terms), tuple(diffs))
+        dims = cx.homology_dims()
+        assert dims == _naive_homology(terms, diffs)
+        non_trivial += any(dims[1:-1])
+    assert non_trivial >= 3
+    cleared = [(M, skip, r) for M, skip, r in calls if skip]
+    assert len(cleared) >= 10
+    for M, skip, r in cleared:
+        # the cleared columns never change the rank
+        assert r == rank(M) == naive_rank(M)

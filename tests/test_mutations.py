@@ -62,9 +62,20 @@ def _rational_forms_missing_one(n, q, _orig=ffgeom.rational_forms):
     return _orig(n, q)[1:]
 
 
-def _rank_one_short(self, _orig=ExactMatrix.rank):
-    r = _orig(self)
+def _rank_one_short(self, _orig=ExactMatrix.rank, **kwargs):
+    r = _orig(self, **kwargs)
     return r - 1 if r > 0 else r
+
+
+def _clearing_one_too_many(self, *, skip_cols=(), pivot_rows=None, _orig=ExactMatrix.rank):
+    # besides the pivot rows of the previous differential, clear the first
+    # nonzero column that is not one of them
+    if skip_cols:
+        skip = set(skip_cols)
+        extra = min((j for _, j in self.entries if j not in skip), default=None)
+        if extra is not None:
+            skip_cols = [*skip_cols, extra]
+    return _orig(self, skip_cols=skip_cols, pivot_rows=pivot_rows)
 
 
 CASES = {
@@ -83,13 +94,16 @@ CASES = {
         {"orlik", "cohomology", "lefschetz"},
     ),
     "rank": (_rank_one_short, (ExactMatrix,), {"steinberg", "orlik", "e2", "cohomology"}),
+    "clearing": (_clearing_one_too_many, (ExactMatrix,), {"orlik", "steinberg"}),
 }
+# cases that patch a name other than their own
+PATCHED_NAME = {"clearing": "rank"}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_injected_bug_fails_verify(name, monkeypatch, capsys):
     fn, modules, suites = CASES[name]
-    _patch_everywhere(monkeypatch, name, fn, modules)
+    _patch_everywhere(monkeypatch, PATCHED_NAME.get(name, name), fn, modules)
     assert cli.main(VERIFY) == cli.EXIT_FAIL
     failed = _failed_suites(capsys)
     assert failed == suites, (name, failed)
