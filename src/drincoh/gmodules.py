@@ -14,7 +14,7 @@ the subset lattice.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .errors import ExactnessError
 from .ffgeom import flag_keys, forget_map
@@ -31,8 +31,10 @@ def pullback_matrix(I: ParabolicType, J: ParabolicType, q: int) -> ExactMatrix:
     I ⊆ J; forget_map raises ValueError otherwise.
     """
     image = forget_map(I, J, q)
-    entries = {(row, col): 1 for row, col in enumerate(image)}
-    return ExactMatrix(len(image), len(flag_keys(J, q)), entries)
+    rows = len(image)
+    return ExactMatrix.from_csr(
+        rows, len(flag_keys(J, q)), list(range(rows + 1)), list(image), [1] * rows
+    )
 
 
 def _interval_levels(J: ParabolicType) -> list[list[ParabolicType]]:
@@ -53,23 +55,30 @@ def lattice_differential(
     """Signed block matrix of pullbacks for one layer of the subset lattice.
 
     Block (I, J) is cover_sign(I, a) * pullback(I, J) when J = I ∪ {a},
-    zero otherwise.  Each entry is written once, from forget_map.
+    zero otherwise.  Rows are written in order, each with one entry per
+    cover J of its block's I; sources follow col_off, so columns come out
+    sorted.
     """
-    row_off = list(accumulate((dims[I] for I in targets), initial=0))
     col_off = list(accumulate((dims[J] for J in sources), initial=0))
-    entries = {}
-    for bj, J in enumerate(sources):
-        for bi, I in enumerate(targets):
+    indptr, indices, data = [0], [], []
+    for bi, I in enumerate(targets):
+        shifted, signs = [], []
+        for bj, J in enumerate(sources):
             diff = J.mask & ~I.mask
             if J.contains(I) and diff.bit_count() == 1:
                 image = forget_map(I, J, q)
                 if len(image) != dims[I] or len(flag_keys(J, q)) != dims[J]:
                     raise ValueError(f"block ({bi},{bj}) has wrong shape")
-                sign = cover_sign(I, diff.bit_length() - 1)
-                r0, c0 = row_off[bi], col_off[bj]
-                for row, col in enumerate(image):
-                    entries[(r0 + row, c0 + col)] = sign
-    return ExactMatrix(row_off[-1], col_off[-1], entries)
+                shifted.append(map(col_off[bj].__add__, image))
+                signs.append(cover_sign(I, diff.bit_length() - 1))
+        if signs:
+            w = len(signs)
+            indices.extend(chain.from_iterable(zip(*shifted)))
+            data.extend(signs * dims[I])
+            indptr.extend(range(indptr[-1] + w, len(data) + 1, w))
+        else:
+            indptr.extend([indptr[-1]] * dims[I])
+    return ExactMatrix.from_csr(len(indptr) - 1, col_off[-1], indptr, indices, data)
 
 
 class SteinbergData:

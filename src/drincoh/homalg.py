@@ -1,116 +1,200 @@
 """Exact sparse integer matrices and chain-complex homology dimensions.
 
+A matrix is stored in compressed sparse row (CSR) form: three flat lists,
+`indptr` (row i's entries sit at positions indptr[i]:indptr[i+1]),
+`indices` (their columns, strictly increasing within a row) and `data`
+(their values, nonzero Python ints).  The builders write rows in order,
+so no (i, j) tuple is made between a builder and the rank.  Validation
+runs at C level over the lists (types, zeros, column range, row order)
+and raises, so it holds under python -O.
+
 Every entry is a Python int, and ranks are ranks over the rationals, never
 numerical.  They come from one fraction-free row reduction against a pivot
-table: rows are taken in index order, each is reduced against the pivot
-stored for its largest column until it is zero or that column has no pivot
-yet, and then it becomes that column's pivot.  A unit pivot clears by
-integer subtraction, any other by scaling the reduced row first.  Homology
-ranks its differentials with clearing: the pivot rows of d_i are columns of
-d_{i+1} that lie in the span of its other columns (d∘d = 0), so they are
-skipped.
+table: rows are read from the flat lists in one pass, one zip over row
+ids, columns and values, and taken in index order; each is reduced against
+the pivot stored for its largest column until it is zero or that column
+has no pivot yet, and then it becomes that column's pivot.  A unit pivot
+clears by integer subtraction, any other by scaling the reduced row first.
+Homology ranks its differentials with clearing: the pivot rows of d_i are
+columns of d_{i+1} that lie in the span of its other columns (d∘d = 0), so
+they are skipped.
+
+A chain complex checks d∘d = 0 at construction one row of the product
+d_{i+1}·d_i at a time, summing it into an int-keyed dict, without building
+the product matrix; it raises at the first nonzero row and names the
+positions and the first nonzero (row, col, value).
 """
 
 from __future__ import annotations
+
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import ge, le, sub
+from types import MappingProxyType
 
 from .errors import ExactnessError
 
 
 class ExactMatrix:
-    """A rows x cols integer matrix with sparse storage, ranked over Q.
+    """A rows x cols integer matrix in compressed sparse row storage, ranked over Q.
 
-    `entries` maps (i, j) to a nonzero int; any other entry type raises
-    TypeError.  The matrix acts on coordinate columns of its source: a map
-    V -> W with dim V = cols and dim W = rows.
+    Row i's entries sit at positions indptr[i]:indptr[i+1] of `indices`
+    (their columns, strictly increasing) and `data` (their values, nonzero
+    ints); `indptr` runs from 0 to nnz in rows + 1 steps.  The builders hand
+    over rows written in order through `from_csr`; `ExactMatrix(rows, cols,
+    entries)` takes a dict mapping (i, j) to an int and drops zeros.  Both
+    raise TypeError on a value that is not an int (bool included) and
+    ValueError on a malformed layout, under python -O too.  `rank` reads
+    the rows back in one pass over the lists; `entries` is a read-only dict
+    copy for tests and debugging.  The matrix acts on coordinate columns of
+    its source: a map V -> W with dim V = cols and dim W = rows.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "indptr", "indices", "data")
 
     def __init__(self, rows: int, cols: int, entries=None):
+        entries = entries or {}
+        # int zeros are dropped; any other value is kept for the type check
+        keys = sorted(k for k, v in entries.items() if v or type(v) is not int)
+        counts = [0] * (rows + 1)
+        for i, j in keys:
+            if not 0 <= i < rows or not 0 <= j < cols:
+                raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
+            counts[i + 1] += 1
+        indptr = list(accumulate(counts))
+        self._set(rows, cols, indptr, [j for _, j in keys], [entries[k] for k in keys])
+
+    @classmethod
+    def from_csr(cls, rows: int, cols: int, indptr, indices, data) -> "ExactMatrix":
+        """The matrix with these CSR lists, validated (the lists are kept)."""
+        M = cls.__new__(cls)
+        M._set(rows, cols, indptr, indices, data)
+        return M
+
+    def _set(self, rows, cols, indptr, indices, data):
+        # C-level passes over the flat lists; raises, never asserts, so the
+        # checks hold under python -O
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        self.rows = rows
-        self.cols = cols
-        self.entries = {}
-        if entries:
-            for (i, j), v in entries.items():
-                if not 0 <= i < rows or not 0 <= j < cols:
-                    raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
-                if type(v) is not int:
-                    raise TypeError(f"entry ({i},{j}) is {v!r}, not an int")
-                if v:
-                    self.entries[(i, j)] = v
-
-    @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix(n, n, {(i, i): 1 for i in range(n)})
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix(rows, cols)
+        if {type(indptr), type(indices), type(data)} != {list}:
+            raise TypeError("CSR storage is three lists")
+        nnz = len(data)
+        if len(indptr) != rows + 1 or len(indices) != nnz:
+            raise ValueError(
+                f"CSR lists of lengths {len(indptr)}, {len(indices)}, {nnz} "
+                f"do not fit {rows} rows"
+            )
+        if not set(map(type, indptr)) | set(map(type, indices)) <= {int}:
+            raise TypeError("CSR row offsets and columns must be ints")
+        if indptr[0] != 0 or indptr[-1] != nnz or not all(
+            map(le, indptr, islice(indptr, 1, None))
+        ):
+            raise ValueError("indptr must rise from 0 to nnz")
+        if not set(map(type, data)) <= {int}:
+            bad = next(v for v in data if type(v) is not int)
+            raise TypeError(f"entry {bad!r} is not an int")
+        if 0 in data:
+            raise ValueError("a stored entry is zero")
+        if indices and (min(indices) < 0 or max(indices) >= cols):
+            raise ValueError(f"a column lies outside 0..{cols - 1}")
+        # a column not above its predecessor may only start a row
+        descents = compress(range(1, nnz), map(ge, indices, islice(indices, 1, None)))
+        if not set(descents) <= set(indptr):
+            raise ValueError("columns must be strictly increasing within each row")
+        self.rows, self.cols = rows, cols
+        self.indptr, self.indices, self.data = indptr, indices, data
 
     @staticmethod
     def from_blocks(row_dims, col_dims, blocks) -> "ExactMatrix":
         """Assemble from a dict mapping (block_row, block_col) to ExactMatrix."""
-        row_off = [0]
-        for d in row_dims:
-            row_off.append(row_off[-1] + d)
-        col_off = [0]
-        for d in col_dims:
-            col_off.append(col_off[-1] + d)
-        entries = {}
+        col_off = list(accumulate(col_dims, initial=0))
         for (bi, bj), block in blocks.items():
             if block.rows != row_dims[bi] or block.cols != col_dims[bj]:
                 raise ValueError(f"block ({bi},{bj}) has wrong shape")
-            r0, c0 = row_off[bi], col_off[bj]
-            for (i, j), v in block.entries.items():
-                key = (r0 + i, c0 + j)
-                w = entries.get(key, 0) + v
-                if w:
-                    entries[key] = w
-                else:
-                    entries.pop(key, None)
-        return ExactMatrix(row_off[-1], col_off[-1], entries)
+        indptr, indices, data = [0], [], []
+        for bi, dim in enumerate(row_dims):
+            # this block row's blocks left to right, so columns come out sorted
+            parts = sorted((bj, b) for (i, bj), b in blocks.items() if i == bi)
+            for i in range(dim):
+                for bj, b in parts:
+                    s, e = b.indptr[i], b.indptr[i + 1]
+                    indices.extend(map(col_off[bj].__add__, b.indices[s:e]))
+                    data.extend(b.data[s:e])
+                indptr.append(len(data))
+        return ExactMatrix.from_csr(len(indptr) - 1, col_off[-1], indptr, indices, data)
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return len(self.data)
 
-    def is_zero(self) -> bool:
-        return not self.entries
+    @property
+    def entries(self):
+        """A read-only {(i, j): value} copy, rebuilt on every access (for tests
+        and debugging; nothing on the build and rank path reads it)."""
+        return MappingProxyType(dict(zip(zip(self._row_ids(), self.indices), self.data)))
+
+    def _row_ids(self):
+        """The row of each stored entry, in storage order."""
+        ptr = self.indptr
+        return chain.from_iterable(
+            map(repeat, range(self.rows), map(sub, islice(ptr, 1, None), ptr))
+        )
+
+    def _rows(self, skip):
+        """(i, {col: value}) for each row i with an entry outside `skip`, in
+        order, read in one pass over the flat lists.  Each row is a fresh dict
+        made when the previous one is handed out, so rows a caller drops are
+        freed as it goes."""
+        row, cur = {}, -1
+        for i, j, v in zip(self._row_ids(), self.indices, self.data):
+            if i != cur:
+                if row:
+                    yield cur, row
+                    row = {}
+                cur = i
+            if j not in skip:
+                row[j] = v
+        if row:
+            yield cur, row
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExactMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.indptr == other.indptr
+            and self.indices == other.indices
+            and self.data == other.data
         )
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
-        )
+    def _product_rows(self, other: "ExactMatrix"):
+        """Row by row, the entries of self @ other as {col: value}; a value
+        may be 0 where terms cancel.  Rows come in order, one per row of self."""
+        a_ptr, a_idx, a_val = self.indptr, self.indices, self.data
+        b_ptr, b_idx, b_val = other.indptr, other.indices, other.data
+        for s, e in zip(a_ptr, islice(a_ptr, 1, None)):
+            acc = {}
+            for k in range(s, e):
+                x = a_val[k]
+                c = a_idx[k]
+                for t in range(b_ptr[c], b_ptr[c + 1]):
+                    j = b_idx[t]
+                    acc[j] = acc.get(j, 0) + x * b_val[t]
+            yield acc
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        by_col = {}
-        for (i, k), v in self.entries.items():
-            by_col.setdefault(k, []).append((i, v))
-        out = {}
-        for (k, j), w in other.entries.items():
-            for i, v in by_col.get(k, ()):
-                key = (i, j)
-                s = out.get(key, 0) + v * w
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return ExactMatrix(self.rows, other.cols, out)
+        indptr, indices, data = [0], [], []
+        for acc in self._product_rows(other):
+            for j in sorted(acc):
+                if acc[j]:
+                    indices.append(j)
+                    data.append(acc[j])
+            indptr.append(len(data))
+        return ExactMatrix.from_csr(self.rows, other.cols, indptr, indices, data)
 
     # -- rank ---------------------------------------------------------------
 
@@ -122,14 +206,8 @@ class ExactMatrix:
         those rows, without the skipped columns, are independent and span
         the row space.
         """
-        skip = set(skip_cols)
-        rows: dict[int, dict] = {}
-        for (i, j), v in self.entries.items():
-            if j not in skip:
-                rows.setdefault(i, {})[j] = v
         pivots: dict[int, dict] = {}  # column -> the row with it as largest column
-        for i in sorted(rows):
-            row = rows[i]
+        for i, row in self._rows(set(skip_cols)):
             lead = max(row)
             while lead in pivots:
                 pivot = pivots[lead]
@@ -160,8 +238,8 @@ class ExactMatrix:
     def dump(self) -> str:
         """Text dump: header 'rows cols nnz', then 'i j value/1' lines."""
         lines = [f"{self.rows} {self.cols} {self.nnz}"]
-        for (i, j) in sorted(self.entries):
-            lines.append(f"{i} {j} {self.entries[(i, j)]}/1")
+        for i, j, v in zip(self._row_ids(), self.indices, self.data):
+            lines.append(f"{i} {j} {v}/1")
         return "\n".join(lines) + "\n"
 
 
@@ -169,9 +247,10 @@ class ChainComplex:
     """A finite complex 0 -> V_0 -> V_1 -> ... -> V_k -> 0 of Q-vector spaces.
 
     `diffs[i]` maps V_i to V_{i+1}; d∘d = 0 is verified at construction, in
-    __post_init__, and a violation raises ExactnessError (it means the
-    builder's signs or indexing are wrong, so computing anything further
-    would be meaningless).
+    __post_init__, one row of each product at a time, and a violation raises
+    ExactnessError naming the first nonzero entry (it means the builder's
+    signs or indexing are wrong, so computing anything further would be
+    meaningless).
     """
 
     __slots__ = ("terms", "diffs")
@@ -191,8 +270,13 @@ class ChainComplex:
                     f"{self.terms[i + 1]}x{self.terms[i]}"
                 )
         for i in range(len(self.diffs) - 1):
-            if not (self.diffs[i + 1] @ self.diffs[i]).is_zero():
-                raise ExactnessError(f"d∘d != 0 between positions {i} and {i + 2}")
+            for r, acc in enumerate(self.diffs[i + 1]._product_rows(self.diffs[i])):
+                if any(acc.values()):
+                    c = min(j for j, v in acc.items() if v)
+                    raise ExactnessError(
+                        f"d∘d != 0 between positions {i} and {i + 2}: "
+                        f"entry ({r},{c}) of d_{i + 1}∘d_{i} is {acc[c]}"
+                    )
 
     def homology_dims(self) -> tuple[int, ...]:
         """dim H_i = dim V_i - rank(d_i) - rank(d_{i-1}), off-end ranks zero.

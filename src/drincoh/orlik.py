@@ -122,26 +122,32 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
 
     # augmentation: restriction of functions on Y to each top-level summand
     y_index = {pt: k for k, pt in enumerate(y_points)}
-    rows = [y_index[pt] for s in levels[0] for pt in s.points]
-    diffs = [ExactMatrix(len(rows), len(y_points), {(i, j): 1 for i, j in enumerate(rows)})]
+    cols = [y_index[pt] for s in levels[0] for pt in s.points]
+    rows = len(cols)
+    diffs = [ExactMatrix.from_csr(rows, len(y_points), list(range(rows + 1)), cols, [1] * rows)]
     for t in range(len(levels) - 1):
         sources, targets = levels[t], levels[t + 1]
-        col0, row0 = _point_offsets(sources), _point_offsets(targets)
-        entries = {}
+        col0 = _point_offsets(sources)
+        indptr, indices, data = [0], [], []
+        # targets are listed subset by subset, so rows come out in order
         for I, positions in where[t + 1].items():
+            covers = []
             for a in range(n):
                 J = I.union(a)
                 if I.mask >> a & 1 or not J.is_proper:
                     continue
-                sign = cover_sign(I, a)
-                image = forget_map(I, J, q)
-                first = where[t][J].start
-                for k, pos in enumerate(positions):
-                    src = first + image[k]
-                    index, r, c = index_of[sources[src].subspace], row0[pos], col0[src]
-                    for i, pt in enumerate(targets[pos].points):
-                        entries[(r + i, c + index[pt])] = sign
-        diffs.append(ExactMatrix(row0[-1], col0[-1], entries))
+                covers.append((cover_sign(I, a), forget_map(I, J, q), where[t][J].start))
+            for k, pos in enumerate(positions):
+                # one entry per cover in each row, in source summand order,
+                # which is column order
+                srcs = sorted((first + image[k], sign) for sign, image, first in covers)
+                blocks = [(col0[src], index_of[sources[src].subspace]) for src, _ in srcs]
+                signs = [sign for _, sign in srcs]
+                for pt in targets[pos].points:
+                    indices.extend([c + index[pt] for c, index in blocks])
+                    data.extend(signs)
+                    indptr.append(len(data))
+        diffs.append(ExactMatrix.from_csr(len(indptr) - 1, col0[-1], indptr, indices, data))
     cx = ChainComplex(tuple(terms), tuple(diffs))
     return FunctionComplex(n, q, m, y_points, tuple(levels), cx)
 

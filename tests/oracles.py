@@ -331,6 +331,30 @@ def in_extension_span(pt: tuple[int, ...], U: Subspace, F: GaloisField) -> bool:
 # -- matrices and complexes -------------------------------------------------------
 
 
+def identity(n: int) -> ExactMatrix:
+    return ExactMatrix(n, n, {(i, i): 1 for i in range(n)})
+
+
+def zero(rows: int, cols: int) -> ExactMatrix:
+    return ExactMatrix(rows, cols)
+
+
+def transpose(M: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix(M.cols, M.rows, {(j, i): v for (i, j), v in M.entries.items()})
+
+
+def reference_product(A: ExactMatrix, B: ExactMatrix) -> dict[tuple[int, int], int]:
+    """The nonzero entries of A @ B as {(i, j): value}, summed over a
+    dict of (i, j) tuples independently of the CSR layout."""
+    out: dict[tuple[int, int], int] = {}
+    b_items = list(B.entries.items())
+    for (i, k), v in A.entries.items():
+        for (k2, j), w in b_items:
+            if k == k2:
+                out[(i, j)] = out.get((i, j), 0) + v * w
+    return {key: v for key, v in out.items() if v}
+
+
 def from_dense(data) -> ExactMatrix:
     rows = len(data)
     cols = len(data[0]) if rows else 0

@@ -208,3 +208,37 @@ def test_checks_hold_under_python_O():
                  "--n-max", "2", "--q", "2")
     assert proc.returncode == 0, proc.stderr + proc.stdout
     assert "2 passed, 0 failed" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "row_a, message",
+    [({"a": 2, "b": -1}, "one-nonzero-per-row"), ({"b": 1}, "column sums")],
+)
+def test_pullback_shape_checks_catch_what_functoriality_misses(monkeypatch, row_a, message):
+    # I = J = ∅ at (2,2): P_IJ is the identity on the 21 full flags.  Rows a
+    # and b of P_JL send two flags to the same flag of type L, so rewriting
+    # row a of P_IJ as a combination of e_a and e_b with sum 1 keeps
+    # P_IJ @ P_JL == P_IL; only the shape checks can see it.
+    from drincoh.gmodules import pullback_matrix
+    from drincoh.homalg import ExactMatrix
+    from drincoh.rootdata import ParabolicType
+
+    I, L = ParabolicType.empty(2), ParabolicType.of(2, [0])
+    image = pullback_matrix(I, L, 2).indices
+    a = 0
+    b = image.index(image[a], a + 1)
+    cols = {"a": a, "b": b}
+
+    def tampered(X, Y, q):
+        P = pullback_matrix(X, Y, q)
+        if X != Y:
+            return P
+        entries = dict(P.entries)
+        del entries[(a, a)]
+        entries.update({(a, cols[k]): v for k, v in row_a.items()})
+        return ExactMatrix(P.rows, P.cols, entries)
+
+    cli.check_pullback_properties(I, I, L, 2)
+    monkeypatch.setattr(cli, "pullback_matrix", tampered)
+    with pytest.raises(AssertionError, match=message):
+        cli.check_pullback_properties(I, I, L, 2)

@@ -1,16 +1,34 @@
 """Exact linear algebra: ranks against a naive oracle, homology bookkeeping."""
 
+import gc
 import itertools
+import os
 import random
+import re
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import drincoh
 from drincoh.errors import ExactnessError
 from drincoh.ffgeom import enumerate_subspaces
 from drincoh.homalg import ChainComplex, ExactMatrix
 from drincoh.rootdata import ParabolicType
-from oracles import contains, euler_characteristic, from_dense, parse_dump, reindexed
+from oracles import (
+    contains,
+    euler_characteristic,
+    from_dense,
+    identity,
+    parse_dump,
+    reference_product,
+    reindexed,
+    transpose,
+    zero,
+)
 
 
 def naive_rank(matrix: ExactMatrix) -> int:
@@ -51,8 +69,8 @@ def point_line_incidence():
 
 
 def test_rank_examples():
-    assert ExactMatrix.zero(3, 3).rank() == 0
-    assert ExactMatrix.identity(4).rank() == 4
+    assert zero(3, 3).rank() == 0
+    assert identity(4).rank() == 4
     M = point_line_incidence()
     assert M.rank() == naive_rank(M) == 7
 
@@ -101,7 +119,7 @@ def test_matmul_and_blocks():
     B = from_dense([[1, 0], [-1, 1]])
     assert A @ B == from_dense([[-1, 2], [-1, 1]])
     with pytest.raises(ValueError):
-        A @ ExactMatrix.zero(3, 3)
+        A @ zero(3, 3)
     C = ExactMatrix.from_blocks([2, 1], [2], {(0, 0): A @ B, (1, 0): from_dense([[1, 1]])})
     assert C.rows == 3 and C.cols == 2
     assert C.entries[(2, 0)] == 1 and C.entries[(2, 1)] == 1
@@ -109,12 +127,12 @@ def test_matmul_and_blocks():
 
 def test_homology_examples():
     # 0 -> Q -> Q -> 0 with the identity: no homology
-    cx = ChainComplex((1, 1), (ExactMatrix.identity(1),))
+    cx = ChainComplex((1, 1), (identity(1),))
     assert cx.homology_dims() == (0, 0)
     # a single term survives whole
     assert ChainComplex((1,), ()).homology_dims() == (1,)
     # zero map between nonzero terms leaves both alive
-    cx = ChainComplex((2, 2), (ExactMatrix.zero(2, 2),))
+    cx = ChainComplex((2, 2), (zero(2, 2),))
     assert cx.homology_dims() == (2, 2)
     ok, report = cx.is_exact_except({0})
     assert not ok and report == {0: 2}
@@ -135,15 +153,15 @@ def test_chain_complex_validation(monkeypatch):
     calls = []
     check = ChainComplex.__post_init__
     monkeypatch.setattr(ChainComplex, "__post_init__", lambda cx: calls.append(cx) or check(cx))
-    cx = ChainComplex((2, 2), (ExactMatrix.identity(2),))
+    cx = ChainComplex((2, 2), (identity(2),))
     assert calls == [cx]
     with pytest.raises(ValueError):
         ChainComplex((2, 2), ())
     with pytest.raises(ValueError):
-        ChainComplex((2, 3), (ExactMatrix.zero(2, 2),))
+        ChainComplex((2, 3), (zero(2, 2),))
     # d∘d != 0 must be fatal
-    d0 = ExactMatrix.identity(2)
-    d1 = ExactMatrix.identity(2)
+    d0 = identity(2)
+    d1 = identity(2)
     with pytest.raises(ExactnessError):
         ChainComplex((2, 2, 2), (d0, d1))
 
@@ -178,7 +196,7 @@ def test_dump_format_golden():
     M = ExactMatrix(2, 3, {(0, 0): 1, (1, 2): -1})
     assert M.dump() == "2 3 2\n0 0 1/1\n1 2 -1/1\n"
     assert parse_dump(M.dump()) == M
-    assert parse_dump(ExactMatrix.zero(5, 0).dump()) == ExactMatrix.zero(5, 0)
+    assert parse_dump(zero(5, 0).dump()) == zero(5, 0)
     with pytest.raises(ValueError):
         parse_dump("2 3 1\n1 2 -1/2\n")
 
@@ -204,7 +222,7 @@ def _random_sparse(rng, rows, cols, density, values):
 
 def _check_rank(M):
     r = M.rank()
-    assert r == M.transpose().rank() == naive_rank(M), M
+    assert r == transpose(M).rank() == naive_rank(M), M
     # the pivot order follows the row and column order, the rank does not
     rng = random.Random(M.nnz)
     for _ in range(3):
@@ -296,7 +314,7 @@ def test_rank_of_large_graph_incidence_with_non_unit_scaling():
     components = len({root(v) for v in range(vertices)})
     M = ExactMatrix(vertices, edges, entries)
     assert M.rank() == vertices - components
-    assert M.transpose().rank() == vertices - components
+    assert transpose(M).rank() == vertices - components
 
 
 def _coboundaries(rng, vertices, facets):
@@ -335,13 +353,13 @@ def _add_row(M, a, b, c):
 def _unimodular(rng, n):
     """A random unimodular integer matrix U and its inverse, built from row
     operations E = I + c e_ab with non-unit c."""
-    U, U_inv = ExactMatrix.identity(n), ExactMatrix.identity(n)
+    U, U_inv = identity(n), identity(n)
     for _ in range(3 * n if n > 1 else 0):
         a, b = rng.sample(range(n), 2)
         c = rng.choice([-3, -2, 2, 3, 5])
         U = _add_row(U, a, b, c)
         # U_inv <- U_inv E^-1, i.e. column b -= c * column a
-        U_inv = _add_row(U_inv.transpose(), b, a, -c).transpose()
+        U_inv = transpose(_add_row(transpose(U_inv), b, a, -c))
     return U, U_inv
 
 
@@ -367,7 +385,7 @@ def test_homology_with_clearing_matches_naive_ranks(monkeypatch):
     for _ in range(12):
         terms, diffs = _coboundaries(rng, rng.randrange(5, 9), rng.randrange(3, 8))
         if rng.random() < 0.5:  # the chain complex of the same simplices
-            terms, diffs = terms[::-1], [d.transpose() for d in reversed(diffs)]
+            terms, diffs = terms[::-1], [transpose(d) for d in reversed(diffs)]
         bases = [_unimodular(rng, t) for t in terms]
         diffs = [bases[i + 1][0] @ d @ bases[i][1] for i, d in enumerate(diffs)]
         assert any(v not in (1, -1) for d in diffs for v in d.entries.values())
@@ -381,3 +399,188 @@ def test_homology_with_clearing_matches_naive_ranks(monkeypatch):
     for M, skip, r in cleared:
         # the cleared columns never change the rank
         assert r == rank(M) == naive_rank(M)
+
+
+# -- CSR storage -------------------------------------------------------------------
+
+# from_csr arguments that must raise, as source text so that the same cases
+# also run in a `python -O` interpreter
+BAD_CSR = {
+    "bool value": ("1, 2, [0, 1], [0], [True]", TypeError),
+    "float value": ("1, 2, [0, 1], [0], [1.0]", TypeError),
+    "Fraction value": ("1, 2, [0, 1], [0], [Fraction(1)]", TypeError),
+    "stored zero": ("2, 2, [0, 1, 2], [0, 1], [3, 0]", ValueError),
+    "column too large": ("1, 2, [0, 1], [2], [1]", ValueError),
+    "negative column": ("1, 2, [0, 1], [-1], [1]", ValueError),
+    "repeated column": ("1, 3, [0, 2], [1, 1], [1, 1]", ValueError),
+    "unsorted row": ("2, 3, [0, 1, 3], [0, 2, 1], [1, 1, 1]", ValueError),
+    "indptr too short": ("2, 3, [0, 1], [0], [1]", ValueError),
+    "indptr too long": ("1, 3, [0, 1, 1], [0], [1]", ValueError),
+    "indptr decreasing": ("2, 3, [0, 2, 1], [0, 1], [1, 1]", ValueError),
+    "indptr misses nnz": ("1, 3, [0, 1], [0, 1], [1, 1]", ValueError),
+    "float column": ("1, 3, [0, 1], [1.0], [1]", TypeError),
+}
+
+
+def _from_csr_source(args: str):
+    return eval(f"ExactMatrix.from_csr({args})", {"ExactMatrix": ExactMatrix, "Fraction": Fraction})
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CSR))
+def test_csr_constructor_rejects(case):
+    args, error = BAD_CSR[case]
+    with pytest.raises(error):
+        _from_csr_source(args)
+
+
+def test_csr_constructor_rejects_under_python_o():
+    # the checks raise rather than assert, so they hold with asserts stripped
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from drincoh.homalg import ExactMatrix\n"
+        "assert False\n"  # stripped by -O
+        "for args in sys.argv[1:]:\n"
+        "    try:\n"
+        "        eval(f'ExactMatrix.from_csr({args})')\n"
+        "        print('accepted')\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__)\n"
+    )
+    cases = sorted(BAD_CSR)
+    src = str(Path(drincoh.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script, *(BAD_CSR[c][0] for c in cases)],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    ).stdout.split()
+    assert out == [BAD_CSR[c][1].__name__ for c in cases]
+
+
+def test_csr_constructor_accepts_descents_at_row_starts():
+    M = ExactMatrix.from_csr(3, 3, [0, 2, 2, 3], [1, 2, 0], [1, -1, 5])
+    assert M == ExactMatrix(3, 3, {(0, 1): 1, (0, 2): -1, (2, 0): 5})
+    assert M.entries == {(0, 1): 1, (0, 2): -1, (2, 0): 5}
+    assert M.dump() == "3 3 3\n0 1 1/1\n0 2 -1/1\n2 0 5/1\n"
+    with pytest.raises(TypeError):
+        M.entries[(0, 1)] = 2  # a read-only view
+
+
+def test_dict_constructor_drops_zeros_and_rejects_non_ints():
+    M = ExactMatrix(2, 2, {(1, 1): 0, (1, 0): 4, (0, 1): -2})
+    assert (M.indptr, M.indices, M.data) == ([0, 1, 2], [1, 0], [-2, 4])
+    for bad in (True, False, 1.0, 0.0, Fraction(2)):
+        with pytest.raises(TypeError):
+            ExactMatrix(2, 2, {(0, 0): bad})
+    for key in ((2, 0), (0, 2), (-1, 0)):
+        with pytest.raises(ValueError):
+            ExactMatrix(2, 2, {key: 1})
+
+
+def _first_nonzero(product):
+    return min(product) if product else None
+
+
+def _dd_failure(d0, d1):
+    """The (row, col, value) the d∘d check reports for d1∘d0, or None."""
+    try:
+        ChainComplex((d0.cols, d0.rows, d1.rows), (d0, d1))
+    except ExactnessError as exc:
+        match = re.search(r"entry \((\d+),(\d+)\) of d_1∘d_0 is (-?\d+)", str(exc))
+        assert match and "positions 0 and 2" in str(exc), str(exc)
+        return tuple(map(int, match.groups()))
+    return None
+
+
+def test_product_and_dd_check_match_reference_product():
+    rng = random.Random(107)
+    zero_products = 0
+    for _ in range(60):
+        n, k, m = (rng.randrange(0, 9) for _ in range(3))
+        density = rng.choice([0.05, 0.2, 0.5])
+        d0 = _random_sparse(rng, k, n, density, [-3, -1, 1, 2])
+        d1 = _random_sparse(rng, m, k, density, [-2, -1, 1, 1, 4])
+        want = reference_product(d1, d0)
+        assert (d1 @ d0).entries == want
+        first = _first_nonzero(want)
+        got = _dd_failure(d0, d1)
+        assert got == (None if first is None else (*first, want[first]))
+        zero_products += first is None
+    assert 5 <= zero_products <= 55
+
+
+def _split_complex(rng, dims, density):
+    """A random complex with d∘d = 0 by construction: each middle term is
+    K_i ⊕ C_i, d_{i-1} lands in K_i and d_i kills K_i; each middle term is
+    then mixed by a unimodular base change.  `dims` lists (k_i, c_i)."""
+    blocks = [
+        _random_sparse(rng, dims[i + 1][0], dims[i][1], density, [-2, -1, 1, 3])
+        for i in range(len(dims) - 1)
+    ]
+    diffs = []
+    for i, B in enumerate(blocks):
+        k0, c0 = dims[i]
+        # columns: K_i then C_i; rows: K_{i+1} then C_{i+1}
+        entries = {(r, k0 + c): v for (r, c), v in B.entries.items()}
+        diffs.append(ExactMatrix(sum(dims[i + 1]), k0 + c0, entries))
+    terms = [sum(d) for d in dims]
+    bases = [_unimodular(rng, t) for t in terms]
+    return terms, [bases[i + 1][0] @ d @ bases[i][1] for i, d in enumerate(diffs)]
+
+
+def test_homology_of_random_split_complexes_matches_naive_ranks():
+    rng = random.Random(108)
+    non_trivial = 0
+    for _ in range(15):
+        length = rng.randrange(2, 6)
+        dims = [(0 if i == 0 else rng.randrange(0, 6), rng.randrange(0, 6)) for i in range(length)]
+        dims[-1] = (dims[-1][0], 0)
+        terms, diffs = _split_complex(rng, dims, rng.choice([0.2, 0.5, 0.9]))
+        cx = ChainComplex(tuple(terms), tuple(diffs))
+        homology = cx.homology_dims()
+        assert homology == _naive_homology(terms, diffs)
+        non_trivial += any(homology[1:-1])
+    assert non_trivial >= 3
+
+
+def test_dd_failure_names_the_first_nonzero_entry():
+    d0, d1 = from_dense([[1], [1]]), from_dense([[1, 1]])
+    with pytest.raises(ExactnessError, match=r"positions 0 and 2: entry \(0,0\) of d_1∘d_0 is 2"):
+        ChainComplex((1, 2, 1), (d0, d1))
+    # one sign flipped in a Steinberg resolution: the report is the first
+    # nonzero entry of the product, found by the reference product
+    from drincoh.gmodules import steinberg_resolution
+
+    d0, d1 = steinberg_resolution(ParabolicType.empty(2), 2).resolution.diffs
+    assert _dd_failure(d0, d1) is None
+    k = d1.indptr[5]  # the first entry of row 5
+    data = list(d1.data)
+    data[k] = -data[k]
+    flipped = ExactMatrix.from_csr(d1.rows, d1.cols, d1.indptr, d1.indices, data)
+    want = reference_product(flipped, d0)
+    first = _first_nonzero(want)
+    assert first[0] == 5
+    assert _dd_failure(d0, flipped) == (*first, want[first])
+
+
+def _stored_bytes_per_nonzero(build):
+    build()  # warm the flag and point caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        diffs = build()
+        gc.collect()
+        stored = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return stored / sum(d.nnz for d in diffs)
+
+
+def test_stored_matrices_take_at_most_80_bytes_per_nonzero():
+    from drincoh.gmodules import steinberg_resolution
+    from drincoh.orlik import build_function_complex
+
+    assert _stored_bytes_per_nonzero(lambda: build_function_complex(3, 3, 2).complex.diffs) <= 80
+    assert _stored_bytes_per_nonzero(
+        lambda: steinberg_resolution(ParabolicType.empty(3), 3).resolution.diffs
+    ) <= 80

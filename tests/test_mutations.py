@@ -72,7 +72,7 @@ def _clearing_one_too_many(self, *, skip_cols=(), pivot_rows=None, _orig=ExactMa
     # nonzero column that is not one of them
     if skip_cols:
         skip = set(skip_cols)
-        extra = min((j for _, j in self.entries if j not in skip), default=None)
+        extra = min((j for j in self.indices if j not in skip), default=None)
         if extra is not None:
             skip_cols = [*skip_cols, extra]
     return _orig(self, skip_cols=skip_cols, pivot_rows=pivot_rows)
