@@ -28,8 +28,10 @@ Conventions
   Forgetting is the integer column map forget_map, so pullbacks and
   restrictions are assembled without building or hashing Flag objects.
 * Guards raise DeskScaleExceeded before any work: FLAG_GUARD on |G/B| in
-  flag_keys, the only source of flags (n <= 4 at q = 2, n <= 3 at q = 3),
-  and POINT_GUARD and MASK_GUARD on a point count and its mask table.
+  check_flag_guard (n <= 4 at q = 2, n <= 3 at q = 3), which flag_keys, the
+  only source of flags, and the lattice builders of gmodules call first,
+  before any subset is listed; and POINT_GUARD and MASK_GUARD on a point
+  count and its mask table.
 """
 
 from __future__ import annotations
@@ -204,14 +206,6 @@ def rref(rows, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in mat[:r] if any(row))
 
 
-def span(rows, q: int, ambient_dim: int | None = None) -> Subspace:
-    basis = rref(rows, q)
-    if not basis:
-        raise ValueError("span of zero vectors is not a Subspace")
-    ambient = ambient_dim if ambient_dim is not None else len(rows[0])
-    return Subspace(q, ambient, basis)
-
-
 @lru_cache(maxsize=None)
 def enumerate_subspaces(ambient_dim: int, d: int, q: int) -> tuple[Subspace, ...]:
     """All d-dimensional subspaces of F_q^{ambient_dim}, sorted by RREF basis.
@@ -339,6 +333,18 @@ def _inner_subspaces(ambient_dim: int, big: int, small: int, q: int) -> tuple[tu
     return tuple(table)
 
 
+def check_flag_guard(n: int, q: int):
+    """Raise unless q is prime and GL_{n+1}(F_q) has at most FLAG_GUARD full
+    flags, so a whole (n, q) is in or out."""
+    if not is_prime(q):
+        raise ValueError(f"q must be prime, got {q}")
+    full = parabolic_index(ParabolicType.empty(n), q)
+    if full > FLAG_GUARD:
+        raise DeskScaleExceeded(
+            f"full flag variety of GL_{n + 1}(F_{q}) has {full} flags, over the {FLAG_GUARD} guard"
+        )
+
+
 @lru_cache(maxsize=None)
 def flag_keys(I: ParabolicType, q: int) -> tuple[tuple[int, ...], ...]:
     """The type-I flags as index chains, in the order of enumerate_flags.
@@ -348,15 +354,9 @@ def flag_keys(I: ParabolicType, q: int) -> tuple[tuple[int, ...], ...]:
     from each largest member through the table of its subspaces one step
     down.  Indices follow the sorted Subspace order, so sorted keys are the
     chain-lex order of the flags.  Raises DeskScaleExceeded, before any key
-    is built, when |G/B| exceeds FLAG_GUARD, so a whole (n, q) is in or out.
+    is built, when |G/B| exceeds FLAG_GUARD (check_flag_guard).
     """
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
-    full = parabolic_index(ParabolicType.empty(I.n), q)
-    if full > FLAG_GUARD:
-        raise DeskScaleExceeded(
-            f"full flag variety of GL_{I.n + 1}(F_{q}) has {full} flags, over the {FLAG_GUARD} guard"
-        )
+    check_flag_guard(I.n, q)
     N = I.n + 1
     dims = chain_dims(I)
     if not dims:  # I is the full subset: the single coset G/G

@@ -10,14 +10,18 @@ Ind_{P_J}^G K by the sum of the inductions from all strictly larger
 parabolics.  Its dimension is computed twice: as the top cokernel of the
 explicit resolution and by inclusion-exclusion over the interval [J, Δ] of
 the subset lattice.
+
+This module owns the one walk over the subset lattice (lattice_rows): the
+Steinberg resolutions, orlik's E1 rows and, expanded to points, orlik's
+function complex are all built from it.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from itertools import accumulate, chain, pairwise
 
 from .errors import ExactnessError
-from .ffgeom import flag_keys, forget_map
+from .ffgeom import check_flag_guard, flag_keys, forget_map
 from .homalg import ChainComplex, ExactMatrix
 from .qarith import parabolic_index
 from .rootdata import ParabolicType, cover_sign, subsets_of_size
@@ -37,13 +41,35 @@ def pullback_matrix(I: ParabolicType, J: ParabolicType, q: int) -> ExactMatrix:
     )
 
 
-def _interval_levels(J: ParabolicType) -> list[list[ParabolicType]]:
+def interval_levels(J: ParabolicType) -> list[list[ParabolicType]]:
     """Subsets I with J ⊆ I ⊆ Δ, grouped by codimension #(Δ∖I) = 0..n-#J."""
     n = J.n
     return [
         subsets_of_size(n, n - c, containing=J, proper=False)
         for c in range(n - J.size + 1)
     ]
+
+
+def lattice_rows(sources: list[ParabolicType], targets: list[ParabolicType],
+                 dims: dict[ParabolicType, int], q: int):
+    """For each target I, the signs cover_sign(I, a) of its covers J = I ∪ {a}
+    among the sources, and an iterator over the type-I flags giving each
+    flag's source columns: its images under forget_map(I, J, q), shifted by
+    J's offset.  Covers go in source order, so the columns of a flag are
+    sorted and line up with the signs.
+    """
+    col_off = list(accumulate((dims[J] for J in sources), initial=0))
+    for I in targets:
+        shifted, signs = [], []
+        for J, off in zip(sources, col_off):
+            diff = J.mask & ~I.mask
+            if J.contains(I) and diff.bit_count() == 1:
+                image = forget_map(I, J, q)
+                if len(image) != dims[I] or len(flag_keys(J, q)) != dims[J]:
+                    raise ValueError(f"block ({I.subset_str()}, {J.subset_str()}) has wrong shape")
+                shifted.append(map(off.__add__, image))
+                signs.append(cover_sign(I, diff.bit_length() - 1))
+        yield signs, zip(*shifted)
 
 
 def lattice_differential(
@@ -55,41 +81,38 @@ def lattice_differential(
     """Signed block matrix of pullbacks for one layer of the subset lattice.
 
     Block (I, J) is cover_sign(I, a) * pullback(I, J) when J = I ∪ {a},
-    zero otherwise.  Rows are written in order, each with one entry per
-    cover J of its block's I; sources follow col_off, so columns come out
-    sorted.
+    zero otherwise.  Rows are written in order from lattice_rows, each with
+    one entry per cover of its block's I.
     """
-    col_off = list(accumulate((dims[J] for J in sources), initial=0))
     indptr, indices, data = [0], [], []
-    for bi, I in enumerate(targets):
-        shifted, signs = [], []
-        for bj, J in enumerate(sources):
-            diff = J.mask & ~I.mask
-            if J.contains(I) and diff.bit_count() == 1:
-                image = forget_map(I, J, q)
-                if len(image) != dims[I] or len(flag_keys(J, q)) != dims[J]:
-                    raise ValueError(f"block ({bi},{bj}) has wrong shape")
-                shifted.append(map(col_off[bj].__add__, image))
-                signs.append(cover_sign(I, diff.bit_length() - 1))
-        if signs:
-            w = len(signs)
-            indices.extend(chain.from_iterable(zip(*shifted)))
-            data.extend(signs * dims[I])
-            indptr.extend(range(indptr[-1] + w, len(data) + 1, w))
-        else:
-            indptr.extend([indptr[-1]] * dims[I])
-    return ExactMatrix.from_csr(len(indptr) - 1, col_off[-1], indptr, indices, data)
+    for I, (signs, rows) in zip(targets, lattice_rows(sources, targets, dims, q)):
+        w = len(signs)
+        indices.extend(chain.from_iterable(rows))
+        data.extend(signs * dims[I])
+        indptr.extend(range(indptr[-1] + w, len(data) + 1, w) if w else [indptr[-1]] * dims[I])
+    cols = sum(dims[J] for J in sources)
+    return ExactMatrix.from_csr(len(indptr) - 1, cols, indptr, indices, data)
+
+
+def lattice_complex(J: ParabolicType, q: int, start: int = 0) -> tuple[tuple, ChainComplex]:
+    """The levels interval_levels(J)[start:] and the complex over them of
+    ⊕ Ind_{P_I}^G K, level by level, with lattice_differential between.  The
+    flag guard comes first, before any subset is listed."""
+    check_flag_guard(J.n, q)
+    levels = tuple(map(tuple, interval_levels(J)[start:]))
+    dims = {I: parabolic_index(I, q) for level in levels for I in level}
+    terms = tuple(sum(dims[I] for I in level) for level in levels)
+    diffs = tuple(lattice_differential(*pair, dims, q) for pair in pairwise(levels))
+    return levels, ChainComplex(terms, diffs)
 
 
 class SteinbergData:
     """The resolution complex of one generalized Steinberg representation."""
 
-    __slots__ = ("J", "q", "resolution", "levels", "dim_v")
+    __slots__ = ("resolution", "levels", "dim_v")
 
-    def __init__(self, J: ParabolicType, q: int, resolution: ChainComplex,
+    def __init__(self, resolution: ChainComplex,
                  levels: tuple[tuple[ParabolicType, ...], ...], dim_v: int):
-        self.J = J
-        self.q = q
         self.resolution = resolution
         self.levels = levels
         self.dim_v = dim_v
@@ -102,7 +125,7 @@ def steinberg_dim(J: ParabolicType, q: int) -> int:
     trivial module, dimension 1.
     """
     total = 0
-    for levels in _interval_levels(J):
+    for levels in interval_levels(J):
         for I in levels:
             sign = -1 if (I.size - J.size) % 2 else 1
             total += sign * parabolic_index(I, q)
@@ -121,15 +144,8 @@ def steinberg_resolution(J: ParabolicType, q: int) -> SteinbergData:
     """
     if not J.is_proper:
         raise ValueError("the full subset has no resolution (trivial module)")
-    levels = _interval_levels(J)
-    dims = {I: parabolic_index(I, q) for level in levels for I in level}
-    terms = tuple(sum(dims[I] for I in level) for level in levels)
-    diffs = tuple(
-        lattice_differential(levels[c], levels[c + 1], dims, q)
-        for c in range(len(levels) - 1)
-    )
-    complex_ = ChainComplex(terms, diffs)
-    top = len(terms) - 1
+    levels, complex_ = lattice_complex(J, q)
+    top = len(levels) - 1
     ok, report = complex_.is_exact_except({top})
     if not ok:
         raise ExactnessError(
@@ -143,4 +159,4 @@ def steinberg_resolution(J: ParabolicType, q: int) -> SteinbergData:
             f"Steinberg cokernel dim {dim_v} != inclusion-exclusion value {expected} "
             f"for J={J.subset_str()}, q={q}"
         )
-    return SteinbergData(J, q, complex_, tuple(tuple(l) for l in levels), dim_v)
+    return SteinbergData(complex_, levels, dim_v)

@@ -4,13 +4,17 @@
     union Y of all rational hyperplanes in P^n, resolved by functions on the
     translates g.Y_I = P(U) indexed by proper subsets I and cosets of G/P_I.
     Its acyclicity is the finite shadow of the sheaf-level statement and is
-    what the verify suite checks.
+    what the verify suite checks.  It is E1 row 0 expanded to points: after
+    the augmentation, each flag of type I stands for the points of its
+    stratum, and the covers and signs are those of gmodules.lattice_rows.
 
 (b) The E1 rows of the spectral sequence: for each even s, a complex of
     induced modules over the subsets containing the prefix I_{s/2}, with the
-    uniform Tate twist -s/2 carried along as a label.  Row homology gives
-    the E2 page, which is checked position by position against the closed
-    forms for Steinberg and induced-module dimensions.
+    uniform Tate twist -s/2 carried along as a label.  Row s is the
+    Steinberg resolution of I_{s/2} truncated: its first (constant) term is
+    dropped.  Row homology gives the E2 page, which is checked position by
+    position against the closed forms for Steinberg and induced-module
+    dimensions.
 """
 
 from __future__ import annotations
@@ -26,14 +30,13 @@ from .ffgeom import (
     chain_dims,
     enumerate_subspaces,
     flag_keys,
-    forget_map,
     hyperplane_union_points,
     subspace_points,
 )
-from .gmodules import lattice_differential, steinberg_dim
+from .gmodules import interval_levels, lattice_complex, lattice_rows, steinberg_dim
 from .homalg import ChainComplex, ExactMatrix
 from .qarith import parabolic_index, projective_count
-from .rootdata import ParabolicType, cover_sign, i_of_I, standard_subset, subsets_of_size
+from .rootdata import ParabolicType, i_of_I, standard_subset
 from .tables import TwistedModule, summand
 
 FUNCTION_COMPLEX_GUARD = 2 * 10**4
@@ -56,35 +59,31 @@ class StratumSummand:
 
 
 class FunctionComplex:
-    __slots__ = ("n", "q", "m", "y_points", "levels", "complex")
+    __slots__ = ("y_points", "levels", "complex")
 
-    def __init__(self, n: int, q: int, m: int, y_points: tuple[tuple[int, ...], ...],
+    def __init__(self, y_points: tuple[tuple[int, ...], ...],
                  levels: tuple[tuple[StratumSummand, ...], ...], complex: ChainComplex):
-        self.n = n
-        self.q = q
-        self.m = m
         self.y_points = y_points
         self.levels = levels
         self.complex = complex
 
 
-def _point_offsets(level) -> list[int]:
-    """First row of each summand's points in the level's term, then the total."""
-    return list(accumulate((len(s.points) for s in level), initial=0))
-
-
 def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
     """The complex 0 -> Fun(Y) -> ⊕_{#I=n-1} ⊕_g Fun(g.Y_I) -> ... -> ⊕_{G/B} -> 0.
 
-    Differentials are signed point-restriction maps; distinct cosets keep
-    separate summands even when they cut out the same subvariety, but each
+    After the augmentation, each differential is the lattice differential
+    of E1 row 0 expanded to points: a flag's row is repeated once per
+    point of its summand, and each source flag's column moves to that
+    point's column in the source summand.  Distinct cosets keep separate
+    summands even when they cut out the same subvariety, but each
     subvariety's points are listed and indexed once.
     """
+    subsets = interval_levels(ParabolicType.empty(n))[1:]
+    dims = {I: parabolic_index(I, q) for level in subsets for I in level}
     # closed-form size estimate first, so oversize requests fail fast
-    bound = projective_count(n, q, m)
-    for size in range(n):
-        for I in subsets_of_size(n, size, proper=True):
-            bound += parabolic_index(I, q) * projective_count(i_of_I(I), q, m)
+    bound = projective_count(n, q, m) + sum(
+        dims[I] * projective_count(i_of_I(I), q, m) for I in dims
+    )
     if bound > FUNCTION_COMPLEX_GUARD:
         raise DeskScaleExceeded(
             f"function complex dimension {bound} exceeds {FUNCTION_COMPLEX_GUARD}"
@@ -93,21 +92,16 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
     y_points = tuple(hyperplane_union_points(n, q, m))
     points_of: dict[Subspace, tuple[tuple[int, ...], ...]] = {}
     levels = []
-    # per level: subset I -> the positions of its summands, one per type-I flag
-    where: list[dict[ParabolicType, range]] = []
-    for size in range(n - 1, -1, -1):
-        level, positions_of = [], {}
-        for I in subsets_of_size(n, size, proper=True):
-            start = len(level)
+    for level_subsets in subsets:
+        level = []
+        for I in level_subsets:
             firsts = enumerate_subspaces(n + 1, chain_dims(I)[0], q)
             for key in flag_keys(I, q):
                 U = firsts[key[0]]
                 if U not in points_of:
                     points_of[U] = tuple(subspace_points(U, m))
                 level.append(StratumSummand(I, U, points_of[U]))
-            positions_of[I] = range(start, len(level))
         levels.append(tuple(level))
-        where.append(positions_of)
     terms = [len(y_points)] + [sum(len(s.points) for s in lv) for lv in levels]
 
     y_set = set(y_points)
@@ -126,30 +120,22 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
     rows = len(cols)
     diffs = [ExactMatrix.from_csr(rows, len(y_points), list(range(rows + 1)), cols, [1] * rows)]
     for t in range(len(levels) - 1):
-        sources, targets = levels[t], levels[t + 1]
-        col0 = _point_offsets(sources)
+        sources, targets = levels[t], iter(levels[t + 1])
+        col0 = list(accumulate((len(s.points) for s in sources), initial=0))
         indptr, indices, data = [0], [], []
-        # targets are listed subset by subset, so rows come out in order
-        for I, positions in where[t + 1].items():
-            covers = []
-            for a in range(n):
-                J = I.union(a)
-                if I.mask >> a & 1 or not J.is_proper:
-                    continue
-                covers.append((cover_sign(I, a), forget_map(I, J, q), where[t][J].start))
-            for k, pos in enumerate(positions):
-                # one entry per cover in each row, in source summand order,
-                # which is column order
-                srcs = sorted((first + image[k], sign) for sign, image, first in covers)
-                blocks = [(col0[src], index_of[sources[src].subspace]) for src, _ in srcs]
-                signs = [sign for _, sign in srcs]
-                for pt in targets[pos].points:
+        # summands follow the flags subset by subset, so rows come out in
+        # order; a flag's source columns are summand positions in sources
+        for signs, flag_cols in lattice_rows(subsets[t], subsets[t + 1], dims, q):
+            # flag_cols first: zip stops on it without taking a summand
+            for srcs, target in zip(flag_cols, targets):
+                blocks = [(col0[c], index_of[sources[c].subspace]) for c in srcs]
+                for pt in target.points:
                     indices.extend([c + index[pt] for c, index in blocks])
                     data.extend(signs)
                     indptr.append(len(data))
         diffs.append(ExactMatrix.from_csr(len(indptr) - 1, col0[-1], indptr, indices, data))
     cx = ChainComplex(tuple(terms), tuple(diffs))
-    return FunctionComplex(n, q, m, y_points, tuple(levels), cx)
+    return FunctionComplex(y_points, tuple(levels), cx)
 
 
 # ---------------------------------------------------------------------------
@@ -160,34 +146,21 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
 class E1Row:
     """Row s: permutation modules over subsets containing I_{s/2}, twist -s/2."""
 
-    __slots__ = ("s", "n", "q", "twist", "subsets", "complex")
+    __slots__ = ("twist", "subsets", "complex")
 
-    def __init__(self, s: int, n: int, q: int, twist: int,
-                 subsets: tuple[tuple[ParabolicType, ...], ...], complex: ChainComplex):
-        self.s = s
-        self.n = n
-        self.q = q
+    def __init__(self, twist: int, subsets: tuple[tuple[ParabolicType, ...], ...],
+                 complex: ChainComplex):
         self.twist = twist
         self.subsets = subsets
         self.complex = complex
 
 
 def build_e1_row(s: int, n: int, q: int) -> E1Row:
+    """The Steinberg resolution of I_{s/2} without its constant term."""
     if s % 2 or not 0 <= s <= 2 * n - 2:
         raise ValueError(f"rows live at even s in 0..{2 * n - 2}, got s={s}")
     j = s // 2
-    base = standard_subset(n, j)
-    positions = [
-        tuple(subsets_of_size(n, n - 1 - r, containing=base, proper=True))
-        for r in range(n - j)
-    ]
-    dims = {I: parabolic_index(I, q) for pos in positions for I in pos}
-    terms = tuple(sum(dims[I] for I in pos) for pos in positions)
-    diffs = tuple(
-        lattice_differential(list(positions[r]), list(positions[r + 1]), dims, q)
-        for r in range(len(positions) - 1)
-    )
-    return E1Row(s, n, q, -j, tuple(positions), ChainComplex(terms, diffs))
+    return E1Row(-j, *lattice_complex(standard_subset(n, j), q, start=1))
 
 
 @lru_cache(maxsize=None)

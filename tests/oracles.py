@@ -15,7 +15,6 @@ from drincoh.ffgeom import (
     chain_dims,
     enumerate_subspaces,
     rref,
-    span,
 )
 from drincoh.homalg import ChainComplex, ExactMatrix
 from drincoh.orlik import build_e1_row
@@ -280,6 +279,15 @@ def flags_by_containment(I: ParabolicType, q: int) -> tuple[Flag, ...]:
     extend([], 0)
     flags.sort()
     return tuple(flags)
+
+
+def span(rows, q: int, ambient_dim: int | None = None) -> Subspace:
+    """The subspace spanned by the rows, as its RREF basis."""
+    basis = rref(rows, q)
+    if not basis:
+        raise ValueError("span of zero vectors is not a Subspace")
+    ambient = ambient_dim if ambient_dim is not None else len(rows[0])
+    return Subspace(q, ambient, basis)
 
 
 def intersect_subspaces(U: Subspace, V: Subspace) -> Subspace | None:

@@ -22,7 +22,6 @@ from drincoh.ffgeom import (
     projective_points,
     rational_forms,
     rref,
-    span,
     subspace_points,
     _vanishing_masks,
 )
@@ -35,6 +34,7 @@ from oracles import (
     flags_by_containment,
     in_extension_span,
     intersect_subspaces,
+    span,
     split_by_rational_hyperplanes,
     subspace_points_over,
     vanishing_masks_by_evaluation,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from drincoh import gmodules
 from drincoh.errors import DeskScaleExceeded
 from drincoh.gmodules import (
     pullback_matrix,
@@ -9,6 +10,7 @@ from drincoh.gmodules import (
     steinberg_resolution,
 )
 from drincoh.homalg import ExactMatrix
+from drincoh.orlik import e2_page
 from drincoh.qarith import parabolic_index
 from drincoh.rootdata import ParabolicType, subsets_of_size
 from oracles import identity
@@ -141,9 +143,22 @@ def test_resolution_levels_metadata():
 
 
 def test_flag_guard_stops_resolutions_and_pullbacks():
-    # the flag guard sits in flag_keys, so these fail before any matrix:
+    # flag_keys checks the flag guard, so these fail before any matrix:
     # |G/B| is 615195 at (5,2) and 251680 at (4,3)
     with pytest.raises(DeskScaleExceeded):
         steinberg_resolution(ParabolicType.empty(5), 2)
     with pytest.raises(DeskScaleExceeded):
         pullback_matrix(ParabolicType.empty(4), ParabolicType.of(4, [0]), 3)
+
+
+def test_flag_guard_comes_before_the_subset_lattice(monkeypatch):
+    # the lattice builders check the guard before listing the 2^n subsets,
+    # so an oversize (n, q) never reaches subsets_of_size
+    def refuse(*args, **kwargs):
+        raise AssertionError("subsets listed before the flag guard")
+
+    monkeypatch.setattr(gmodules, "subsets_of_size", refuse)
+    with pytest.raises(DeskScaleExceeded):
+        steinberg_resolution(ParabolicType.empty(5), 2)
+    with pytest.raises(DeskScaleExceeded):
+        e2_page(5, 2)

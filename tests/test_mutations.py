@@ -79,7 +79,7 @@ def _clearing_one_too_many(self, *, skip_cols=(), pivot_rows=None, _orig=ExactMa
 
 
 CASES = {
-    "cover_sign": (_flipped_cover_sign, (gmodules, orlik), {"steinberg", "orlik"}),
+    "cover_sign": (_flipped_cover_sign, (gmodules,), {"steinberg", "orlik"}),
     "steinberg_dim": (
         _steinberg_dim_plus_one,
         (gmodules, orlik, cohomology, cli),
@@ -87,7 +87,7 @@ CASES = {
     ),
     "closed_form_h_of_y": (_shifted_h_of_y, (cohomology,), {"cohomology"}),
     "flag_keys": (_flag_keys_missing_one, (orlik,), {"orlik"}),
-    "forget_map": (_forget_map_one_wrong, (gmodules, orlik), {"orlik", "pullbacks"}),
+    "forget_map": (_forget_map_one_wrong, (gmodules,), {"orlik", "pullbacks"}),
     "rational_forms": (
         _rational_forms_missing_one,
         (ffgeom,),

@@ -1,11 +1,13 @@
 """Function-complex acyclicity and the spectral-sequence pages."""
 
+from itertools import accumulate
+
 import pytest
 
 from drincoh import cli, orlik
 from drincoh.errors import DeskScaleExceeded, ExactnessError
 from drincoh.ffgeom import enumerate_subspaces
-from drincoh.gmodules import steinberg_dim
+from drincoh.gmodules import steinberg_dim, steinberg_resolution
 from drincoh.orlik import (
     build_e1_row,
     build_function_complex,
@@ -95,6 +97,49 @@ def test_e1_row_shapes():
         row = build_e1_row(2 * n - 2, n, q)
         assert len(row.complex.terms) == 1
         assert row.complex.terms[0] == parabolic_index(standard_subset(n, n - 1), q)
+
+
+def test_e1_rows_are_truncated_steinberg_resolutions():
+    # row s is the resolution of I_{s/2} without its constant term
+    for n in (1, 2, 3):
+        for q in (2, 3):
+            for s in range(0, 2 * n - 1, 2):
+                row = build_e1_row(s, n, q)
+                data = steinberg_resolution(standard_subset(n, s // 2), q)
+                assert row.subsets == data.levels[1:]
+                assert row.complex.terms == data.resolution.terms[1:]
+                assert row.complex.diffs == data.resolution.diffs[1:]
+
+
+def test_function_complex_is_e1_row_0_expanded_to_points():
+    # after the augmentation, the row of each point of a flag's summand maps
+    # back, summand by summand, to that flag's row of E1 row 0, with the same
+    # signs, and each entry restricts to the same point of the source summand
+    for n, q, m in [(2, 2, 1), (2, 3, 2), (3, 2, 1)]:
+        fc = build_function_complex(n, q, m)
+        row0 = build_e1_row(0, n, q).complex
+        assert len(fc.complex.diffs) == len(row0.diffs) + 1
+        for t, flag_d in enumerate(row0.diffs):
+            d = fc.complex.diffs[t + 1]
+            sources, targets = fc.levels[t], fc.levels[t + 1]
+            assert (flag_d.rows, flag_d.cols) == (len(targets), len(sources))
+            src_of = [g for g, s in enumerate(sources) for _ in s.points]
+            src_off = list(accumulate((len(s.points) for s in sources), initial=0))
+            point_rows = iter(range(d.rows))
+            for f, target in enumerate(targets):
+                lo, hi = flag_d.indptr[f], flag_d.indptr[f + 1]
+                want = dict(zip(flag_d.indices[lo:hi], flag_d.data[lo:hi]))
+                for pt in target.points:
+                    i = next(point_rows)
+                    lo, hi = d.indptr[i], d.indptr[i + 1]
+                    got = {}
+                    for c, v in zip(d.indices[lo:hi], d.data[lo:hi]):
+                        g = src_of[c]
+                        assert g not in got
+                        assert sources[g].points[c - src_off[g]] == pt
+                        got[g] = v
+                    assert got == want, (n, q, m, t, f)
+            assert next(point_rows, None) is None
 
 
 def test_e1_row_rejects_bad_s():
