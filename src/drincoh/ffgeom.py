@@ -15,11 +15,13 @@ Conventions
 * Digit k of every coordinate of a point forms its digit plane k, a vector
   in F_q^{n+1}.  A form with F_q coefficients vanishes at the point iff it
   vanishes on every digit plane, and an F_q-scalar acts on each plane alone.
-* A subspace is identified with its unique reduced-row-echelon basis; a flag
-  of type I is the strictly increasing chain of subspaces whose dimensions
-  are the interior partial sums of I's composition.  The group action is by
-  right multiplication with g^{-1} on row coordinates; it is never
-  materialized, since every map needed downstream is a chain-forgetting or
+* A subspace is its unique reduced-row-echelon basis, a tuple of row tuples
+  with entries in 0..q-1; subspaces compare, hash and sort as these tuples,
+  and q is passed alongside wherever it is needed.  A flag of type I is the
+  strictly increasing chain of subspaces whose dimensions are the interior
+  partial sums of I's composition.  The group action is by right
+  multiplication with g^{-1} on row coordinates; it is never materialized,
+  since every map needed downstream is a chain-forgetting or
   point-membership relation.
 * The subspaces of one dimension are indexed by their enumerate_subspaces
   order, and a flag is keyed by the indices of its chain members
@@ -150,39 +152,6 @@ def hyperplane_union_points(n: int, q: int, m: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-@total_ordering
-class Subspace(Frozen):
-    """A nonzero subspace of F_q^{ambient}, stored as its unique RREF basis.
-
-    `basis` is a tuple of row tuples with entries in 0..q-1.  Subspaces
-    compare and sort as their (q, ambient_dim, basis) tuples.
-    """
-
-    __slots__ = ("q", "ambient_dim", "basis")
-
-    def __init__(self, q: int, ambient_dim: int, basis: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.q, self.ambient_dim, self.basis) == (other.q, other.ambient_dim, other.basis)
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.q, self.ambient_dim, self.basis) < (other.q, other.ambient_dim, other.basis)
-
-    def __hash__(self) -> int:
-        return hash((self.q, self.ambient_dim, self.basis))
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
 def rref(rows, q: int) -> tuple[tuple[int, ...], ...]:
     """Reduced row echelon form over F_q (prime), zero rows dropped."""
     mat = [list(r) for r in rows]
@@ -207,8 +176,10 @@ def rref(rows, q: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_subspaces(ambient_dim: int, d: int, q: int) -> tuple[Subspace, ...]:
-    """All d-dimensional subspaces of F_q^{ambient_dim}, sorted by RREF basis.
+def enumerate_subspaces(
+    ambient_dim: int, d: int, q: int
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """All d-dimensional subspaces of F_q^{ambient_dim}, as sorted RREF bases.
 
     Generated directly from RREF patterns (pivot column choice plus free
     entries), so each subspace appears exactly once.
@@ -231,22 +202,23 @@ def enumerate_subspaces(ambient_dim: int, d: int, q: int) -> tuple[Subspace, ...
                 mat[i][p] = 1
             for (i, j), v in zip(free, values):
                 mat[i][j] = v
-            out.append(Subspace(q, ambient_dim, tuple(tuple(r) for r in mat)))
+            out.append(tuple(tuple(r) for r in mat))
     out.sort()
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _subspace_vectors(U: Subspace) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Coefficients c over U's basis -> the vector sum(c_i U_i) of F_q^{ambient}."""
-    q = U.q
+def _subspace_vectors(
+    U: tuple[tuple[int, ...], ...], q: int
+) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Coefficients c over the rows of U -> the vector sum(c_i U_i) of F_q^{ambient}."""
     return {
-        c: tuple(sum(a * x for a, x in zip(c, col)) % q for col in zip(*U.basis))
-        for c in product(range(q), repeat=U.dim)
+        c: tuple(sum(a * x for a, x in zip(c, col)) % q for col in zip(*U))
+        for c in product(range(q), repeat=len(U))
     }
 
 
-def subspace_points(U: Subspace, m: int = 1) -> list[tuple[int, ...]]:
+def subspace_points(U: tuple[tuple[int, ...], ...], q: int, m: int = 1) -> list[tuple[int, ...]]:
     """Sorted F_{q^m}-points of P(U), as normalized ambient coordinate tuples.
 
     Digit plane k of sum(lam_i U_i) is the vector of U whose coefficients
@@ -254,10 +226,10 @@ def subspace_points(U: Subspace, m: int = 1) -> list[tuple[int, ...]]:
     basis are already normalized as ambient vectors, and taken in lex order
     of lam they come out in lex order.
     """
-    vectors, digits = _subspace_vectors(U), _digits(U.q, m)
-    weights = [U.q**k for k in range(m)]
+    vectors, digits = _subspace_vectors(U, q), _digits(q, m)
+    weights = [q**k for k in range(m)]
     pts = []
-    for lam in _normalized(U.dim, U.q**m):
+    for lam in _normalized(len(U), q**m):
         planes = [vectors[c] for c in zip(*[digits[x] for x in lam])]
         pts.append(tuple(sum(w * x for w, x in zip(weights, col)) for col in zip(*planes)))
     return pts
@@ -270,7 +242,7 @@ def subspace_points(U: Subspace, m: int = 1) -> list[tuple[int, ...]]:
 
 @total_ordering
 class Flag(Frozen):
-    """A nested chain of subspaces realizing one coset of G/P_I.
+    """A nested chain of subspaces (RREF bases) realizing one coset of G/P_I.
 
     The chain dimensions are the interior partial sums of I's composition
     (the full space itself is omitted).  Flags compare and sort as their
@@ -279,22 +251,14 @@ class Flag(Frozen):
 
     __slots__ = ("type", "chain")
 
-    def __init__(self, type: ParabolicType, chain: tuple[Subspace, ...]):
+    def __init__(self, type: ParabolicType, chain: tuple[tuple[tuple[int, ...], ...], ...]):
         object.__setattr__(self, "type", type)
         object.__setattr__(self, "chain", chain)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.type, self.chain) == (other.type, other.chain)
 
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.type, self.chain) < (other.type, other.chain)
-
-    def __hash__(self) -> int:
-        return hash((self.type, self.chain))
 
 
 def chain_dims(I: ParabolicType) -> tuple[int, ...]:
@@ -310,7 +274,7 @@ def chain_dims(I: ParabolicType) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _subspace_lookup(ambient_dim: int, d: int, q: int) -> dict:
     """RREF basis -> index in enumerate_subspaces(ambient_dim, d, q)."""
-    return {U.basis: k for k, U in enumerate(enumerate_subspaces(ambient_dim, d, q))}
+    return {U: k for k, U in enumerate(enumerate_subspaces(ambient_dim, d, q))}
 
 
 @lru_cache(maxsize=None)
@@ -324,12 +288,12 @@ def _inner_subspaces(ambient_dim: int, big: int, small: int, q: int) -> tuple[tu
     local = enumerate_subspaces(big, small, q)
     table = []
     for V in enumerate_subspaces(ambient_dim, big, q):
-        cols = list(zip(*V.basis))
+        cols = list(zip(*V))
         images = (
-            rref([[sum(a * b for a, b in zip(w, col)) % q for col in cols] for w in W.basis], q)
+            rref([[sum(a * b for a, b in zip(w, col)) % q for col in cols] for w in W], q)
             for W in local
         )
-        table.append(tuple(lookup[basis] for basis in images))
+        table.append(tuple(lookup[U] for U in images))
     return tuple(table)
 
 
@@ -352,7 +316,7 @@ def flag_keys(I: ParabolicType, q: int) -> tuple[tuple[int, ...], ...]:
     Entry l of a key is the index of the chain's l-th member in
     enumerate_subspaces(n+1, chain_dims(I)[l], q).  Chains grow top-down,
     from each largest member through the table of its subspaces one step
-    down.  Indices follow the sorted Subspace order, so sorted keys are the
+    down.  Indices follow the sorted basis order, so sorted keys are the
     chain-lex order of the flags.  Raises DeskScaleExceeded, before any key
     is built, when |G/B| exceeds FLAG_GUARD (check_flag_guard).
     """
@@ -398,6 +362,6 @@ def forget(f: Flag, J: ParabolicType) -> Flag:
     if J == I:
         return f
     keep = set(chain_dims(J))
-    chain = tuple(U for U in f.chain if U.dim in keep)
+    chain = tuple(U for U in f.chain if len(U) in keep)
     return Flag(J, chain)
 

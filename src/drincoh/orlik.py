@@ -26,8 +26,8 @@ from types import MappingProxyType
 
 from .errors import DeskScaleExceeded, ExactnessError
 from .ffgeom import (
-    Subspace,
     chain_dims,
+    check_flag_guard,
     enumerate_subspaces,
     flag_keys,
     hyperplane_union_points,
@@ -48,11 +48,13 @@ FUNCTION_COMPLEX_GUARD = 2 * 10**4
 
 
 class StratumSummand:
-    """One summand: the points of P(U)(F_{q^m}) for U the flag's first member."""
+    """One summand: the points of P(U)(F_{q^m}) for U the flag's first member,
+    which `subspace` holds as its RREF basis."""
 
     __slots__ = ("I", "subspace", "points")
 
-    def __init__(self, I: ParabolicType, subspace: Subspace, points: tuple[tuple[int, ...], ...]):
+    def __init__(self, I: ParabolicType, subspace: tuple[tuple[int, ...], ...],
+                 points: tuple[tuple[int, ...], ...]):
         self.I = I
         self.subspace = subspace
         self.points = points
@@ -76,8 +78,10 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
     point of its summand, and each source flag's column moves to that
     point's column in the source summand.  Distinct cosets keep separate
     summands even when they cut out the same subvariety, but each
-    subvariety's points are listed and indexed once.
+    subvariety's points are listed and indexed once.  The flag guard comes
+    first, before any subset is listed.
     """
+    check_flag_guard(n, q)
     subsets = interval_levels(ParabolicType.empty(n))[1:]
     dims = {I: parabolic_index(I, q) for level in subsets for I in level}
     # closed-form size estimate first, so oversize requests fail fast
@@ -90,7 +94,7 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
         )
 
     y_points = tuple(hyperplane_union_points(n, q, m))
-    points_of: dict[Subspace, tuple[tuple[int, ...], ...]] = {}
+    points_of: dict[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] = {}
     levels = []
     for level_subsets in subsets:
         level = []
@@ -99,7 +103,7 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
             for key in flag_keys(I, q):
                 U = firsts[key[0]]
                 if U not in points_of:
-                    points_of[U] = tuple(subspace_points(U, m))
+                    points_of[U] = tuple(subspace_points(U, q, m))
                 level.append(StratumSummand(I, U, points_of[U]))
         levels.append(tuple(level))
     terms = [len(y_points)] + [sum(len(s.points) for s in lv) for lv in levels]

@@ -17,11 +17,23 @@ class Frozen:
     __slots__, set once in __init__ through object.__setattr__; assigning
     or deleting one afterwards raises AttributeError.  repr and pickling go
     through the fields in slot order, which is also __init__'s argument
-    order.  Each class writes its own __init__, __eq__ and __hash__ on its
-    field tuple, since these run in the inner loops.
+    order.  Two values are equal when they are of the same class and their
+    field tuples are equal, and they hash as that tuple.  Each class writes
+    its own __init__.
     """
 
     __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -34,7 +46,7 @@ class Frozen:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+        return type(self), self._fields()
 
 
 class ParabolicType(Frozen):
@@ -53,14 +65,6 @@ class ParabolicType(Frozen):
             raise ValueError(f"mask {mask:#b} has bits outside 0..{n - 1}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mask", mask)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.mask) == (other.n, other.mask)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.mask))
 
     def __lt__(self, other: "ParabolicType") -> bool:
         if self.n != other.n:

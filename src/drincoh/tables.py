@@ -13,8 +13,6 @@ m-th Frobenius power; this is the only way twists are consumed numerically.
 
 from __future__ import annotations
 
-import re
-
 from .rootdata import Frozen, ParabolicType
 
 _KINDS = ("K", "Ind", "v", "v'")
@@ -35,16 +33,6 @@ class Summand(Frozen):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "twist", twist)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.subset, self.dim, self.twist) == (
-            other.kind, other.subset, other.dim, other.twist
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.subset, self.dim, self.twist))
-
     @property
     def label(self) -> str:
         if self.kind == "K":
@@ -64,24 +52,6 @@ def summand(kind: str, subset: ParabolicType | None, dim: int, twist: int) -> Su
     return Summand(kind, subset, dim, twist)
 
 
-_LABEL_RE = re.compile(r"^(K|Ind|v'|v)(?:\(([0-9,]+)\))?$")
-
-
-def parse_label(label: str) -> tuple[str, ParabolicType | None]:
-    m = _LABEL_RE.match(label)
-    if not m:
-        raise ValueError(f"cannot parse label {label!r}")
-    kind, comp = m.group(1), m.group(2)
-    if kind == "K":
-        if comp is not None:
-            raise ValueError("label K carries no composition")
-        return "K", None
-    if comp is None:
-        raise ValueError(f"label kind {kind} needs a composition")
-    parts = tuple(int(x) for x in comp.split(","))
-    return kind, ParabolicType.from_composition(parts)
-
-
 class TwistedModule(Frozen):
     """A formal direct sum of summands, canonically sorted by (twist, label)."""
 
@@ -89,14 +59,6 @@ class TwistedModule(Frozen):
 
     def __init__(self, summands: tuple[Summand, ...]):
         object.__setattr__(self, "summands", summands)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.summands == other.summands
-
-    def __hash__(self) -> int:
-        return hash(self.summands)
 
     @staticmethod
     def of(*parts: Summand) -> "TwistedModule":
@@ -203,23 +165,6 @@ class CohomologyTable:
         if self.metadata:
             out["metadata"] = dict(self.metadata)
         return out
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "CohomologyTable":
-        entries = {}
-        for e in data["entries"]:
-            parts = []
-            for s in e["summands"]:
-                kind, subset = parse_label(s["label"])
-                parts.append(Summand(kind, subset, s["dim"], s["twist"]))
-            entries[e["degree"]] = TwistedModule.of(*parts)
-        return CohomologyTable(
-            n=data["n"],
-            q=data["q"],
-            theorem=data["theorem"],
-            entries=entries,
-            metadata=tuple(sorted(data.get("metadata", {}).items())),
-        )
 
     def __eq__(self, other) -> bool:
         return (

@@ -11,7 +11,6 @@ from itertools import product
 
 from drincoh.ffgeom import (
     Flag,
-    Subspace,
     chain_dims,
     enumerate_subspaces,
     rref,
@@ -217,20 +216,20 @@ def split_by_rational_hyperplanes(n: int, q: int, m: int):
     return on, off
 
 
-def subspace_points_over(U: Subspace, m: int = 1) -> list[tuple[int, ...]]:
+def subspace_points_over(U, q: int, m: int = 1) -> list[tuple[int, ...]]:
     """Sorted F_{q^m}-points of P(U), as normalized ambient coordinate tuples.
 
     Normalized linear combinations of an RREF basis are already normalized
     as ambient vectors, so no rescaling is needed.
     """
-    F = field(U.q, m)
-    d, N = U.dim, U.ambient_dim
+    F = field(q, m)
+    d, N = len(U), len(U[0])
     pts = []
     for lead in range(d):
         for tail in product(range(F.size), repeat=d - lead - 1):
             lam = (0,) * lead + (1,) + tail
             vec = [0] * N
-            for coeff, row in zip(lam, U.basis):
+            for coeff, row in zip(lam, U):
                 if coeff:
                     for j in range(N):
                         if row[j]:
@@ -241,22 +240,25 @@ def subspace_points_over(U: Subspace, m: int = 1) -> list[tuple[int, ...]]:
 
 
 # -- subspaces and flags --------------------------------------------------------
+#
+# A subspace is its RREF basis, a tuple of row tuples, as in drincoh.ffgeom;
+# the field size q is passed alongside.
 
 
-def contains_vector(U: Subspace, vec) -> bool:
+def contains_vector(U, vec, q: int) -> bool:
     """Whether vec lies in U: it reduces to zero modulo U's RREF basis."""
     vec = list(vec)
-    for row in U.basis:
+    for row in U:
         piv = next(j for j, x in enumerate(row) if x)
-        c = vec[piv] % U.q
+        c = vec[piv] % q
         if c:
             for j in range(piv, len(vec)):
-                vec[j] = (vec[j] - c * row[j]) % U.q
+                vec[j] = (vec[j] - c * row[j]) % q
     return not any(vec)
 
 
-def contains(U: Subspace, V: Subspace) -> bool:
-    return all(contains_vector(U, row) for row in V.basis)
+def contains(U, V, q: int) -> bool:
+    return all(contains_vector(U, row, q) for row in V)
 
 
 def flags_by_containment(I: ParabolicType, q: int) -> tuple[Flag, ...]:
@@ -273,7 +275,7 @@ def flags_by_containment(I: ParabolicType, q: int) -> tuple[Flag, ...]:
             flags.append(Flag(I, tuple(chain)))
             return
         for U in levels[level]:
-            if not chain or contains(U, chain[-1]):
+            if not chain or contains(U, chain[-1], q):
                 extend(chain + [U], level + 1)
 
     extend([], 0)
@@ -281,24 +283,23 @@ def flags_by_containment(I: ParabolicType, q: int) -> tuple[Flag, ...]:
     return tuple(flags)
 
 
-def span(rows, q: int, ambient_dim: int | None = None) -> Subspace:
-    """The subspace spanned by the rows, as its RREF basis."""
+def span(rows, q: int):
+    """The subspace spanned by the rows: their RREF basis."""
     basis = rref(rows, q)
     if not basis:
-        raise ValueError("span of zero vectors is not a Subspace")
-    ambient = ambient_dim if ambient_dim is not None else len(rows[0])
-    return Subspace(q, ambient, basis)
+        raise ValueError("span of zero vectors is not a subspace")
+    return basis
 
 
-def intersect_subspaces(U: Subspace, V: Subspace) -> Subspace | None:
+def intersect_subspaces(U, V, q: int):
     """Intersection of two subspaces; None if it is zero."""
-    if U.q != V.q or U.ambient_dim != V.ambient_dim:
-        raise ValueError("subspaces must share the field and the ambient space")
-    q, N = U.q, U.ambient_dim
-    a, b = U.dim, V.dim
+    if len(U[0]) != len(V[0]):
+        raise ValueError("subspaces must share the ambient space")
+    N = len(U[0])
+    a, b = len(U), len(V)
     # kernel of the (a+b) x N stack [U; V] gives coefficients (x, y) with
     # x.U = -y.V, i.e. vectors of the intersection
-    stacked = [list(r) for r in U.basis] + [list(r) for r in V.basis]
+    stacked = [list(r) for r in U] + [list(r) for r in V]
     # row-reduce the transpose-augmented system: solve z . stacked = 0
     cols = list(zip(*stacked))  # N rows of length a+b
     reduced = rref(cols, q)
@@ -312,7 +313,7 @@ def intersect_subspaces(U: Subspace, V: Subspace) -> Subspace | None:
         for row, p in zip(reduced, pivots):
             z[p] = (-row[f]) % q
         vec = [0] * N
-        for coeff, row in zip(z[:a], U.basis):
+        for coeff, row in zip(z[:a], U):
             if coeff:
                 for j in range(N):
                     vec[j] = (vec[j] + coeff * row[j]) % q
@@ -320,13 +321,13 @@ def intersect_subspaces(U: Subspace, V: Subspace) -> Subspace | None:
             vectors.append(vec)
     if not vectors:
         return None
-    return span(vectors, q, N)
+    return span(vectors, q)
 
 
-def in_extension_span(pt: tuple[int, ...], U: Subspace, F: GaloisField) -> bool:
+def in_extension_span(pt: tuple[int, ...], U, F: GaloisField) -> bool:
     """Whether an F_{q^m}-point lies on P(U), i.e. its vector is in U ⊗ F_{q^m}."""
     vec = list(pt)
-    for row in U.basis:
+    for row in U:
         piv = next(j for j, x in enumerate(row) if x)
         c = vec[piv]
         if c:

@@ -151,13 +151,13 @@ def test_criterion_7_lefschetz_cross_validation():
     _report(7, f"Lefschetz counts match enumeration on {len(LEFSCHETZ_GRID)} grid points", t0)
 
 
-def subspace_vector_set(U):
+def subspace_vector_set(U, q):
     out = set()
-    for coeffs in product(range(U.q), repeat=U.dim):
+    for coeffs in product(range(q), repeat=len(U)):
         out.add(
             tuple(
-                sum(c * row[i] for c, row in zip(coeffs, U.basis)) % U.q
-                for i in range(U.ambient_dim)
+                sum(c * row[i] for c, row in zip(coeffs, U)) % q
+                for i in range(len(U[0]))
             )
         )
     return frozenset(out)
@@ -170,7 +170,7 @@ class ContainmentOracle:
         self.N, self.q = N, q
         self.levels = {d: enumerate_subspaces(N, d, q) for d in range(1, N)}
         self.vsets = {
-            d: [subspace_vector_set(U) for U in subs] for d, subs in self.levels.items()
+            d: [subspace_vector_set(U, q) for U in subs] for d, subs in self.levels.items()
         }
         self._adj = {}
 
@@ -179,7 +179,7 @@ class ContainmentOracle:
         if (a, b) not in self._adj:
             vs = self.vsets[b]
             self._adj[(a, b)] = [
-                [k for k, vset in enumerate(vs) if all(row in vset for row in U.basis)]
+                [k for k, vset in enumerate(vs) if all(row in vset for row in U)]
                 for U in self.levels[a]
             ]
         return self._adj[(a, b)]

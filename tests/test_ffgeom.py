@@ -10,7 +10,6 @@ from drincoh.ffgeom import (
     MASK_GUARD,
     POINT_GUARD,
     Flag,
-    Subspace,
     chain_dims,
     drinfeld_points,
     enumerate_flags,
@@ -120,13 +119,13 @@ def brute_subspaces_via_spans(N, d, q):
     return spans
 
 
-def subspace_vector_set(U):
+def subspace_vector_set(U, q):
     out = set()
-    for coeffs in product(range(U.q), repeat=U.dim):
+    for coeffs in product(range(q), repeat=len(U)):
         out.add(
             tuple(
-                sum(c * row[i] for c, row in zip(coeffs, U.basis)) % U.q
-                for i in range(U.ambient_dim)
+                sum(c * row[i] for c, row in zip(coeffs, U)) % q
+                for i in range(len(U[0]))
             )
         )
     return frozenset(out)
@@ -137,13 +136,13 @@ def test_enumerate_subspaces_examples():
     assert len(enumerate_subspaces(3, 1, 2)) == 7
     whole = enumerate_subspaces(3, 3, 2)
     assert len(whole) == 1
-    assert whole[0].basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert whole[0] == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_enumerate_subspaces_matches_span_oracle():
-    got = {subspace_vector_set(U) for U in enumerate_subspaces(3, 2, 2)}
+    got = {subspace_vector_set(U, 2) for U in enumerate_subspaces(3, 2, 2)}
     assert got == brute_subspaces_via_spans(3, 2, 2)
-    got = {subspace_vector_set(U) for U in enumerate_subspaces(4, 1, 3)}
+    got = {subspace_vector_set(U, 3) for U in enumerate_subspaces(4, 1, 3)}
     assert got == brute_subspaces_via_spans(4, 1, 3)
 
 
@@ -154,19 +153,18 @@ def test_enumerate_subspaces_counts_and_canonical_form():
                 subs = enumerate_subspaces(N, d, q)
                 assert len(subs) == gauss_binomial(N, d, q)
                 assert len(set(subs)) == len(subs)
-                # subspaces sort as their field tuples, from any starting order
+                # subspaces sort as their bases, from any starting order
                 assert list(subs) == sorted(subs[::-1])
-                assert list(subs) == sorted(subs, key=lambda U: (U.q, U.ambient_dim, U.basis))
                 for U in subs:
-                    assert rref(U.basis, q) == U.basis  # already reduced
+                    assert len(U) == d and all(len(row) == N for row in U)
+                    assert rref(U, q) == U  # already reduced
 
 
 def test_span_and_rref():
     U = span([(1, 1, 0), (0, 1, 1)], 2)
-    assert U.dim == 2
-    assert U.basis == ((1, 0, 1), (0, 1, 1))
-    assert contains_vector(U, (1, 0, 1))
-    assert not contains_vector(U, (1, 0, 0))
+    assert U == ((1, 0, 1), (0, 1, 1))
+    assert contains_vector(U, (1, 0, 1), 2)
+    assert not contains_vector(U, (1, 0, 0), 2)
     with pytest.raises(ValueError):
         span([(0, 0, 0)], 2)
 
@@ -175,13 +173,13 @@ def test_intersect_subspaces():
     q = 2
     U = span([(1, 0, 0), (0, 1, 0)], q)
     V = span([(0, 1, 0), (0, 0, 1)], q)
-    W = intersect_subspaces(U, V)
-    assert W is not None and W.basis == ((0, 1, 0),)
+    W = intersect_subspaces(U, V, q)
+    assert W == ((0, 1, 0),)
     L1 = span([(1, 0, 0)], q)
     L2 = span([(0, 1, 0)], q)
-    assert intersect_subspaces(L1, L2) is None
+    assert intersect_subspaces(L1, L2, q) is None
     # intersection with itself
-    assert intersect_subspaces(U, U) == U
+    assert intersect_subspaces(U, U, q) == U
 
 
 def test_intersection_agrees_with_vector_sets():
@@ -189,12 +187,12 @@ def test_intersection_agrees_with_vector_sets():
         subs = enumerate_subspaces(3, 2, q)
         for U in subs[:5]:
             for V in subs[:5]:
-                W = intersect_subspaces(U, V)
-                expected = subspace_vector_set(U) & subspace_vector_set(V)
+                W = intersect_subspaces(U, V, q)
+                expected = subspace_vector_set(U, q) & subspace_vector_set(V, q)
                 if W is None:
                     assert len(expected) == 1  # just zero
                 else:
-                    assert subspace_vector_set(W) == expected
+                    assert subspace_vector_set(W, q) == expected
 
 
 # -- flags -----------------------------------------------------------------------
@@ -225,8 +223,8 @@ def test_flag_chains_are_strictly_nested_with_prescribed_dims():
     I = ParabolicType.of(3, [1])  # composition (1,2,1) -> dims (1, 3)
     assert chain_dims(I) == (1, 3)
     for f in enumerate_flags(I, 2):
-        assert tuple(U.dim for U in f.chain) == (1, 3)
-        assert contains(f.chain[1], f.chain[0])
+        assert tuple(len(U) for U in f.chain) == (1, 3)
+        assert contains(f.chain[1], f.chain[0], 2)
 
 
 def test_forget_examples():
@@ -392,19 +390,19 @@ def test_point_counts_match_reference_field(n, q, m):
 def test_subspace_points_match_reference_field(n, q, m):
     for d in range(1, n + 2):
         for U in enumerate_subspaces(n + 1, d, q):
-            assert subspace_points(U, m) == subspace_points_over(U, m), U
+            assert subspace_points(U, q, m) == subspace_points_over(U, q, m), U
 
 
 def test_subspace_points():
     e0 = span([(1, 0, 0)], 2)
-    assert subspace_points(e0, 1) == [(1, 0, 0)]
+    assert subspace_points(e0, 2, 1) == [(1, 0, 0)]
     plane = span([(1, 0, 0), (0, 1, 0)], 2)
-    assert len(subspace_points(plane, 1)) == 3 == projective_count(1, 2, 1)
-    assert len(subspace_points(plane, 2)) == 5 == projective_count(1, 2, 2)
+    assert len(subspace_points(plane, 2, 1)) == 3 == projective_count(1, 2, 1)
+    assert len(subspace_points(plane, 2, 2)) == 5 == projective_count(1, 2, 2)
     F = field(2, 2)
-    for pt in subspace_points(plane, 2):
+    for pt in subspace_points(plane, 2, 2):
         lead = next(x for x in pt if x)
         assert lead == 1
         assert in_extension_span(pt, plane, F)
     assert not in_extension_span((0, 0, 1), plane, F)
-    assert subspace_points(plane, 2) == sorted(subspace_points(plane, 2))
+    assert subspace_points(plane, 2, 2) == sorted(subspace_points(plane, 2, 2))

@@ -59,7 +59,7 @@ def point_line_incidence():
     """7 x 21 incidence of points of P^2(F_2) versus point-in-line pairs."""
     points = enumerate_subspaces(3, 1, 2)
     lines = enumerate_subspaces(3, 2, 2)
-    pairs = [(p, l) for l in lines for p in points if contains(l, p)]
+    pairs = [(p, l) for l in lines for p in points if contains(l, p, 2)]
     assert len(pairs) == 21
     entries = {}
     for col, (p, l) in enumerate(pairs):

@@ -59,9 +59,17 @@ def test_function_complex_summand_invariants():
     assert [s.I.size for s in fc.levels[1]] == [0] * len(fc.levels[1])
 
 
-def test_function_complex_guard():
+def test_function_complex_guard(monkeypatch):
     with pytest.raises(DeskScaleExceeded):
         build_function_complex(4, 2, 1)
+
+    # over the flag guard, nothing of the subset lattice is listed
+    def no_lattice(J):
+        raise AssertionError("interval_levels called over the flag guard")
+
+    monkeypatch.setattr(orlik, "interval_levels", no_lattice)
+    with pytest.raises(DeskScaleExceeded, match="flag"):
+        build_function_complex(16, 2, 1)
 
 
 def test_intersection_closure_witness():
@@ -79,7 +87,7 @@ def test_intersection_closure_witness():
             assert family
             for U in family:
                 for V in family:
-                    W = intersect_subspaces(U, V)
+                    W = intersect_subspaces(U, V, q)
                     assert W is not None
                     assert any(W == X for X in family)
 
