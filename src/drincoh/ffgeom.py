@@ -25,10 +25,11 @@ Conventions
   point-membership relation.
 * The subspaces of one dimension are indexed by their enumerate_subspaces
   order, and a flag is keyed by the indices of its chain members
-  (flag_keys).  Keys are built top-down: a cached table lists, for each
-  subspace, the indices of its subspaces one step down in the chain.
-  Forgetting is the integer column map forget_map, so pullbacks and
-  restrictions are assembled without building or hashing Flag objects.
+  (flag_keys).  Keys are built bottom-up: a cached table lists, for each
+  subspace, the sorted indices of its superspaces one step up in the
+  chain, so the keys come out sorted.  Forgetting is the integer column
+  map forget_map, so pullbacks and restrictions are assembled without
+  building or hashing Flag objects.
 * Guards raise DeskScaleExceeded before any work: FLAG_GUARD on |G/B| in
   check_flag_guard (n <= 4 at q = 2, n <= 3 at q = 3), which flag_keys, the
   only source of flags, and the lattice builders of gmodules call first,
@@ -39,7 +40,8 @@ Conventions
 from __future__ import annotations
 
 from functools import lru_cache, total_ordering
-from itertools import combinations, pairwise, product
+from itertools import chain, combinations, pairwise, product
+from operator import itemgetter, mul
 
 from .errors import DeskScaleExceeded
 from .qarith import is_prime, parabolic_index, projective_count
@@ -152,29 +154,6 @@ def hyperplane_union_points(n: int, q: int, m: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def rref(rows, q: int) -> tuple[tuple[int, ...], ...]:
-    """Reduced row echelon form over F_q (prime), zero rows dropped."""
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if mat[i][c] % q), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][c], -1, q)
-        mat[r] = [(x * inv) % q for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] % q:
-                f = mat[i][c] % q
-                mat[i] = [(x - f * y) % q for x, y in zip(mat[i], mat[r])]
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in mat[:r] if any(row))
-
-
 @lru_cache(maxsize=None)
 def enumerate_subspaces(
     ambient_dim: int, d: int, q: int
@@ -278,23 +257,30 @@ def _subspace_lookup(ambient_dim: int, d: int, q: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _inner_subspaces(ambient_dim: int, big: int, small: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """For each big-dimensional subspace V, the indices of its small ones.
+def _superspaces(N: int, small: int, big: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """For each small-dimensional subspace U of F_q^N, the sorted indices of
+    the big-dimensional subspaces that contain it.
 
-    Every small subspace of V is the image of exactly one small subspace W of
-    F_q^big under the coordinates of V's basis: the rows of W times V's rows.
+    Every small subspace of V is the image W·V of exactly one small subspace
+    W of F_q^big under the coordinates of V's basis.  W·V is already in
+    RREF: on V's pivot columns it equals W, and each row of W·V starts at
+    the V-pivot of its W-pivot, since the rows of V it combines all start
+    there or later; so its pivots are V's pivots at W's pivot positions,
+    with zeros above and below.  The images of the distinct rows of the
+    local Ws are computed once per V, and a non-canonical W·V would raise
+    KeyError at the lookup.  The Vs are walked in index order, so every
+    list is sorted.
     """
-    lookup = _subspace_lookup(ambient_dim, small, q)
+    lookup = _subspace_lookup(N, small, q)
     local = enumerate_subspaces(big, small, q)
-    table = []
-    for V in enumerate_subspaces(ambient_dim, big, q):
+    rows = set(chain.from_iterable(local))
+    supers = tuple([] for _ in range(len(lookup)))
+    for v, V in enumerate(enumerate_subspaces(N, big, q)):
         cols = list(zip(*V))
-        images = (
-            rref([[sum(a * b for a, b in zip(w, col)) % q for col in cols] for w in W], q)
-            for W in local
-        )
-        table.append(tuple(lookup[U] for U in images))
-    return tuple(table)
+        image = {w: tuple([sum(map(mul, w, col)) % q for col in cols]) for w in rows}
+        for W in local:
+            supers[lookup[tuple(map(image.__getitem__, W))]].append(v)
+    return tuple(map(tuple, supers))
 
 
 def check_flag_guard(n: int, q: int):
@@ -314,22 +300,22 @@ def flag_keys(I: ParabolicType, q: int) -> tuple[tuple[int, ...], ...]:
     """The type-I flags as index chains, in the order of enumerate_flags.
 
     Entry l of a key is the index of the chain's l-th member in
-    enumerate_subspaces(n+1, chain_dims(I)[l], q).  Chains grow top-down,
-    from each largest member through the table of its subspaces one step
-    down.  Indices follow the sorted basis order, so sorted keys are the
-    chain-lex order of the flags.  Raises DeskScaleExceeded, before any key
-    is built, when |G/B| exceeds FLAG_GUARD (check_flag_guard).
+    enumerate_subspaces(n+1, chain_dims(I)[l], q).  Chains grow bottom-up,
+    from each smallest member through the sorted lists of its superspaces
+    one step up (_superspaces), so the keys come out in lex order, which is
+    the chain-lex order of the flags, with no sort.  Raises
+    DeskScaleExceeded, before any key is built, when |G/B| exceeds
+    FLAG_GUARD (check_flag_guard).
     """
     check_flag_guard(I.n, q)
     N = I.n + 1
     dims = chain_dims(I)
     if not dims:  # I is the full subset: the single coset G/G
         return ((),)
-    keys = [(k,) for k in range(len(enumerate_subspaces(N, dims[-1], q)))]
-    for big, small in pairwise(reversed(dims)):
-        inner = _inner_subspaces(N, big, small, q)
-        keys = [(k,) + key for key in keys for k in inner[key[0]]]
-    keys.sort()
+    keys = [(k,) for k in range(len(enumerate_subspaces(N, dims[0], q)))]
+    for small, big in pairwise(dims):
+        supers = _superspaces(N, small, big, q)
+        keys = [key + (k,) for key in keys for k in supers[key[-1]]]
     return tuple(keys)
 
 
@@ -345,13 +331,23 @@ def enumerate_flags(I: ParabolicType, q: int) -> tuple[Flag, ...]:
 @lru_cache(maxsize=None)
 def forget_map(I: ParabolicType, J: ParabolicType, q: int) -> tuple[int, ...]:
     """The column map of forget: entry k is the position in flag_keys(J, q)
-    of the image of the k-th type-I flag.  Raises ValueError unless I ⊆ J."""
+    of the image of the k-th type-I flag.  Raises ValueError unless I ⊆ J.
+
+    The type-I keys are projected to J's members by one itemgetter and
+    mapped through one dict of J's key positions, both at C level.
+    """
     if not J.contains(I):
         raise ValueError(f"cannot forget {I.subset_str()} to non-superset {J.subset_str()}")
     dims = chain_dims(I)
     keep = [dims.index(d) for d in chain_dims(J)]
-    position = {key: k for k, key in enumerate(flag_keys(J, q))}
-    return tuple(position[tuple(key[l] for l in keep)] for key in flag_keys(I, q))
+    keys = flag_keys(I, q)
+    if not keep:  # J is the full subset: every flag goes to the one coset
+        return (0,) * len(keys)
+    images = map(itemgetter(*keep), keys)
+    if len(keep) == 1:  # one member is kept: J's keys are (k,) for k in order
+        return tuple(images)
+    target = flag_keys(J, q)
+    return tuple(map(dict(zip(target, range(len(target)))).__getitem__, images))
 
 
 def forget(f: Flag, J: ParabolicType) -> Flag:

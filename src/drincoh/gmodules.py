@@ -97,13 +97,18 @@ def lattice_differential(
 def lattice_complex(J: ParabolicType, q: int, start: int = 0) -> tuple[tuple, ChainComplex]:
     """The levels interval_levels(J)[start:] and the complex over them of
     ⊕ Ind_{P_I}^G K, level by level, with lattice_differential between.  The
-    flag guard comes first, before any subset is listed."""
+    flag guard comes first, before any subset is listed.  A d∘d failure is
+    raised again naming J, q and start."""
     check_flag_guard(J.n, q)
     levels = tuple(map(tuple, interval_levels(J)[start:]))
     dims = {I: parabolic_index(I, q) for level in levels for I in level}
     terms = tuple(sum(dims[I] for I in level) for level in levels)
     diffs = tuple(lattice_differential(*pair, dims, q) for pair in pairwise(levels))
-    return levels, ChainComplex(terms, diffs)
+    try:
+        return levels, ChainComplex(terms, diffs)
+    except ExactnessError as exc:
+        where = f"lattice complex J={J.subset_str()}, q={q}, start={start}"
+        raise ExactnessError(f"{where}: {exc}") from exc
 
 
 class SteinbergData:

@@ -79,7 +79,8 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
     point's column in the source summand.  Distinct cosets keep separate
     summands even when they cut out the same subvariety, but each
     subvariety's points are listed and indexed once.  The flag guard comes
-    first, before any subset is listed.
+    first, before any subset is listed.  A d∘d failure is raised again
+    naming (n, q, m).
     """
     check_flag_guard(n, q)
     subsets = interval_levels(ParabolicType.empty(n))[1:]
@@ -138,7 +139,10 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
                     data.extend(signs)
                     indptr.append(len(data))
         diffs.append(ExactMatrix.from_csr(len(indptr) - 1, col0[-1], indptr, indices, data))
-    cx = ChainComplex(tuple(terms), tuple(diffs))
+    try:
+        cx = ChainComplex(tuple(terms), tuple(diffs))
+    except ExactnessError as exc:
+        raise ExactnessError(f"function complex (n, q, m) = ({n}, {q}, {m}): {exc}") from exc
     return FunctionComplex(y_points, tuple(levels), cx)
 
 

@@ -107,21 +107,6 @@ class ParabolicType(Frozen):
             m |= 1 << j
         return ParabolicType(n, m)
 
-    @staticmethod
-    def from_composition(comp) -> "ParabolicType":
-        """Inverse of to_composition."""
-        comp = tuple(comp)
-        if not comp or any(p <= 0 for p in comp):
-            raise ValueError(f"composition parts must be positive, got {comp}")
-        n = sum(comp) - 1
-        mask = 0
-        pos = 0
-        for part in comp:
-            for j in range(pos, pos + part - 1):
-                mask |= 1 << j
-            pos += part
-        return ParabolicType(n, mask)
-
     def to_composition(self) -> tuple[int, ...]:
         """The composition of n+1 whose interior cuts sit after each missing root."""
         parts = []

@@ -9,12 +9,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from drincoh.ffgeom import (
-    Flag,
-    chain_dims,
-    enumerate_subspaces,
-    rref,
-)
+from drincoh.ffgeom import Flag, chain_dims, enumerate_subspaces
 from drincoh.homalg import ChainComplex, ExactMatrix
 from drincoh.orlik import build_e1_row
 from drincoh.qarith import is_prime, parabolic_index
@@ -239,10 +234,51 @@ def subspace_points_over(U, q: int, m: int = 1) -> list[tuple[int, ...]]:
     return pts
 
 
+# -- subsets --------------------------------------------------------------------
+
+
+def from_composition(comp) -> ParabolicType:
+    """Inverse of ParabolicType.to_composition."""
+    comp = tuple(comp)
+    if not comp or any(p <= 0 for p in comp):
+        raise ValueError(f"composition parts must be positive, got {comp}")
+    n = sum(comp) - 1
+    mask = 0
+    pos = 0
+    for part in comp:
+        for j in range(pos, pos + part - 1):
+            mask |= 1 << j
+        pos += part
+    return ParabolicType(n, mask)
+
+
 # -- subspaces and flags --------------------------------------------------------
 #
 # A subspace is its RREF basis, a tuple of row tuples, as in drincoh.ffgeom;
 # the field size q is passed alongside.
+
+
+def rref(rows, q: int) -> tuple[tuple[int, ...], ...]:
+    """Reduced row echelon form over F_q (prime), zero rows dropped."""
+    mat = [list(r) for r in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if mat[i][c] % q), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = pow(mat[r][c], -1, q)
+        mat[r] = [(x * inv) % q for x in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c] % q:
+                f = mat[i][c] % q
+                mat[i] = [(x - f * y) % q for x, y in zip(mat[i], mat[r])]
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in mat[:r] if any(row))
 
 
 def contains_vector(U, vec, q: int) -> bool:

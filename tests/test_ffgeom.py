@@ -20,8 +20,8 @@ from drincoh.ffgeom import (
     hyperplane_union_points,
     projective_points,
     rational_forms,
-    rref,
     subspace_points,
+    _superspaces,
     _vanishing_masks,
 )
 from drincoh.qarith import gauss_binomial, parabolic_index, projective_count
@@ -33,6 +33,7 @@ from oracles import (
     flags_by_containment,
     in_extension_span,
     intersect_subspaces,
+    rref,
     span,
     split_by_rational_hyperplanes,
     subspace_points_over,
@@ -279,6 +280,27 @@ def test_enumerate_flags_matches_containment_oracle(n, q):
 def test_full_flags_n4_match_containment_oracle():
     I = ParabolicType.empty(4)
     assert enumerate_flags(I, 2) == flags_by_containment(I, 2)
+
+
+@pytest.mark.parametrize("n,q", SMALL + [(1, 5), (2, 5)])
+def test_superspaces_match_containment_oracle(n, q):
+    N = n + 1
+    for small in range(1, N):
+        for big in range(small + 1, N + 1):
+            smalls = enumerate_subspaces(N, small, q)
+            bigs = enumerate_subspaces(N, big, q)
+            expected = tuple(
+                tuple(v for v, V in enumerate(bigs) if contains(V, U, q)) for U in smalls
+            )
+            assert _superspaces(N, small, big, q) == expected
+            # the images W·V it looks up are RREF bases as they stand
+            for V in bigs:
+                for W in enumerate_subspaces(big, small, q):
+                    WV = tuple(
+                        tuple(sum(a * x for a, x in zip(w, col)) % q for col in zip(*V))
+                        for w in W
+                    )
+                    assert rref(WV, q) == WV
 
 
 @pytest.mark.parametrize("n,q", SMALL)

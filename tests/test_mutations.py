@@ -3,11 +3,13 @@
 Each case patches one deliberate bug into every module that imported the
 name, runs the verify battery in-process and expects exit code 2 with FAIL
 lines naming exactly the suites listed.  This shows the battery is not vacuous.
+One injected sign flip also shows that a d∘d failure names its complex.
 """
 
 import pytest
 
 from drincoh import cli, cohomology, ffgeom, gmodules, orlik, rootdata
+from drincoh.errors import ExactnessError
 from drincoh.homalg import ExactMatrix
 from drincoh.tables import CohomologyTable, Summand, TwistedModule
 
@@ -58,6 +60,12 @@ def _forget_map_one_wrong(I, J, q, _orig=ffgeom.forget_map):
     return image
 
 
+def _superspaces_missing_one(N, small, big, q, _orig=ffgeom._superspaces):
+    # subspace 0 loses its last superspace, so every chain through it is lost
+    supers = _orig(N, small, big, q)
+    return (supers[0][:-1],) + supers[1:]
+
+
 def _rational_forms_missing_one(n, q, _orig=ffgeom.rational_forms):
     return _orig(n, q)[1:]
 
@@ -88,6 +96,11 @@ CASES = {
     "closed_form_h_of_y": (_shifted_h_of_y, (cohomology,), {"cohomology"}),
     "flag_keys": (_flag_keys_missing_one, (orlik,), {"orlik"}),
     "forget_map": (_forget_map_one_wrong, (gmodules,), {"orlik", "pullbacks"}),
+    "superspaces": (
+        _superspaces_missing_one,
+        (ffgeom,),
+        {"steinberg", "orlik", "e2", "cohomology", "pullbacks"},
+    ),
     "rational_forms": (
         _rational_forms_missing_one,
         (ffgeom,),
@@ -97,14 +110,25 @@ CASES = {
     "clearing": (_clearing_one_too_many, (ExactMatrix,), {"orlik", "steinberg"}),
 }
 # cases that patch a name other than their own
-PATCHED_NAME = {"clearing": "rank"}
+PATCHED_NAME = {"clearing": "rank", "superspaces": "_superspaces"}
+
+
+def _clear_flag_caches():
+    ffgeom.flag_keys.cache_clear()
+    ffgeom.forget_map.cache_clear()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_injected_bug_fails_verify(name, monkeypatch, capsys):
     fn, modules, suites = CASES[name]
     _patch_everywhere(monkeypatch, PATCHED_NAME.get(name, name), fn, modules)
-    assert cli.main(VERIFY) == cli.EXIT_FAIL
+    # earlier tests leave flag tables cached, which would hide a bug below
+    # the caches, and a patched run must not leave its own tables behind
+    _clear_flag_caches()
+    try:
+        assert cli.main(VERIFY) == cli.EXIT_FAIL
+    finally:
+        _clear_flag_caches()
     failed = _failed_suites(capsys)
     assert failed == suites, (name, failed)
 
@@ -112,3 +136,15 @@ def test_injected_bug_fails_verify(name, monkeypatch, capsys):
 def test_unpatched_battery_passes(capsys):
     assert cli.main(VERIFY) == cli.EXIT_OK
     assert _failed_suites(capsys) == set()
+
+
+def test_dd_failure_names_the_complex(monkeypatch):
+    _patch_everywhere(monkeypatch, "cover_sign", _flipped_cover_sign, (gmodules,))
+    where = r"^lattice complex J=\{\}, q=2, start=0: d∘d"
+    with pytest.raises(ExactnessError, match=where) as exc:
+        gmodules.steinberg_resolution(rootdata.ParabolicType.empty(2), 2)
+    assert isinstance(exc.value.__cause__, ExactnessError)
+    where = r"^function complex \(n, q, m\) = \(2, 2, 1\): d∘d"
+    with pytest.raises(ExactnessError, match=where) as exc:
+        orlik.build_function_complex(2, 2, 1)
+    assert isinstance(exc.value.__cause__, ExactnessError)

