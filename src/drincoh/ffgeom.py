@@ -17,9 +17,11 @@ Conventions
   vanishes on every digit plane, and an F_q-scalar acts on each plane alone.
 * A subspace is its unique reduced-row-echelon basis, a tuple of row tuples
   with entries in 0..q-1; subspaces compare, hash and sort as these tuples,
-  and q is passed alongside wherever it is needed.  A flag of type I is the
-  strictly increasing chain of subspaces whose dimensions are the interior
-  partial sums of I's composition.  The group action is by right
+  and q is passed alongside wherever it is needed.  Coordinate j of the
+  points of P(U) depends only on column j of U, and a point's lam is its
+  entries on U's pivot columns, so subspaces share both tables.  A flag of
+  type I is the strictly increasing chain of subspaces whose dimensions are
+  the interior partial sums of I's composition.  The group action is by right
   multiplication with g^{-1} on row coordinates; it is never materialized,
   since every map needed downstream is a chain-forgetting or
   point-membership relation.
@@ -40,8 +42,8 @@ Conventions
 from __future__ import annotations
 
 from functools import lru_cache, total_ordering
-from itertools import chain, combinations, pairwise, product
-from operator import itemgetter, mul
+from itertools import accumulate, chain, combinations, count, pairwise, product, repeat
+from operator import add, itemgetter, mul
 
 from .errors import DeskScaleExceeded
 from .qarith import is_prime, parabolic_index, projective_count
@@ -169,49 +171,54 @@ def enumerate_subspaces(
         raise ValueError(f"q must be prime, got {q}")
     out = []
     for pivots in combinations(range(ambient_dim), d):
-        free = [
-            (i, j)
-            for i in range(d)
-            for j in range(pivots[i] + 1, ambient_dim)
-            if j not in pivots
-        ]
+        free = [(i, j) for i, p in enumerate(pivots) for j in range(p + 1, ambient_dim)
+                if j not in pivots]
         for values in product(range(q), repeat=len(free)):
-            mat = [[0] * ambient_dim for _ in range(d)]
-            for i, p in enumerate(pivots):
-                mat[i][p] = 1
+            mat = [[int(j == p) for j in range(ambient_dim)] for p in pivots]
             for (i, j), v in zip(free, values):
                 mat[i][j] = v
-            out.append(tuple(tuple(r) for r in mat))
-    out.sort()
-    return tuple(out)
+            out.append(tuple(map(tuple, mat)))
+    return tuple(sorted(out))
 
 
 @lru_cache(maxsize=None)
-def _subspace_vectors(
-    U: tuple[tuple[int, ...], ...], q: int
-) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Coefficients c over the rows of U -> the vector sum(c_i U_i) of F_q^{ambient}."""
-    return {
-        c: tuple(sum(a * x for a, x in zip(c, col)) % q for col in zip(*U))
-        for c in product(range(q), repeat=len(U))
-    }
+def _digit_planes(d: int, q: int, m: int) -> list[list[tuple[int, ...]]]:
+    """Entry [i][k]: digit k of lam_i for each normalized lam of F_{q^m}^d, in order."""
+    lams, digits = list(_normalized(d, q**m)), _digits(q, m)
+    return [list(zip(*map(digits.__getitem__, map(itemgetter(i), lams)))) for i in range(d)]
+
+
+@lru_cache(maxsize=None)
+def _coordinate(c: tuple[int, ...], q: int, m: int) -> tuple[int, ...]:
+    """sum(c_i lam_i) for each normalized lam of F_{q^m}^d in order, d = len(c):
+    the coordinate that a basis column c gives the points it spans.  Digit
+    k is sum(c_i * digit k of lam_i) % q, reduced by one lookup."""
+    planes = _digit_planes(len(c), q, m)
+    mod = tuple(x % q for x in range(len(c) * (q - 1) ** 2 + 1))
+    out = repeat(0)  # Horner's rule over the digits, the highest first
+    for k in reversed(range(m)):
+        digit = repeat(0, len(planes[0][k]))
+        for a, plane in zip(c, planes):
+            if a:
+                digit = map(add, digit, map(a.__mul__, plane[k]))
+        out = map(add, map(mod.__getitem__, digit), map(q.__mul__, out))
+    return tuple(out)
 
 
 def subspace_points(U: tuple[tuple[int, ...], ...], q: int, m: int = 1) -> list[tuple[int, ...]]:
-    """Sorted F_{q^m}-points of P(U), as normalized ambient coordinate tuples.
+    """Sorted F_{q^m}-points of P(U), as normalized ambient coordinate tuples:
+    sum(lam_i U_i) over the normalized lam in lex order, which U in RREF
+    keeps normalized and in lex order.  Coordinate j depends only on column
+    j of U: it is the cached tuple _coordinate(column j, q, m)."""
+    return list(zip(*[_coordinate(c, q, m) for c in zip(*U)]))
 
-    Digit plane k of sum(lam_i U_i) is the vector of U whose coefficients
-    are the k-th digits of the lam_i.  Normalized combinations of an RREF
-    basis are already normalized as ambient vectors, and taken in lex order
-    of lam they come out in lex order.
-    """
-    vectors, digits = _subspace_vectors(U, q), _digits(q, m)
-    weights = [q**k for k in range(m)]
-    pts = []
-    for lam in _normalized(len(U), q**m):
-        planes = [vectors[c] for c in zip(*[digits[x] for x in lam])]
-        pts.append(tuple(sum(w * x for w, x in zip(weights, col)) for col in zip(*planes)))
-    return pts
+
+@lru_cache(maxsize=None)
+def point_positions(d: int, q: int, m: int) -> dict:
+    """Position in subspace_points(U, q, m) of each point of P(U), for every
+    d-dimensional U, keyed by the point's entries on U's pivot columns: its
+    normalized lam, as itemgetter(*pivots) returns it (the int 1 for d = 1)."""
+    return dict(zip(map(itemgetter(*range(d)), _normalized(d, q**m)), count()))
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +248,7 @@ class Flag(Frozen):
 
 
 def chain_dims(I: ParabolicType) -> tuple[int, ...]:
-    comp = I.to_composition()
-    sums = []
-    s = 0
-    for part in comp[:-1]:
-        s += part
-        sums.append(s)
-    return tuple(sums)
+    return tuple(accumulate(I.to_composition()[:-1]))
 
 
 @lru_cache(maxsize=None)

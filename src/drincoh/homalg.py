@@ -170,8 +170,8 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
     def _product_rows(self, other: "ExactMatrix"):
-        """Row by row, the entries of self @ other as {col: value}; a value
-        may be 0 where terms cancel.  Rows come in order, one per row of self."""
+        """Row by row, the entries of self·other as {col: value}, 0 where terms
+        cancel; rows come in order, one per row of self (for the d∘d check)."""
         a_ptr, a_idx, a_val = self.indptr, self.indices, self.data
         b_ptr, b_idx, b_val = other.indptr, other.indices, other.data
         for s, e in zip(a_ptr, islice(a_ptr, 1, None)):
@@ -183,18 +183,6 @@ class ExactMatrix:
                     j = b_idx[t]
                     acc[j] = acc.get(j, 0) + x * b_val[t]
             yield acc
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        indptr, indices, data = [0], [], []
-        for acc in self._product_rows(other):
-            for j in sorted(acc):
-                if acc[j]:
-                    indices.append(j)
-                    data.append(acc[j])
-            indptr.append(len(data))
-        return ExactMatrix.from_csr(self.rows, other.cols, indptr, indices, data)
 
     # -- rank ---------------------------------------------------------------
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
+from operator import itemgetter
 from types import MappingProxyType
 
 from .errors import DeskScaleExceeded, ExactnessError
@@ -31,6 +32,7 @@ from .ffgeom import (
     enumerate_subspaces,
     flag_keys,
     hyperplane_union_points,
+    point_positions,
     subspace_points,
 )
 from .gmodules import interval_levels, lattice_complex, lattice_rows, steinberg_dim
@@ -76,9 +78,11 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
     After the augmentation, each differential is the lattice differential
     of E1 row 0 expanded to points: a flag's row is repeated once per
     point of its summand, and each source flag's column moves to that
-    point's column in the source summand.  Distinct cosets keep separate
-    summands even when they cut out the same subvariety, but each
-    subvariety's points are listed and indexed once.  The flag guard comes
+    point's column in the source summand: its position in P(U), U the
+    source's subspace (which contains the target's), looked up by its
+    entries on U's pivot columns (ffgeom.point_positions).  Distinct cosets
+    keep separate summands even when they cut out the same subvariety, but
+    each subvariety's points are listed once.  The flag guard comes
     first, before any subset is listed.  A d∘d failure is raised again
     naming (n, q, m).
     """
@@ -117,7 +121,9 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
         covered.update(pts)
     if covered != y_set:
         raise ExactnessError("summands do not cover the hyperplane union")
-    index_of = {U: {pt: k for k, pt in enumerate(pts)} for U, pts in points_of.items()}
+    # a point's position in P(U) is looked up by its entries on U's pivot columns
+    locate = {U: (itemgetter(*map(tuple.index, U, repeat(1))), point_positions(len(U), q, m))
+              for U in points_of}
 
     # augmentation: restriction of functions on Y to each top-level summand
     y_index = {pt: k for k, pt in enumerate(y_points)}
@@ -127,17 +133,20 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
     for t in range(len(levels) - 1):
         sources, targets = levels[t], iter(levels[t + 1])
         col0 = list(accumulate((len(s.points) for s in sources), initial=0))
+        place = [(off, *locate[s.subspace]) for off, s in zip(col0, sources)]
         indptr, indices, data = [0], [], []
         # summands follow the flags subset by subset, so rows come out in
         # order; a flag's source columns are summand positions in sources
         for signs, flag_cols in lattice_rows(subsets[t], subsets[t + 1], dims, q):
+            w = len(signs)
             # flag_cols first: zip stops on it without taking a summand
             for srcs, target in zip(flag_cols, targets):
-                blocks = [(col0[c], index_of[sources[c].subspace]) for c in srcs]
-                for pt in target.points:
-                    indices.extend([c + index[pt] for c, index in blocks])
-                    data.extend(signs)
-                    indptr.append(len(data))
+                blocks = [map(off.__add__, map(pos.__getitem__, map(pivots, target.points)))
+                          for off, pivots, pos in map(place.__getitem__, srcs)]
+                indices.extend(chain.from_iterable(zip(*blocks)))
+            # each row of this subset's block has one entry per cover
+            data.extend(signs * ((len(indices) - len(data)) // w))
+            indptr.extend(range(indptr[-1] + w, len(data) + 1, w))
         diffs.append(ExactMatrix.from_csr(len(indptr) - 1, col0[-1], indptr, indices, data))
     try:
         cx = ChainComplex(tuple(terms), tuple(diffs))

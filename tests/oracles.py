@@ -388,8 +388,23 @@ def transpose(M: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(M.cols, M.rows, {(j, i): v for (i, j), v in M.entries.items()})
 
 
+def matmul(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
+    """The product A·B from the rows of ExactMatrix._product_rows, with
+    cancelled entries dropped; ValueError on a shape mismatch."""
+    if A.cols != B.rows:
+        raise ValueError(f"shape mismatch {A.rows}x{A.cols} @ {B.rows}x{B.cols}")
+    indptr, indices, data = [0], [], []
+    for acc in A._product_rows(B):
+        for j in sorted(acc):
+            if acc[j]:
+                indices.append(j)
+                data.append(acc[j])
+        indptr.append(len(data))
+    return ExactMatrix.from_csr(A.rows, B.cols, indptr, indices, data)
+
+
 def reference_product(A: ExactMatrix, B: ExactMatrix) -> dict[tuple[int, int], int]:
-    """The nonzero entries of A @ B as {(i, j): value}, summed over a
+    """The nonzero entries of A·B as {(i, j): value}, summed over a
     dict of (i, j) tuples independently of the CSR layout."""
     out: dict[tuple[int, int], int] = {}
     b_items = list(B.entries.items())

@@ -240,3 +240,40 @@ def test_pullback_shape_checks_catch_what_functoriality_misses(monkeypatch, row_
     monkeypatch.setattr(cli, "pullback_matrix", tampered)
     with pytest.raises(AssertionError, match=message):
         cli.check_pullback_properties(I, I, L, 2)
+
+
+@pytest.mark.parametrize(
+    "factor, keep, message",
+    [
+        ("JL", True, "one-nonzero-per-row"),
+        ("IL", True, "one-nonzero-per-row"),
+        ("JL", False, "functoriality"),
+        ("IL", False, "functoriality"),
+    ],
+)
+def test_pullback_checks_see_every_factor(monkeypatch, factor, keep, message):
+    # I = ∅ ⊂ J = {a0} ⊂ L = {a0, a1} at (3,2) give three distinct pullbacks.
+    # Row 0 of P_JL or P_IL gains a second 1 in the next column, or its 1
+    # moves there, which keeps the shape but breaks the composite.
+    from drincoh.gmodules import pullback_matrix
+    from drincoh.homalg import ExactMatrix
+    from drincoh.rootdata import ParabolicType
+
+    I, J, L = ParabolicType.empty(3), ParabolicType.of(3, [0]), ParabolicType.of(3, [0, 1])
+    pair = {"JL": (J, L), "IL": (I, L)}[factor]
+
+    def tampered(X, Y, q):
+        P = pullback_matrix(X, Y, q)
+        if (X, Y) != pair:
+            return P
+        entries = dict(P.entries)
+        j = P.indices[0]
+        if not keep:
+            del entries[(0, j)]
+        entries[(0, (j + 1) % P.cols)] = 1
+        return ExactMatrix(P.rows, P.cols, entries)
+
+    cli.check_pullback_properties(I, J, L, 2)
+    monkeypatch.setattr(cli, "pullback_matrix", tampered)
+    with pytest.raises(AssertionError, match=message):
+        cli.check_pullback_properties(I, J, L, 2)

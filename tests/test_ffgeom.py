@@ -1,6 +1,7 @@
 """Field towers, subspace/flag enumeration, and point counts."""
 
 from itertools import product
+from operator import itemgetter
 
 import pytest
 
@@ -18,6 +19,7 @@ from drincoh.ffgeom import (
     forget,
     forget_map,
     hyperplane_union_points,
+    point_positions,
     projective_points,
     rational_forms,
     subspace_points,
@@ -408,11 +410,30 @@ def test_point_counts_match_reference_field(n, q, m):
     assert drinfeld_points(n, q, m) == len(off)
 
 
-@pytest.mark.parametrize("n,q,m", [(n, q, m) for n in (1, 2, 3) for q in (2, 3) for m in (1, 2, 3)])
+@pytest.mark.parametrize(
+    "n,q,m",
+    [(n, q, m) for n in (1, 2, 3) for q in (2, 3) for m in (1, 2, 3)]
+    + [(n, 5, m) for n in (1, 2) for m in (1, 2)],
+)
 def test_subspace_points_match_reference_field(n, q, m):
     for d in range(1, n + 2):
         for U in enumerate_subspaces(n + 1, d, q):
             assert subspace_points(U, q, m) == subspace_points_over(U, q, m), U
+
+
+@pytest.mark.parametrize(
+    "n,q,m",
+    [(n, q, m) for n in (1, 2, 3) for q in (2, 3) for m in (1, 2)]
+    + [(n, 5, m) for n in (1, 2) for m in (1, 2)],
+)
+def test_points_sit_at_the_position_of_their_pivot_entries(n, q, m):
+    for d in range(1, n + 2):
+        positions = point_positions(d, q, m)
+        assert sorted(positions.values()) == list(range(projective_count(d - 1, q, m)))
+        for U in enumerate_subspaces(n + 1, d, q):
+            pivots = itemgetter(*[row.index(1) for row in U])
+            for k, pt in enumerate(subspace_points(U, q, m)):
+                assert positions[pivots(pt)] == k, (U, pt)
 
 
 def test_subspace_points():

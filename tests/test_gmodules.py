@@ -13,7 +13,7 @@ from drincoh.homalg import ExactMatrix
 from drincoh.orlik import e2_page
 from drincoh.qarith import parabolic_index
 from drincoh.rootdata import ParabolicType, subsets_of_size
-from oracles import identity
+from oracles import identity, matmul
 
 
 def inclusion_exclusion_dim(J, q):
@@ -63,8 +63,8 @@ def test_pullback_functoriality_exhaustive_small():
         for J in all_subsets:
             for L in all_subsets:
                 if L.contains(J) and J.contains(I):
-                    assert pullback_matrix(I, J, q) @ pullback_matrix(
-                        J, L, q
+                    assert matmul(
+                        pullback_matrix(I, J, q), pullback_matrix(J, L, q)
                     ) == pullback_matrix(I, L, q)
 
 

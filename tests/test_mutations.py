@@ -66,6 +66,15 @@ def _superspaces_missing_one(N, small, big, q, _orig=ffgeom._superspaces):
     return (supers[0][:-1],) + supers[1:]
 
 
+def _point_positions_two_swapped(d, q, m, _orig=ffgeom.point_positions):
+    # the first two points of every plane trade positions
+    positions = dict(_orig(d, q, m))
+    if d == 2:
+        a, b = list(positions)[:2]
+        positions[a], positions[b] = positions[b], positions[a]
+    return positions
+
+
 def _rational_forms_missing_one(n, q, _orig=ffgeom.rational_forms):
     return _orig(n, q)[1:]
 
@@ -101,6 +110,7 @@ CASES = {
         (ffgeom,),
         {"steinberg", "orlik", "e2", "cohomology", "pullbacks"},
     ),
+    "point_positions": (_point_positions_two_swapped, (orlik,), {"orlik"}),
     "rational_forms": (
         _rational_forms_missing_one,
         (ffgeom,),
@@ -113,22 +123,24 @@ CASES = {
 PATCHED_NAME = {"clearing": "rank", "superspaces": "_superspaces"}
 
 
-def _clear_flag_caches():
-    ffgeom.flag_keys.cache_clear()
-    ffgeom.forget_map.cache_clear()
+def _clear_tables():
+    for table in (ffgeom.flag_keys, ffgeom.forget_map, ffgeom.point_positions,
+                  ffgeom._coordinate, ffgeom._digit_planes):
+        table.cache_clear()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_injected_bug_fails_verify(name, monkeypatch, capsys):
     fn, modules, suites = CASES[name]
     _patch_everywhere(monkeypatch, PATCHED_NAME.get(name, name), fn, modules)
-    # earlier tests leave flag tables cached, which would hide a bug below
-    # the caches, and a patched run must not leave its own tables behind
-    _clear_flag_caches()
+    # earlier tests leave flag and point tables cached, which would hide a
+    # bug below the caches, and a patched run must not leave its own tables
+    # behind
+    _clear_tables()
     try:
         assert cli.main(VERIFY) == cli.EXIT_FAIL
     finally:
-        _clear_flag_caches()
+        _clear_tables()
     failed = _failed_suites(capsys)
     assert failed == suites, (name, failed)
 
