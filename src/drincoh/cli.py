@@ -20,9 +20,9 @@ import time
 
 from . import cohomology as coh
 from .errors import DeskScaleExceeded
-from .ffgeom import drinfeld_points
-from .gmodules import pullback_matrix, steinberg_dim, steinberg_resolution
-from .orlik import build_function_complex, clear_e2_pages, e2_page
+from .ffgeom import SUBSET_GUARD, drinfeld_points
+from .gmodules import clear_resolutions, pullback_matrix, steinberg_dim, steinberg_resolution
+from .orlik import build_function_complex, e2_page
 from .qarith import is_prime, parabolic_index, projective_count
 from .rootdata import ParabolicType, subsets_of_size
 
@@ -294,6 +294,8 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 
 
 def cmd_dims(cfg: argparse.Namespace) -> int:
+    if cfg.n > SUBSET_GUARD:  # before any subset is listed
+        raise DeskScaleExceeded(f"dims lists 2^{cfg.n} subsets, over the n <= {SUBSET_GUARD} guard")
     payload = []
     for q in cfg.q:
         rows = []
@@ -322,7 +324,7 @@ def cmd_dims(cfg: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    clear_e2_pages()  # each run builds its own pages, whatever ran earlier in this process
+    clear_resolutions()  # each run builds its own resolutions, whatever ran earlier in this process
     cfg = build_parser().parse_args(argv)
     problem = _validate(cfg)
     if problem:

@@ -12,12 +12,15 @@ explicit resolution and by inclusion-exclusion over the interval [J, Δ] of
 the subset lattice.
 
 This module owns the one walk over the subset lattice (lattice_rows): the
-Steinberg resolutions, orlik's E1 rows and, expanded to points, orlik's
-function complex are all built from it.
+Steinberg resolutions and, expanded to points, orlik's function complex are
+built from it.  Each resolution is built, ranked and checked once per
+(J, q) and run: steinberg_resolution keeps only its verified homology, and
+orlik reads the E1 rows from that.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate, chain, pairwise
 
 from .errors import ExactnessError
@@ -94,33 +97,20 @@ def lattice_differential(
     return ExactMatrix.from_csr(len(indptr) - 1, cols, indptr, indices, data)
 
 
-def lattice_complex(J: ParabolicType, q: int, start: int = 0) -> tuple[tuple, ChainComplex]:
-    """The levels interval_levels(J)[start:] and the complex over them of
+def lattice_complex(J: ParabolicType, q: int) -> tuple[tuple, ChainComplex]:
+    """The levels interval_levels(J) and the complex over them of
     ⊕ Ind_{P_I}^G K, level by level, with lattice_differential between.  The
     flag guard comes first, before any subset is listed.  A d∘d failure is
-    raised again naming J, q and start."""
+    raised again naming J and q."""
     check_flag_guard(J.n, q)
-    levels = tuple(map(tuple, interval_levels(J)[start:]))
+    levels = tuple(map(tuple, interval_levels(J)))
     dims = {I: parabolic_index(I, q) for level in levels for I in level}
     terms = tuple(sum(dims[I] for I in level) for level in levels)
     diffs = tuple(lattice_differential(*pair, dims, q) for pair in pairwise(levels))
     try:
         return levels, ChainComplex(terms, diffs)
     except ExactnessError as exc:
-        where = f"lattice complex J={J.subset_str()}, q={q}, start={start}"
-        raise ExactnessError(f"{where}: {exc}") from exc
-
-
-class SteinbergData:
-    """The resolution complex of one generalized Steinberg representation."""
-
-    __slots__ = ("resolution", "levels", "dim_v")
-
-    def __init__(self, resolution: ChainComplex,
-                 levels: tuple[tuple[ParabolicType, ...], ...], dim_v: int):
-        self.resolution = resolution
-        self.levels = levels
-        self.dim_v = dim_v
+        raise ExactnessError(f"lattice complex J={J.subset_str()}, q={q}: {exc}") from exc
 
 
 def steinberg_dim(J: ParabolicType, q: int) -> int:
@@ -139,29 +129,36 @@ def steinberg_dim(J: ParabolicType, q: int) -> int:
     return total
 
 
-def steinberg_resolution(J: ParabolicType, q: int) -> SteinbergData:
-    """Build and verify the resolution of the generalized Steinberg module of J.
+@lru_cache(maxsize=None)
+def steinberg_resolution(J: ParabolicType, q: int) -> tuple[int, ...]:
+    """Build, rank and verify the resolution of the generalized Steinberg
+    module of J; return its homology (0, ..., 0, dim v(J)).
 
-    The complex runs through ⊕ Ind_{P_I}^G K over J ⊆ I ⊆ Δ, graded by
-    #(Δ∖I) from 0 (the constants, I = Δ) to n-#J (I = J itself); it must be
-    exact everywhere except at the final position, whose cokernel is the
-    Steinberg module.  Any other homology raises ExactnessError.
+    The complex is lattice_complex(J, q): ⊕ Ind_{P_I}^G K over J ⊆ I ⊆ Δ,
+    graded by #(Δ∖I) from 0 (the constants, I = Δ) to n-#J (I = J itself).
+    It must be exact everywhere except at the final position, whose
+    cokernel is the Steinberg module; any other homology, or a cokernel
+    dimension other than steinberg_dim, raises ExactnessError.  Only the
+    homology is kept, once per (J, q) and process; a failed build is not
+    cached, so it raises again on the next call.
     """
     if not J.is_proper:
         raise ValueError("the full subset has no resolution (trivial module)")
-    levels, complex_ = lattice_complex(J, q)
-    top = len(levels) - 1
-    ok, report = complex_.is_exact_except({top})
-    if not ok:
+    homology = lattice_complex(J, q)[1].homology_dims()
+    if any(homology[:-1]):
         raise ExactnessError(
             f"Steinberg resolution for J={J.subset_str()}, q={q} is not exact: "
-            f"homology {complex_.homology_dims()}"
+            f"homology {homology}"
         )
-    dim_v = report[top]
     expected = steinberg_dim(J, q)
-    if dim_v != expected:
+    if homology[-1] != expected:
         raise ExactnessError(
-            f"Steinberg cokernel dim {dim_v} != inclusion-exclusion value {expected} "
+            f"Steinberg cokernel dim {homology[-1]} != inclusion-exclusion value {expected} "
             f"for J={J.subset_str()}, q={q}"
         )
-    return SteinbergData(complex_, levels, dim_v)
+    return homology
+
+
+# bound to the cache itself, so it still works where a wrapper replaced
+# steinberg_resolution
+clear_resolutions = steinberg_resolution.cache_clear

@@ -287,11 +287,3 @@ class ChainComplex:
                 raise ExactnessError(f"negative homology dim at {i}: rank bookkeeping broken")
             out.append(h)
         return tuple(out)
-
-    def is_exact_except(self, allowed) -> tuple[bool, dict[int, int]]:
-        """Whether homology vanishes outside `allowed`; reports dims at allowed spots."""
-        allowed = set(allowed)
-        dims = self.homology_dims()
-        ok = all(h == 0 for i, h in enumerate(dims) if i not in allowed)
-        report = {i: dims[i] for i in sorted(allowed) if i < len(dims)}
-        return ok, report

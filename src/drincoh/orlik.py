@@ -11,19 +11,17 @@
 (b) The E1 rows of the spectral sequence: for each even s, a complex of
     induced modules over the subsets containing the prefix I_{s/2}, with the
     uniform Tate twist -s/2 carried along as a label.  Row s is the
-    Steinberg resolution of I_{s/2} truncated: its first (constant) term is
-    dropped.  Row homology gives the E2 page, which is checked position by
-    position against the closed forms for Steinberg and induced-module
-    dimensions.
+    Steinberg resolution of I_{s/2} without its first (constant) term, so
+    its homology is read from that resolution's, built once per (J, q) and
+    run by gmodules.steinberg_resolution.  Row homology gives the E2 page,
+    which is checked position by position against the closed forms for
+    Steinberg and induced-module dimensions.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
-from types import MappingProxyType
 
 from .errors import DeskScaleExceeded, ExactnessError
 from .ffgeom import (
@@ -35,7 +33,7 @@ from .ffgeom import (
     point_positions,
     subspace_points,
 )
-from .gmodules import interval_levels, lattice_complex, lattice_rows, steinberg_dim
+from .gmodules import interval_levels, lattice_rows, steinberg_dim, steinberg_resolution
 from .homalg import ChainComplex, ExactMatrix
 from .qarith import parabolic_index, projective_count
 from .rootdata import ParabolicType, i_of_I, standard_subset
@@ -160,54 +158,40 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
 # ---------------------------------------------------------------------------
 
 
-class E1Row:
-    """Row s: permutation modules over subsets containing I_{s/2}, twist -s/2."""
-
-    __slots__ = ("twist", "subsets", "complex")
-
-    def __init__(self, twist: int, subsets: tuple[tuple[ParabolicType, ...], ...],
-                 complex: ChainComplex):
-        self.twist = twist
-        self.subsets = subsets
-        self.complex = complex
-
-
-def build_e1_row(s: int, n: int, q: int) -> E1Row:
-    """The Steinberg resolution of I_{s/2} without its constant term."""
+def build_e1_row(s: int, n: int, q: int) -> tuple[int, ...]:
+    """Homology of the Steinberg resolution of I_{s/2} without its constant
+    term.  Dropping the term moves every position down one; the new
+    position 0 also gains the rank of d_0, which is 1 - H_0."""
     if s % 2 or not 0 <= s <= 2 * n - 2:
         raise ValueError(f"rows live at even s in 0..{2 * n - 2}, got s={s}")
-    j = s // 2
-    return E1Row(-j, *lattice_complex(standard_subset(n, j), q, start=1))
+    h = steinberg_resolution(standard_subset(n, s // 2), q)
+    return (h[1] + 1 - h[0],) + h[2:]
 
 
-@lru_cache(maxsize=None)
-def e2_page(n: int, q: int) -> Mapping[tuple[int, int], TwistedModule]:
+def e2_page(n: int, q: int) -> dict[tuple[int, int], TwistedModule]:
     """Homology of the E1 rows, labeled and checked against closed forms.
 
     Nonzero entries: the Steinberg module v(I_{s/2})(-s/2) at the row end,
     the trivial module K(-s/2) at r = 0 for the longer rows, and the full
     induced module at the single-term row s = 2n-2.  Any computed dimension
-    that disagrees with its closed form raises ExactnessError.  Each page is
-    built once per (n, q) and process and returned read-only; a failed build
-    is not cached, so it raises again on the next call.
+    that disagrees with its closed form raises ExactnessError.
     """
     if n < 1:  # with no rows the page would come out empty
         raise ValueError(f"n must be >= 1, got {n}")
     page: dict[tuple[int, int], TwistedModule] = {}
     for s in range(0, 2 * n - 1, 2):
+        hom = build_e1_row(s, n, q)  # the flag guard comes first
         j = s // 2
-        row = build_e1_row(s, n, q)
-        hom = row.complex.homology_dims()
         base = standard_subset(n, j)
         if s == 2 * n - 2:
             expected = {0: parabolic_index(base, q)}
-            labels = {0: summand("Ind", base, expected[0], row.twist)}
+            labels = {0: summand("Ind", base, expected[0], -j)}
         else:
             top = n - 1 - j
             expected = {0: 1, top: steinberg_dim(base, q)}
             labels = {
-                0: summand("K", None, 1, row.twist),
-                top: summand("v", base, expected[top], row.twist),
+                0: summand("K", None, 1, -j),
+                top: summand("v", base, expected[top], -j),
             }
         for r, h in enumerate(hom):
             if h != expected.get(r, 0):
@@ -217,9 +201,4 @@ def e2_page(n: int, q: int) -> Mapping[tuple[int, int], TwistedModule]:
                 )
             if h:
                 page[(r, s)] = TwistedModule.of(labels[r])
-    return MappingProxyType(page)
-
-
-# bound to the cache itself, so it still works where a wrapper replaced e2_page
-clear_e2_pages = e2_page.cache_clear
-
+    return page

@@ -10,10 +10,10 @@ from functools import lru_cache
 from itertools import product
 
 from drincoh.ffgeom import Flag, chain_dims, enumerate_subspaces
+from drincoh.gmodules import interval_levels
 from drincoh.homalg import ChainComplex, ExactMatrix
-from drincoh.orlik import build_e1_row
 from drincoh.qarith import is_prime, parabolic_index
-from drincoh.rootdata import ParabolicType
+from drincoh.rootdata import ParabolicType, standard_subset
 from drincoh.tables import CohomologyTable, TwistedModule, summand
 
 
@@ -465,12 +465,13 @@ def h_of_affine_space(n: int, q: int) -> CohomologyTable:
 
 
 def build_e1_page(n: int, q: int) -> dict[tuple[int, int], TwistedModule]:
-    """Term contents of the first page: (r, s) -> ⊕ Ind(I)(-s/2)."""
+    """Term contents of the first page: (r, s) -> ⊕ Ind(I)(-s/2), over the
+    subsets I ⊇ I_{s/2} of codimension r + 1 (the constant term dropped)."""
     page = {}
     for s in range(0, 2 * n - 1, 2):
-        row = build_e1_row(s, n, q)
-        for r, pos in enumerate(row.subsets):
+        j = s // 2
+        for r, pos in enumerate(interval_levels(standard_subset(n, j))[1:]):
             page[(r, s)] = TwistedModule.of(
-                *(summand("Ind", I, parabolic_index(I, q), row.twist) for I in pos)
+                *(summand("Ind", I, parabolic_index(I, q), -j) for I in pos)
             )
     return page

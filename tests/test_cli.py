@@ -85,6 +85,17 @@ def test_dims_table(capsys):
     assert dims == [8, 6, 6, 1]
 
 
+def test_dims_over_the_subset_guard_is_a_usage_error(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("subsets listed before the guard")
+
+    monkeypatch.setattr(cli, "subsets_of_size", refuse)
+    assert run(["dims", "--n", "11", "--q", "2"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "drincoh: error: dims lists 2^11 subsets, over the n <= 10 guard\n"
+
+
 def test_dims_json(capsys):
     assert run(["dims", "--n", "1", "--q", "3", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from drincoh.gmodules import steinberg_resolution
+from drincoh.gmodules import lattice_complex
 from drincoh.orlik import build_function_complex
 from drincoh.rootdata import subsets_of_size
 
@@ -50,7 +50,7 @@ def _differentials(key):
             d
             for c in range(n)
             for J in subsets_of_size(n, c, proper=True)
-            for d in steinberg_resolution(J, q).resolution.diffs
+            for d in lattice_complex(J, q)[1].diffs
         ]
     _, n, q, m = key
     return build_function_complex(n, q, m).complex.diffs

@@ -5,6 +5,7 @@ import pytest
 from drincoh import gmodules
 from drincoh.errors import DeskScaleExceeded
 from drincoh.gmodules import (
+    lattice_complex,
     pullback_matrix,
     steinberg_dim,
     steinberg_resolution,
@@ -90,22 +91,21 @@ def test_steinberg_dim_of_borel_is_q_power():
 
 
 def test_steinberg_resolution_examples():
-    assert steinberg_resolution(ParabolicType.empty(1), 2).dim_v == 2
-    data = steinberg_resolution(ParabolicType.empty(2), 2)
-    assert data.dim_v == 8
-    assert data.resolution.terms == (1, 14, 21)
-    assert steinberg_resolution(ParabolicType.of(2, [0]), 2).dim_v == 6
-    assert steinberg_resolution(ParabolicType.empty(3), 2).dim_v == 64
+    assert steinberg_resolution(ParabolicType.empty(1), 2)[-1] == 2
+    assert steinberg_resolution(ParabolicType.empty(2), 2)[-1] == 8
+    assert lattice_complex(ParabolicType.empty(2), 2)[1].terms == (1, 14, 21)
+    assert steinberg_resolution(ParabolicType.of(2, [0]), 2)[-1] == 6
+    assert steinberg_resolution(ParabolicType.empty(3), 2)[-1] == 64
 
 
 def test_steinberg_resolution_exact_except_augmentation():
     for n, q in [(1, 2), (1, 3), (2, 2), (2, 3)]:
         for mask in range((1 << n) - 1):
             J = ParabolicType(n, mask)
-            data = steinberg_resolution(J, q)
-            dims = data.resolution.homology_dims()
+            homology = steinberg_resolution(J, q)
+            dims = lattice_complex(J, q)[1].homology_dims()
             assert all(h == 0 for h in dims[:-1])
-            assert dims[-1] == data.dim_v == steinberg_dim(J, q)
+            assert dims[-1] == homology[-1] == steinberg_dim(J, q)
 
 
 def test_steinberg_resolution_rejects_full_subset():
@@ -118,8 +118,7 @@ def test_sum_of_larger_inductions_has_top_differential_rank():
     # the pullbacks from all strictly larger parabolics, not just the covers
     n, q = 2, 2
     J = ParabolicType.empty(n)
-    data = steinberg_resolution(J, q)
-    top = data.resolution.diffs[-1]
+    top = lattice_complex(J, q)[1].diffs[-1]
     larger = [
         I
         for c in range(J.size + 1, n + 1)
@@ -133,13 +132,13 @@ def test_sum_of_larger_inductions_has_top_differential_rank():
         {(0, bi): pullback_matrix(J, I, q) for bi, I in enumerate(larger)},
     )
     assert side_by_side.rank() == top.rank()
-    assert parabolic_index(J, q) - top.rank() == data.dim_v
+    assert parabolic_index(J, q) - top.rank() == steinberg_resolution(J, q)[-1]
 
 
 def test_resolution_levels_metadata():
-    data = steinberg_resolution(ParabolicType.empty(2), 2)
-    assert data.levels[0] == (ParabolicType.full(2),)
-    assert data.levels[-1] == (ParabolicType.empty(2),)
+    levels = lattice_complex(ParabolicType.empty(2), 2)[0]
+    assert levels[0] == (ParabolicType.full(2),)
+    assert levels[-1] == (ParabolicType.empty(2),)
 
 
 def test_flag_guard_stops_resolutions_and_pullbacks():

@@ -1,19 +1,21 @@
 """Function-complex acyclicity and the spectral-sequence pages."""
 
+from collections import Counter
 from itertools import accumulate
 
 import pytest
 
-from drincoh import cli, orlik
+from drincoh import cli, gmodules, orlik
 from drincoh.errors import DeskScaleExceeded, ExactnessError
 from drincoh.ffgeom import enumerate_subspaces
-from drincoh.gmodules import steinberg_dim, steinberg_resolution
-from drincoh.orlik import (
-    build_e1_row,
-    build_function_complex,
-    clear_e2_pages,
-    e2_page,
+from drincoh.gmodules import (
+    clear_resolutions,
+    lattice_complex,
+    steinberg_dim,
+    steinberg_resolution,
 )
+from drincoh.homalg import ChainComplex
+from drincoh.orlik import build_e1_row, build_function_complex, e2_page
 from drincoh.qarith import parabolic_index
 from drincoh.rootdata import ParabolicType, standard_subset
 from drincoh.tables import TwistedModule, summand
@@ -92,31 +94,40 @@ def test_intersection_closure_witness():
                     assert any(W == X for X in family)
 
 
+def _e1_row(page, s):
+    """The terms of row s of an E1 page, in order of r."""
+    return [page[key] for key in sorted(page) if key[1] == s]
+
+
+def _twists(row):
+    return {piece.twist for term in row for piece in term.summands}
+
+
 def test_e1_row_shapes():
-    row = build_e1_row(0, 2, 2)
-    assert row.complex.terms == (14, 21)
-    assert row.twist == 0
-    row = build_e1_row(2, 2, 2)
-    assert row.complex.terms == (7,)
-    assert row.twist == -1
-    assert row.subsets == ((standard_subset(2, 1),),)
+    page = build_e1_page(2, 2)
+    row = _e1_row(page, 0)
+    assert [term.dim for term in row] == [14, 21]
+    assert _twists(row) == {0}
+    row = _e1_row(page, 2)
+    assert [term.dim for term in row] == [7]
+    assert _twists(row) == {-1}
+    assert [[piece.subset for piece in term.summands] for term in row] == [[standard_subset(2, 1)]]
     # the top row is always the single induced module of the full prefix
     for n, q in [(1, 2), (2, 2), (3, 2)]:
-        row = build_e1_row(2 * n - 2, n, q)
-        assert len(row.complex.terms) == 1
-        assert row.complex.terms[0] == parabolic_index(standard_subset(n, n - 1), q)
+        row = _e1_row(build_e1_page(n, q), 2 * n - 2)
+        assert len(row) == 1
+        assert row[0].dim == parabolic_index(standard_subset(n, n - 1), q)
 
 
 def test_e1_rows_are_truncated_steinberg_resolutions():
-    # row s is the resolution of I_{s/2} without its constant term
-    for n in (1, 2, 3):
-        for q in (2, 3):
-            for s in range(0, 2 * n - 1, 2):
-                row = build_e1_row(s, n, q)
-                data = steinberg_resolution(standard_subset(n, s // 2), q)
-                assert row.subsets == data.levels[1:]
-                assert row.complex.terms == data.resolution.terms[1:]
-                assert row.complex.diffs == data.resolution.diffs[1:]
+    # row s is the resolution of I_{s/2} without its constant term; its
+    # homology, read from the resolution's, must equal that of the truncated
+    # complex ranked on its own
+    for n, q in [(n, q) for n in (1, 2, 3) for q in (2, 3)] + [(4, 2)]:
+        for s in range(0, 2 * n - 1, 2):
+            cx = lattice_complex(standard_subset(n, s // 2), q)[1]
+            truncated = ChainComplex(cx.terms[1:], cx.diffs[1:])
+            assert build_e1_row(s, n, q) == truncated.homology_dims(), (n, q, s)
 
 
 def test_function_complex_is_e1_row_0_expanded_to_points():
@@ -125,9 +136,9 @@ def test_function_complex_is_e1_row_0_expanded_to_points():
     # signs, and each entry restricts to the same point of the source summand
     for n, q, m in [(2, 2, 1), (2, 3, 2), (3, 2, 1)]:
         fc = build_function_complex(n, q, m)
-        row0 = build_e1_row(0, n, q).complex
-        assert len(fc.complex.diffs) == len(row0.diffs) + 1
-        for t, flag_d in enumerate(row0.diffs):
+        row0 = lattice_complex(ParabolicType.empty(n), q)[1].diffs[1:]
+        assert len(fc.complex.diffs) == len(row0) + 1
+        for t, flag_d in enumerate(row0):
             d = fc.complex.diffs[t + 1]
             sources, targets = fc.levels[t], fc.levels[t + 1]
             assert (flag_d.rows, flag_d.cols) == (len(targets), len(sources))
@@ -229,29 +240,35 @@ def test_function_complex_is_reproducible_bit_for_bit():
     ]
 
 
-def test_e2_page_is_built_once_and_read_only():
-    clear_e2_pages()
-    page = e2_page(2, 3)
-    assert e2_page(2, 3) is page
-    with pytest.raises(TypeError):
-        page[(9, 9)] = page[(0, 0)]
-    with pytest.raises(AttributeError):
-        page.clear()
+def test_each_resolution_is_built_once_per_run(monkeypatch, capsys):
+    # the steinberg and e2 suites, and cohomology through e2_page, all read
+    # the one record of each (J, q)
+    calls = []
+    real = gmodules.lattice_complex
+
+    def counting(J, q):
+        calls.append((J, q))
+        return real(J, q)
+
+    monkeypatch.setattr(gmodules, "lattice_complex", counting)
+    assert cli.main(["verify", "--n-max", "2", "--q", "2,3", "--m-max", "1"]) == cli.EXIT_OK
+    proper = [ParabolicType(n, mask) for n in (1, 2) for mask in range((1 << n) - 1)]
+    assert Counter(calls) == Counter((J, q) for J in proper for q in (2, 3))
 
 
-def test_failed_e2_page_is_not_cached(monkeypatch):
-    monkeypatch.setattr(orlik, "steinberg_dim", lambda J, q: steinberg_dim(J, q) + 1)
-    clear_e2_pages()
+def test_failed_resolution_is_not_cached(monkeypatch):
+    monkeypatch.setattr(gmodules, "steinberg_dim", lambda J, q: steinberg_dim(J, q) + 1)
+    clear_resolutions()
     for _ in range(2):
-        with pytest.raises(ExactnessError):
-            e2_page(2, 2)
+        with pytest.raises(ExactnessError, match="inclusion-exclusion"):
+            steinberg_resolution(ParabolicType.empty(2), 2)
     monkeypatch.undo()
-    assert e2_page(2, 2)[(1, 0)].dim == 8
+    assert steinberg_resolution(ParabolicType.empty(2), 2) == (0, 0, 8)
 
 
-def test_cli_run_rebuilds_cached_pages(monkeypatch, capsys):
-    e2_page(2, 2)  # cached from correct code
-    monkeypatch.setattr(orlik, "steinberg_dim", lambda J, q: steinberg_dim(J, q) + 1)
+def test_cli_run_clears_the_resolutions(monkeypatch, capsys):
+    steinberg_resolution(ParabolicType.empty(2), 2)  # recorded from correct code
+    monkeypatch.setattr(gmodules, "steinberg_dim", lambda J, q: steinberg_dim(J, q) + 1)
     args = ["verify", "--suite", "e2", "--n-max", "2", "--q", "2"]
     assert cli.main(args) == cli.EXIT_FAIL
     assert "FAIL  e2          n=2 q=2" in capsys.readouterr().out
