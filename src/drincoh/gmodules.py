@@ -13,15 +13,23 @@ the subset lattice.
 
 This module owns the one walk over the subset lattice (lattice_rows): the
 Steinberg resolutions and, expanded to points, orlik's function complex are
-built from it.  Each resolution is built, ranked and checked once per
-(J, q) and run: steinberg_resolution keeps only its verified homology, and
-orlik reads the E1 rows from that.
+built from it.  It also owns the one d∘d check (check_block_dd), which both
+builders call before anything is ranked.  It reads the layout lattice_rows
+writes back out of each differential's CSR lists: within a row block every
+row holds one entry per cover, entry k of every row lies in cover k's
+column block, and its value is the cover's constant sign.  So a differential
+is a signed sum of column maps, and d∘d = 0 is checked by composing the maps
+along the paths K -> J -> L.  Each resolution is built, ranked and checked
+once per (J, q) and run: steinberg_resolution keeps only its verified
+homology, and orlik reads the E1 rows from that.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
-from itertools import accumulate, chain, pairwise
+from itertools import accumulate, chain, pairwise, repeat
+from operator import sub
 
 from .errors import ExactnessError
 from .ffgeom import check_flag_guard, flag_keys, forget_map
@@ -97,20 +105,135 @@ def lattice_differential(
     return ExactMatrix.from_csr(len(indptr) - 1, cols, indptr, indices, data)
 
 
+def _read_covers(d: ExactMatrix, t: int, rows, cols) -> list[list[tuple]]:
+    """The covers of each row block of d = d_t, read from its CSR lists.
+
+    `rows` and `cols` are the (label, size) blocks of d's target and source.
+    In a row block of w entries per row, cover k is entry k of every row: it
+    gives (b, sign, image), where every column of `image` (one per row, as
+    global columns of d) lies in column block b and every value is `sign`.
+    Any other layout raises ExactnessError naming the block.
+    """
+    col_off = list(accumulate((size for _, size in cols), initial=0))
+    n_rows = sum(size for _, size in rows)
+    if (d.rows, d.cols) != (n_rows, col_off[-1]):
+        raise ExactnessError(
+            f"d∘d check: d_{t} is {d.rows}x{d.cols}, its blocks give {n_rows}x{col_off[-1]}"
+        )
+    ptr, idx, val = d.indptr, d.indices, d.data
+    out, r = [], 0
+    for label, size in rows:
+        s, e = ptr[r], ptr[r + size]
+        w = (e - s) // size if size else 0
+        if ptr[r:r + size + 1] != (list(range(s, e + 1, w)) if w else [s] * (size + 1)):
+            raise ExactnessError(
+                f"d∘d check: d_{t}, row block {label}: rows hold different numbers of entries"
+            )
+        covers = []
+        for k in range(w):
+            image = idx[s + k:e:w]
+            b = bisect_right(col_off, image[0]) - 1
+            if min(image) < col_off[b] or max(image) >= col_off[b + 1]:
+                raise ExactnessError(
+                    f"d∘d check: d_{t}, row block {label}: entry {k} of its rows "
+                    "spans column blocks"
+                )
+            sign = val[s + k]
+            if val[s + k:e:w].count(sign) != size:
+                raise ExactnessError(
+                    f"d∘d check: d_{t}, row block {label}: entry {k} of its rows "
+                    "is not one constant sign"
+                )
+            covers.append((b, sign, image))
+        out.append(covers)
+        r += size
+    return out
+
+
+def _first_nonzero_row(paths):
+    """(row, col, value) of the first nonzero entry of Σ sign·P(image) over
+    the paths, P(image) having one 1 per row at its image; None if zero."""
+    signs = [sign for sign, _ in paths]
+    for r, cols in enumerate(zip(*(image for _, image in paths))):
+        acc: dict[int, int] = {}
+        for sign, c in zip(signs, cols):
+            acc[c] = acc.get(c, 0) + sign
+        nonzero = [c for c, v in acc.items() if v]
+        if nonzero:
+            c = min(nonzero)
+            return r, c, acc[c]
+    return None
+
+
+def _check_pair(low, high, t: int, blocks) -> None:
+    """d_{t+1}∘d_t = 0 from the covers of d_t (low) and d_{t+1} (high).
+
+    For a row block L of d_{t+1} and a column block K of d_t, block (L, K)
+    of the product is the sum over the paths K -> J -> L of the signed
+    composite maps.  Two paths with equal maps and opposite signs cancel;
+    any other block is summed row by row, and the first nonzero entry of
+    the product (by row, then column) raises ExactnessError.
+    """
+    mid_off = list(accumulate((size for _, size in blocks[t + 1]), initial=0))
+    row0 = 0
+    for (label, size), covers in zip(blocks[t + 2], high):
+        paths: dict[int, list] = {}
+        for j, s1, image1 in covers:
+            # d_t's images are indexed by the rows of block J
+            local = list(map(sub, image1, repeat(mid_off[j]))) if mid_off[j] else image1
+            for b, s2, image2 in low[j]:
+                paths.setdefault(b, []).append((s1 * s2, list(map(image2.__getitem__, local))))
+        bad = []
+        for b, group in paths.items():
+            if len(group) == 2 and group[0][0] == -group[1][0] and group[0][1] == group[1][1]:
+                continue
+            first = _first_nonzero_row(group)
+            if first is not None:
+                bad.append((*first, blocks[t][b][0]))
+        if bad:
+            r, c, v, source = min(bad)
+            raise ExactnessError(
+                f"d∘d != 0 between positions {t} and {t + 2}, blocks (K, L) = "
+                f"({source}, {label}): entry ({row0 + r},{c}) of d_{t + 1}∘d_{t} is {v}"
+            )
+        row0 += size
+
+
+def check_block_dd(diffs, blocks) -> None:
+    """Check d∘d = 0 for the differentials `diffs`, d_t mapping term t to
+    term t+1, from their block layout.
+
+    `blocks[t]` lists term t's blocks as (label, size) pairs in order.  Each
+    differential's layout is read by _read_covers, so the check proves d∘d
+    = 0 for the matrices as stored, not for the builder's intent; a matrix
+    whose layout does not fit raises.  Only two adjacent differentials'
+    covers are held at a time.
+    """
+    low = None
+    for t, d in enumerate(diffs):
+        high = _read_covers(d, t, blocks[t + 1], blocks[t])
+        if low is not None:
+            _check_pair(low, high, t - 1, blocks)
+        low = high
+
+
 def lattice_complex(J: ParabolicType, q: int) -> tuple[tuple, ChainComplex]:
     """The levels interval_levels(J) and the complex over them of
     ⊕ Ind_{P_I}^G K, level by level, with lattice_differential between.  The
-    flag guard comes first, before any subset is listed.  A d∘d failure is
-    raised again naming J and q."""
+    flag guard comes first, before any subset is listed.  d∘d = 0 is checked
+    by check_block_dd, one block per subset; a failure is raised again
+    naming J and q."""
     check_flag_guard(J.n, q)
     levels = tuple(map(tuple, interval_levels(J)))
     dims = {I: parabolic_index(I, q) for level in levels for I in level}
     terms = tuple(sum(dims[I] for I in level) for level in levels)
     diffs = tuple(lattice_differential(*pair, dims, q) for pair in pairwise(levels))
+    cx = ChainComplex(terms, diffs)
     try:
-        return levels, ChainComplex(terms, diffs)
+        check_block_dd(diffs, [[(I.subset_str(), dims[I]) for I in level] for level in levels])
     except ExactnessError as exc:
         raise ExactnessError(f"lattice complex J={J.subset_str()}, q={q}: {exc}") from exc
+    return levels, cx
 
 
 def steinberg_dim(J: ParabolicType, q: int) -> int:

@@ -19,10 +19,10 @@ Homology ranks its differentials with clearing: the pivot rows of d_i are
 columns of d_{i+1} that lie in the span of its other columns (d∘d = 0), so
 they are skipped.
 
-A chain complex checks d∘d = 0 at construction one row of the product
-d_{i+1}·d_i at a time, summing it into an int-keyed dict, without building
-the product matrix; it raises at the first nonzero row and names the
-positions and the first nonzero (row, col, value).
+A chain complex checks only the shapes of its differentials.  Homology
+relies on d∘d = 0, which the builders check before they rank: both of
+drincoh's complexes are checked from their block layout by
+gmodules.check_block_dd.
 """
 
 from __future__ import annotations
@@ -169,21 +169,6 @@ class ExactMatrix:
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
-    def _product_rows(self, other: "ExactMatrix"):
-        """Row by row, the entries of self·other as {col: value}, 0 where terms
-        cancel; rows come in order, one per row of self (for the d∘d check)."""
-        a_ptr, a_idx, a_val = self.indptr, self.indices, self.data
-        b_ptr, b_idx, b_val = other.indptr, other.indices, other.data
-        for s, e in zip(a_ptr, islice(a_ptr, 1, None)):
-            acc = {}
-            for k in range(s, e):
-                x = a_val[k]
-                c = a_idx[k]
-                for t in range(b_ptr[c], b_ptr[c + 1]):
-                    j = b_idx[t]
-                    acc[j] = acc.get(j, 0) + x * b_val[t]
-            yield acc
-
     # -- rank ---------------------------------------------------------------
 
     def rank(self, *, skip_cols=(), pivot_rows=None) -> int:
@@ -234,11 +219,10 @@ class ExactMatrix:
 class ChainComplex:
     """A finite complex 0 -> V_0 -> V_1 -> ... -> V_k -> 0 of Q-vector spaces.
 
-    `diffs[i]` maps V_i to V_{i+1}; d∘d = 0 is verified at construction, in
-    __post_init__, one row of each product at a time, and a violation raises
-    ExactnessError naming the first nonzero entry (it means the builder's
-    signs or indexing are wrong, so computing anything further would be
-    meaningless).
+    `diffs[i]` maps V_i to V_{i+1}; __post_init__ checks their number and
+    shapes and raises ValueError.  d∘d = 0 is not checked here: homology_dims
+    relies on it, so a builder checks it before ranking (every complex
+    drincoh builds goes through gmodules.check_block_dd).
     """
 
     __slots__ = ("terms", "diffs")
@@ -257,20 +241,12 @@ class ChainComplex:
                     f"differential {i} is {d.rows}x{d.cols}, expected "
                     f"{self.terms[i + 1]}x{self.terms[i]}"
                 )
-        for i in range(len(self.diffs) - 1):
-            for r, acc in enumerate(self.diffs[i + 1]._product_rows(self.diffs[i])):
-                if any(acc.values()):
-                    c = min(j for j, v in acc.items() if v)
-                    raise ExactnessError(
-                        f"d∘d != 0 between positions {i} and {i + 2}: "
-                        f"entry ({r},{c}) of d_{i + 1}∘d_{i} is {acc[c]}"
-                    )
 
     def homology_dims(self) -> tuple[int, ...]:
         """dim H_i = dim V_i - rank(d_i) - rank(d_{i-1}), off-end ranks zero.
 
         The pivot rows of d_i carry a nonsingular minor of d_i, so by
-        d∘d = 0 (checked at construction) the same columns of d_{i+1} are
+        d∘d = 0 (which the builder checked) the same columns of d_{i+1} are
         combinations of its other columns, and d_{i+1} is ranked without them.
         """
         ranks = [0]

@@ -33,7 +33,13 @@ from .ffgeom import (
     point_positions,
     subspace_points,
 )
-from .gmodules import interval_levels, lattice_rows, steinberg_dim, steinberg_resolution
+from .gmodules import (
+    check_block_dd,
+    interval_levels,
+    lattice_rows,
+    steinberg_dim,
+    steinberg_resolution,
+)
 from .homalg import ChainComplex, ExactMatrix
 from .qarith import parabolic_index, projective_count
 from .rootdata import ParabolicType, i_of_I, standard_subset
@@ -81,8 +87,10 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
     entries on U's pivot columns (ffgeom.point_positions).  Distinct cosets
     keep separate summands even when they cut out the same subvariety, but
     each subvariety's points are listed once.  The flag guard comes
-    first, before any subset is listed.  A d∘d failure is raised again
-    naming (n, q, m).
+    first, before any subset is listed.  d∘d = 0 is checked by
+    gmodules.check_block_dd with one block per subset (its summands, which
+    are contiguous) and Y as the augmentation's one source block; a failure
+    is raised again naming (n, q, m).
     """
     check_flag_guard(n, q)
     subsets = interval_levels(ParabolicType.empty(n))[1:]
@@ -99,17 +107,23 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
     y_points = tuple(hyperplane_union_points(n, q, m))
     points_of: dict[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] = {}
     levels = []
+    # d∘d is checked on blocks: Y, then each subset's summands
+    blocks = [[("Y", len(y_points))]]
     for level_subsets in subsets:
-        level = []
+        level, sizes = [], []
         for I in level_subsets:
             firsts = enumerate_subspaces(n + 1, chain_dims(I)[0], q)
+            size = 0
             for key in flag_keys(I, q):
                 U = firsts[key[0]]
                 if U not in points_of:
                     points_of[U] = tuple(subspace_points(U, q, m))
                 level.append(StratumSummand(I, U, points_of[U]))
+                size += len(points_of[U])
+            sizes.append((I.subset_str(), size))
         levels.append(tuple(level))
-    terms = [len(y_points)] + [sum(len(s.points) for s in lv) for lv in levels]
+        blocks.append(sizes)
+    terms = [sum(size for _, size in sizes) for sizes in blocks]
 
     y_set = set(y_points)
     covered = set()
@@ -139,15 +153,16 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
             w = len(signs)
             # flag_cols first: zip stops on it without taking a summand
             for srcs, target in zip(flag_cols, targets):
-                blocks = [map(off.__add__, map(pos.__getitem__, map(pivots, target.points)))
+                images = [map(off.__add__, map(pos.__getitem__, map(pivots, target.points)))
                           for off, pivots, pos in map(place.__getitem__, srcs)]
-                indices.extend(chain.from_iterable(zip(*blocks)))
+                indices.extend(chain.from_iterable(zip(*images)))
             # each row of this subset's block has one entry per cover
             data.extend(signs * ((len(indices) - len(data)) // w))
             indptr.extend(range(indptr[-1] + w, len(data) + 1, w))
         diffs.append(ExactMatrix.from_csr(len(indptr) - 1, col0[-1], indptr, indices, data))
+    cx = ChainComplex(tuple(terms), tuple(diffs))
     try:
-        cx = ChainComplex(tuple(terms), tuple(diffs))
+        check_block_dd(diffs, blocks)
     except ExactnessError as exc:
         raise ExactnessError(f"function complex (n, q, m) = ({n}, {q}, {m}): {exc}") from exc
     return FunctionComplex(y_points, tuple(levels), cx)

@@ -6,11 +6,13 @@ for the library's builders and as conveniences for writing small cases.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from itertools import product
 
+from drincoh.errors import ExactnessError
 from drincoh.ffgeom import Flag, chain_dims, enumerate_subspaces
-from drincoh.gmodules import interval_levels
+from drincoh.gmodules import check_block_dd, interval_levels
 from drincoh.homalg import ChainComplex, ExactMatrix
 from drincoh.qarith import is_prime, parabolic_index
 from drincoh.rootdata import ParabolicType, standard_subset
@@ -388,13 +390,30 @@ def transpose(M: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(M.cols, M.rows, {(j, i): v for (i, j), v in M.entries.items()})
 
 
+def product_rows(A: ExactMatrix, B: ExactMatrix):
+    """Row by row, the entries of A·B as {col: value}, 0 where terms cancel;
+    rows come in order, one per row of A.  The generic product over the CSR
+    lists, one dict per row, with no use of any block layout."""
+    a_ptr, a_idx, a_val = A.indptr, A.indices, A.data
+    b_ptr, b_idx, b_val = B.indptr, B.indices, B.data
+    for s, e in zip(a_ptr, a_ptr[1:]):
+        acc = {}
+        for k in range(s, e):
+            x = a_val[k]
+            c = a_idx[k]
+            for t in range(b_ptr[c], b_ptr[c + 1]):
+                j = b_idx[t]
+                acc[j] = acc.get(j, 0) + x * b_val[t]
+        yield acc
+
+
 def matmul(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
-    """The product A·B from the rows of ExactMatrix._product_rows, with
-    cancelled entries dropped; ValueError on a shape mismatch."""
+    """The product A·B from product_rows, with cancelled entries dropped;
+    ValueError on a shape mismatch."""
     if A.cols != B.rows:
         raise ValueError(f"shape mismatch {A.rows}x{A.cols} @ {B.rows}x{B.cols}")
     indptr, indices, data = [0], [], []
-    for acc in A._product_rows(B):
+    for acc in product_rows(A, B):
         for j in sorted(acc):
             if acc[j]:
                 indices.append(j)
@@ -406,13 +425,44 @@ def matmul(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
 def reference_product(A: ExactMatrix, B: ExactMatrix) -> dict[tuple[int, int], int]:
     """The nonzero entries of A·B as {(i, j): value}, summed over a
     dict of (i, j) tuples independently of the CSR layout."""
+    b_rows: dict[int, list[tuple[int, int]]] = {}
+    for (k, j), w in B.entries.items():
+        b_rows.setdefault(k, []).append((j, w))
     out: dict[tuple[int, int], int] = {}
-    b_items = list(B.entries.items())
     for (i, k), v in A.entries.items():
-        for (k2, j), w in b_items:
-            if k == k2:
-                out[(i, j)] = out.get((i, j), 0) + v * w
+        for j, w in b_rows.get(k, ()):
+            out[(i, j)] = out.get((i, j), 0) + v * w
     return {key: v for key, v in out.items() if v}
+
+
+def reference_dd_failure(diffs) -> tuple[int, int, int, int] | None:
+    """(t, row, col, value) of the first nonzero entry of the first nonzero
+    product d_{t+1}·d_t, from reference_product; None when d∘d = 0."""
+    for t in range(len(diffs) - 1):
+        product = reference_product(diffs[t + 1], diffs[t])
+        if product:
+            first = min(product)
+            return (t, *first, product[first])
+    return None
+
+
+def reported_dd_failure(diffs, blocks) -> tuple[int, int, int, int] | None:
+    """(t, row, col, value) that gmodules.check_block_dd reports for a d∘d
+    failure, None when it passes; a layout error propagates."""
+    try:
+        check_block_dd(diffs, blocks)
+    except ExactnessError as exc:
+        match = re.fullmatch(
+            r"d∘d != 0 between positions (\d+) and (\d+), blocks \(K, L\) = \(.*\): "
+            r"entry \((\d+),(\d+)\) of d_(\d+)∘d_(\d+) is (-?\d+)",
+            str(exc),
+        )
+        if not match:
+            raise
+        t, t2, row, col, hi, lo, value = map(int, match.groups())
+        assert (t2, hi, lo) == (t + 2, t + 1, t), str(exc)
+        return t, row, col, value
+    return None
 
 
 def from_dense(data) -> ExactMatrix:

@@ -1,9 +1,12 @@
-"""Pullback matrices and Steinberg resolutions."""
+"""Pullback matrices, Steinberg resolutions and the block d∘d check."""
+
+import itertools
+import random
 
 import pytest
 
-from drincoh import gmodules
-from drincoh.errors import DeskScaleExceeded
+from drincoh import gmodules, orlik
+from drincoh.errors import DeskScaleExceeded, ExactnessError
 from drincoh.gmodules import (
     lattice_complex,
     pullback_matrix,
@@ -11,10 +14,16 @@ from drincoh.gmodules import (
     steinberg_resolution,
 )
 from drincoh.homalg import ExactMatrix
-from drincoh.orlik import e2_page
+from drincoh.orlik import build_function_complex, e2_page
 from drincoh.qarith import parabolic_index
 from drincoh.rootdata import ParabolicType, subsets_of_size
-from oracles import identity, matmul
+from oracles import (
+    identity,
+    matmul,
+    reference_dd_failure,
+    reindexed,
+    reported_dd_failure,
+)
 
 
 def inclusion_exclusion_dim(J, q):
@@ -161,3 +170,168 @@ def test_flag_guard_comes_before_the_subset_lattice(monkeypatch):
         steinberg_resolution(ParabolicType.empty(5), 2)
     with pytest.raises(DeskScaleExceeded):
         e2_page(5, 2)
+
+
+# -- the block d∘d check against the reference product ------------------------------
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Every (diffs, blocks) the builders pass to check_block_dd."""
+    calls = []
+
+    def recording(diffs, blocks, _check=gmodules.check_block_dd):
+        calls.append((tuple(diffs), blocks))
+        return _check(diffs, blocks)
+
+    for mod in (gmodules, orlik):
+        monkeypatch.setattr(mod, "check_block_dd", recording)
+    return calls
+
+
+def test_block_dd_check_matches_reference_product_on_desk_complexes(checked):
+    points = [(n, q) for n in (1, 2, 3) for q in (2, 3)] + [(4, 2)]
+    for n, q in points:
+        for mask in range((1 << n) - 1):
+            lattice_complex(ParabolicType(n, mask), q)
+    for n, q in points[:-1]:
+        for m in (1, 2):
+            build_function_complex(n, q, m)
+    lattice = sum(2**n - 1 for n, _ in points)
+    assert len(checked) == lattice + 12
+    for diffs, blocks in checked:
+        # the builders' block sizes tile every term, and every pair is zero
+        assert [sum(size for _, size in term) for term in blocks] == [
+            diffs[0].cols, *(d.rows for d in diffs)
+        ]
+        assert reference_dd_failure(diffs) is None
+        assert reported_dd_failure(diffs, blocks) is None
+
+
+def _covers(d, rows):
+    """(s, e, w) for each nonempty row block of d: its entries lie at
+    s..e-1, w to a row."""
+    out, r = [], 0
+    for _, size in rows:
+        s, e = d.indptr[r], d.indptr[r + size]
+        if size:
+            out.append((s, e, (e - s) // size))
+        r += size
+    return out
+
+
+def _mutate(d, indices=None, data=None):
+    return ExactMatrix.from_csr(d.rows, d.cols, d.indptr, indices or d.indices, data or d.data)
+
+
+def _flipped_entry(d, rows, cols):
+    s, e, w = next(c for c in _covers(d, rows) if c[1] - c[0] > c[2])
+    data = list(d.data)
+    data[s + w] = -data[s + w]  # entry 0 of the block's second row
+    return _mutate(d, data=data)
+
+
+def _scaled_entry(d, rows, cols):
+    s, e, w = next(c for c in _covers(d, rows) if c[1] - c[0] > c[2])
+    data = list(d.data)
+    data[s] *= 2
+    return _mutate(d, data=data)
+
+
+def _dropped_entry(d, rows, cols):
+    s, e, w = _covers(d, rows)[0]
+    indptr = d.indptr[:1] + [k - (k > s) for k in d.indptr[1:]]
+    return ExactMatrix.from_csr(d.rows, d.cols, indptr, d.indices[:s] + d.indices[s + 1:],
+                                d.data[:s] + d.data[s + 1:])
+
+
+def _flipped_cover_sign(d, rows, cols):
+    s, e, w = _covers(d, rows)[0]
+    data = list(d.data)
+    data[s:e:w] = [-v for v in data[s:e:w]]
+    return _mutate(d, data=data)
+
+
+def _swapped_columns(d, rows, cols):
+    for s, e, w in _covers(d, rows):
+        image = d.indices[s:e:w]
+        other = next((i for i, c in enumerate(image) if c != image[0]), None)
+        if other is not None:
+            indices = list(d.indices)
+            indices[s], indices[s + w * other] = image[other], image[0]
+            return _mutate(d, indices=indices)
+    raise AssertionError("no cover map with two distinct columns")
+
+
+def _shifted_cover(d, rows, cols):
+    # cover k moves to a neighbouring column block that holds no other cover
+    # of its rows, as far as the block's size allows
+    col_off = list(itertools.accumulate((size for _, size in cols), initial=0))
+    block_of = {c: j for j in range(len(cols)) for c in range(col_off[j], col_off[j + 1])}
+    for s, e, w in _covers(d, rows):
+        used = [block_of[c] for c in d.indices[s:s + w]]
+        for k, j in enumerate(used):
+            for nb in (j - 1, j + 1):
+                if not 0 <= nb < len(cols) or nb in used:
+                    continue
+                image = d.indices[s + k:e:w]
+                if max(image) - col_off[j] >= cols[nb][1]:
+                    continue
+                order = sorted([*used[:k], nb, *used[k + 1:]])
+                if order != [*used[:k], nb, *used[k + 1:]]:
+                    continue
+                indices = list(d.indices)
+                indices[s + k:e:w] = [c - col_off[j] + col_off[nb] for c in image]
+                return _mutate(d, indices=indices)
+    raise AssertionError("no cover can move to a neighbouring block")
+
+
+MUTATIONS = {
+    "dropped entry": (_dropped_entry, "rows hold different numbers of entries"),
+    "flipped entry": (_flipped_entry, "is not one constant sign"),
+    "scaled entry": (_scaled_entry, "is not one constant sign"),
+    "flipped cover sign": (_flipped_cover_sign, None),
+    "swapped columns": (_swapped_columns, None),
+    "shifted cover": (_shifted_cover, None),
+}
+
+
+def _complex_and_blocks(kind, checked):
+    if kind == "lattice":
+        diffs = lattice_complex(ParabolicType.empty(3), 2)[1].diffs
+    else:
+        diffs = build_function_complex(3, 2, 1).complex.diffs
+    assert checked[-1][0] == tuple(diffs)
+    return checked[-1]
+
+
+@pytest.mark.parametrize("kind", ["lattice", "function"])
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_block_dd_check_rejects_mutations(name, kind, checked):
+    mutation, layout_error = MUTATIONS[name]
+    diffs, blocks = _complex_and_blocks(kind, checked)
+    t = 1  # a middle differential: d_0∘... and ...∘d_2 both see it
+    mutated = list(diffs)
+    mutated[t] = mutation(diffs[t], blocks[t + 1], blocks[t])
+    assert mutated[t] != diffs[t]
+    want = reference_dd_failure(mutated)
+    assert want is not None  # every mutation is a real d∘d failure
+    if layout_error:
+        where = rf"^d∘d check: d_{t}, row block \S+: .*{layout_error}"
+        with pytest.raises(ExactnessError, match=where):
+            gmodules.check_block_dd(mutated, blocks)
+    else:
+        assert reported_dd_failure(mutated, blocks) == want
+
+
+def test_block_dd_check_rejects_a_permuted_basis():
+    # d∘d = 0 still holds, but the layout no longer fits: the intended strictness
+    rng = random.Random(17)
+    levels, cx = lattice_complex(ParabolicType.empty(2), 2)
+    blocks = [[(I.subset_str(), parabolic_index(I, 2)) for I in level] for level in levels]
+    perms = [rng.sample(range(t), t) for t in cx.terms]
+    diffs = [reindexed(d, perms[i + 1], perms[i]) for i, d in enumerate(cx.diffs)]
+    assert reference_dd_failure(diffs) is None
+    where = r"^d∘d check: d_1, row block \{\}: entry 0 of its rows spans column blocks"
+    with pytest.raises(ExactnessError, match=where):
+        gmodules.check_block_dd(diffs, blocks)

@@ -4,7 +4,6 @@ import gc
 import itertools
 import os
 import random
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +15,9 @@ import pytest
 import drincoh
 from drincoh.errors import ExactnessError
 from drincoh.ffgeom import enumerate_subspaces
+from drincoh.gmodules import check_block_dd
 from drincoh.homalg import ChainComplex, ExactMatrix
+from drincoh.qarith import parabolic_index
 from drincoh.rootdata import ParabolicType
 from oracles import (
     contains,
@@ -25,8 +26,11 @@ from oracles import (
     identity,
     matmul,
     parse_dump,
+    product_rows,
+    reference_dd_failure,
     reference_product,
     reindexed,
+    reported_dd_failure,
     transpose,
     zero,
 )
@@ -138,7 +142,7 @@ def test_homology_examples():
 
 
 def test_chain_complex_validation(monkeypatch):
-    # the d∘d check is the __post_init__ hook, called once per construction
+    # the shape check is the __post_init__ hook, called once per construction
     calls = []
     check = ChainComplex.__post_init__
     monkeypatch.setattr(ChainComplex, "__post_init__", lambda cx: calls.append(cx) or check(cx))
@@ -148,11 +152,12 @@ def test_chain_complex_validation(monkeypatch):
         ChainComplex((2, 2), ())
     with pytest.raises(ValueError):
         ChainComplex((2, 3), (zero(2, 2),))
-    # d∘d != 0 must be fatal
+    # d∘d is the builders' check, not the constructor's; d∘d != 0 is fatal there
     d0 = identity(2)
     d1 = identity(2)
-    with pytest.raises(ExactnessError):
-        ChainComplex((2, 2, 2), (d0, d1))
+    ChainComplex((2, 2, 2), (d0, d1))
+    with pytest.raises(ExactnessError, match=r"^d∘d != 0 between positions 0 and 2"):
+        check_block_dd((d0, d1), [[("a", 2)], [("b", 2)], [("c", 2)]])
 
 
 def test_euler_characteristic_equals_alternating_homology():
@@ -464,24 +469,26 @@ def test_dict_constructor_drops_zeros_and_rejects_non_ints():
             ExactMatrix(2, 2, {key: 1})
 
 
-def _first_nonzero(product):
-    return min(product) if product else None
-
-
-def _dd_failure(d0, d1):
-    """The (row, col, value) the d∘d check reports for d1∘d0, or None."""
-    try:
-        ChainComplex((d0.cols, d0.rows, d1.rows), (d0, d1))
-    except ExactnessError as exc:
-        match = re.search(r"entry \((\d+),(\d+)\) of d_1∘d_0 is (-?\d+)", str(exc))
-        assert match and "positions 0 and 2" in str(exc), str(exc)
-        return tuple(map(int, match.groups()))
-    return None
+def _random_layout(rng, row_sizes, col_sizes, signs):
+    """A random differential with the block layout check_block_dd reads:
+    each row block takes a random increasing list of column blocks as its
+    covers, each with a constant sign and a random column map."""
+    col_off = list(itertools.accumulate(col_sizes, initial=0))
+    nonempty = [b for b, size in enumerate(col_sizes) if size]
+    indptr, indices, data = [0], [], []
+    for size in row_sizes:
+        covers = sorted(rng.sample(nonempty, rng.randrange(len(nonempty) + 1)))
+        images = [[col_off[b] + rng.randrange(col_sizes[b]) for _ in range(size)] for b in covers]
+        cover_signs = [rng.choice(signs) for _ in covers]
+        for r in range(size):
+            indices.extend(image[r] for image in images)
+            data.extend(cover_signs)
+            indptr.append(len(data))
+    return ExactMatrix.from_csr(sum(row_sizes), col_off[-1], indptr, indices, data)
 
 
 def test_product_and_dd_check_match_reference_product():
     rng = random.Random(107)
-    zero_products = 0
     for _ in range(60):
         n, k, m = (rng.randrange(0, 9) for _ in range(3))
         density = rng.choice([0.05, 0.2, 0.5])
@@ -489,11 +496,21 @@ def test_product_and_dd_check_match_reference_product():
         d1 = _random_sparse(rng, m, k, density, [-2, -1, 1, 1, 4])
         want = reference_product(d1, d0)
         assert matmul(d1, d0).entries == want
-        first = _first_nonzero(want)
-        got = _dd_failure(d0, d1)
-        assert got == (None if first is None else (*first, want[first]))
-        zero_products += first is None
-    assert 5 <= zero_products <= 55
+        assert [{j: v for j, v in acc.items() if v} for acc in product_rows(d1, d0)] == [
+            {j: v for (i, j), v in want.items() if i == r} for r in range(d1.rows)
+        ]
+    # the block check reports the reference product's first nonzero entry
+    zero_products = 0
+    for _ in range(200):
+        sizes = [[rng.choice([0, 1, 1, 2, 3]) for _ in range(rng.randrange(1, 4))]
+                 for _ in range(3)]
+        blocks = [[(f"b{t}.{i}", size) for i, size in enumerate(term)]
+                  for t, term in enumerate(sizes)]
+        diffs = [_random_layout(rng, sizes[t + 1], sizes[t], [-2, -1, -1, 1, 1, 3]) for t in (0, 1)]
+        want = reference_dd_failure(diffs)
+        assert reported_dd_failure(diffs, blocks) == want
+        zero_products += want is None
+    assert 20 <= zero_products <= 180
 
 
 def _split_complex(rng, dims, density):
@@ -532,22 +549,31 @@ def test_homology_of_random_split_complexes_matches_naive_ranks():
 
 def test_dd_failure_names_the_first_nonzero_entry():
     d0, d1 = from_dense([[1], [1]]), from_dense([[1, 1]])
-    with pytest.raises(ExactnessError, match=r"positions 0 and 2: entry \(0,0\) of d_1∘d_0 is 2"):
-        ChainComplex((1, 2, 1), (d0, d1))
-    # one sign flipped in a Steinberg resolution: the report is the first
-    # nonzero entry of the product, found by the reference product
+    blocks = [[("K", 1)], [("J1", 1), ("J2", 1)], [("L", 1)]]
+    with pytest.raises(ExactnessError, match=r"positions 0 and 2, blocks \(K, L\) = \(K, L\): "
+                       r"entry \(0,0\) of d_1∘d_0 is 2"):
+        check_block_dd((d0, d1), blocks)
+    # one cover's sign flipped in a Steinberg resolution: the report is the
+    # first nonzero entry of the product, found by the reference product
     from drincoh.gmodules import lattice_complex
 
-    d0, d1 = lattice_complex(ParabolicType.empty(2), 2)[1].diffs
-    assert _dd_failure(d0, d1) is None
-    k = d1.indptr[5]  # the first entry of row 5
+    levels, cx = lattice_complex(ParabolicType.empty(2), 2)
+    blocks = [[(I.subset_str(), parabolic_index(I, 2)) for I in level] for level in levels]
+    d0, d1 = cx.diffs
+    assert reported_dd_failure((d0, d1), blocks) is None
+    # the row block of ∅ holds rows 0..20, with its two covers interleaved
     data = list(d1.data)
-    data[k] = -data[k]
+    data[1::2] = [-v for v in data[1::2]]
     flipped = ExactMatrix.from_csr(d1.rows, d1.cols, d1.indptr, d1.indices, data)
-    want = reference_product(flipped, d0)
-    first = _first_nonzero(want)
-    assert first[0] == 5
-    assert _dd_failure(d0, flipped) == (*first, want[first])
+    want = reference_dd_failure((d0, flipped))
+    assert want is not None
+    assert reported_dd_failure((d0, flipped), blocks) == want
+    # one entry flipped: the sign of its cover is no longer constant
+    data = list(d1.data)
+    data[10] = -data[10]
+    flipped = ExactMatrix.from_csr(d1.rows, d1.cols, d1.indptr, d1.indices, data)
+    with pytest.raises(ExactnessError, match=r"^d∘d check: d_1, row block \{\}: entry 0 .*sign"):
+        check_block_dd((d0, flipped), blocks)
 
 
 def _stored_bytes_per_nonzero(build):
