@@ -197,13 +197,19 @@ def sample_nested_triple(rng, n: int):
 def check_pullback_properties(I: ParabolicType, J: ParabolicType, L: ParabolicType, q: int):
     """P_IJ, P_JL and P_IL have one 1 per row, so each is the column map in
     its `indices`; functoriality composes those maps and builds no product;
-    the columns of P_IJ sum to the fiber size."""
-    PIJ = pullback_matrix(I, J, q)
-    PJL = pullback_matrix(J, L, q)
-    PIL = pullback_matrix(I, L, q)
-    for P in (PIJ, PJL, PIL):
-        if P.indptr != list(range(P.rows + 1)) or P.data.count(1) != P.nnz:
-            raise AssertionError("pullback is not one-nonzero-per-row")
+    the columns of P_IJ sum to the fiber size.  Each distinct pair is built
+    once, by this module's pullback_matrix."""
+    _check_triple({}, I, J, L, q)
+
+
+def _check_triple(built: dict, I, J, L, q: int):
+    # a pair missing from `built` (one job's pullbacks) is built and shape-checked
+    for pair in ((I, J), (J, L), (I, L)):
+        if pair not in built:
+            P = built[pair] = pullback_matrix(*pair, q)
+            if P.indptr != list(range(P.rows + 1)) or P.data.count(1) != P.nnz:
+                raise AssertionError("pullback is not one-nonzero-per-row")
+    PIJ, PJL, PIL = built[I, J], built[J, L], built[I, L]
     composite = PIJ.cols == PJL.rows and list(map(PJL.indices.__getitem__, PIJ.indices))
     if composite != PIL.indices or PJL.cols != PIL.cols:
         raise AssertionError(f"functoriality fails for {I}, {J}, {L}")
@@ -216,9 +222,9 @@ def _job_pullbacks(n: int, q: int, m: int, seed: int) -> str:
     import random  # only this suite samples
 
     rng = random.Random(seed + 1000 * n + q)
-    for _ in range(20):
-        I, J, L = sample_nested_triple(rng, n)
-        check_pullback_properties(I, J, L, q)
+    built: dict = {}  # one pullback per distinct pair, one check per distinct triple
+    for I, J, L in dict.fromkeys(sample_nested_triple(rng, n) for _ in range(20)):
+        _check_triple(built, I, J, L, q)
     return "20 sampled triples pass"
 
 

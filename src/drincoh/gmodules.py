@@ -13,22 +13,25 @@ the subset lattice.
 
 This module owns the one walk over the subset lattice (lattice_rows): the
 Steinberg resolutions and, expanded to points, orlik's function complex are
-built from it.  It also owns the one d∘d check (check_block_dd), which both
-builders call before anything is ranked.  It reads the layout lattice_rows
-writes back out of each differential's CSR lists: within a row block every
-row holds one entry per cover, entry k of every row lies in cover k's
-column block, and its value is the cover's constant sign.  So a differential
-is a signed sum of column maps, and d∘d = 0 is checked by composing the maps
-along the paths K -> J -> L.  Each resolution is built, ranked and checked
-once per (J, q) and run: steinberg_resolution keeps only its verified
-homology, and orlik reads the E1 rows from that.
+built from it.  Both builders write their differentials through one writer
+(write_covers), and the one d∘d check (check_block_dd), which both call
+before anything is ranked, reads them back through _read_covers.  Writer
+and reader share one strided cover layout: within a row block of w entries
+per row, cover k is entry k of every row, the slice indices[s+k:e:w] of the
+CSR lists; its columns, one per row, lie in one column block, and its
+values are the cover's constant sign.  So a differential is a signed sum of
+column maps, and d∘d = 0 is checked by composing the maps along the paths
+K -> J -> L.  Each resolution is built, ranked and checked once per (J, q)
+and run: steinberg_resolution keeps only its verified homology, and orlik
+reads the E1 rows from that.  The closed forms parabolic_index and
+steinberg_dim are cached per (I, q) and process.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import accumulate, chain, pairwise, repeat
+from itertools import accumulate, pairwise, repeat
 from operator import sub
 
 from .errors import ExactnessError
@@ -63,24 +66,42 @@ def interval_levels(J: ParabolicType) -> list[list[ParabolicType]]:
 
 def lattice_rows(sources: list[ParabolicType], targets: list[ParabolicType],
                  dims: dict[ParabolicType, int], q: int):
-    """For each target I, the signs cover_sign(I, a) of its covers J = I ∪ {a}
-    among the sources, and an iterator over the type-I flags giving each
-    flag's source columns: its images under forget_map(I, J, q), shifted by
-    J's offset.  Covers go in source order, so the columns of a flag are
-    sorted and line up with the signs.
+    """For each target I: its covers J = I ∪ {a} among the sources, their
+    signs cover_sign(I, a) and their column maps, each forget_map(I, J, q)
+    (one column per type-I flag) shifted by J's offset, as an iterator.
+    Covers go in source order, so the columns of each row come out sorted
+    and line up with the signs.
     """
     col_off = list(accumulate((dims[J] for J in sources), initial=0))
     for I in targets:
-        shifted, signs = [], []
+        covers, signs, images = [], [], []
         for J, off in zip(sources, col_off):
             diff = J.mask & ~I.mask
             if J.contains(I) and diff.bit_count() == 1:
                 image = forget_map(I, J, q)
                 if len(image) != dims[I] or len(flag_keys(J, q)) != dims[J]:
                     raise ValueError(f"block ({I.subset_str()}, {J.subset_str()}) has wrong shape")
-                shifted.append(map(off.__add__, image))
+                covers.append(J)
                 signs.append(cover_sign(I, diff.bit_length() - 1))
-        yield signs, zip(*shifted)
+                images.append(map(off.__add__, image))
+        yield covers, signs, images
+
+
+def write_covers(csr: tuple[list, list, list], signs: list[int], images, size: int) -> None:
+    """Append a row block of `size` rows to the CSR lists csr = (indptr,
+    indices, data): entry k of every row is cover k, whose columns are
+    images[k] (one per row, any iterable) and whose value is signs[k].
+    Cover k is written with one slice assignment, indices[s+k:e:w] = image,
+    which is the slice _read_covers reads it back from.
+    """
+    indptr, indices, data = csr
+    w, s = len(signs), len(indices)
+    e = s + w * size
+    indices += repeat(0, e - s)
+    for k, image in enumerate(images, s):
+        indices[k:e:w] = image
+    data += signs * size
+    indptr += range(s + w, e + 1, w) if w else repeat(s, size)
 
 
 def lattice_differential(
@@ -92,17 +113,14 @@ def lattice_differential(
     """Signed block matrix of pullbacks for one layer of the subset lattice.
 
     Block (I, J) is cover_sign(I, a) * pullback(I, J) when J = I ∪ {a},
-    zero otherwise.  Rows are written in order from lattice_rows, each with
-    one entry per cover of its block's I.
+    zero otherwise.  Each row block I is written by write_covers from
+    lattice_rows' column maps, one entry per cover in every row.
     """
-    indptr, indices, data = [0], [], []
-    for I, (signs, rows) in zip(targets, lattice_rows(sources, targets, dims, q)):
-        w = len(signs)
-        indices.extend(chain.from_iterable(rows))
-        data.extend(signs * dims[I])
-        indptr.extend(range(indptr[-1] + w, len(data) + 1, w) if w else [indptr[-1]] * dims[I])
+    csr = [0], [], []
+    for I, (_, signs, images) in zip(targets, lattice_rows(sources, targets, dims, q)):
+        write_covers(csr, signs, images, dims[I])
     cols = sum(dims[J] for J in sources)
-    return ExactMatrix.from_csr(len(indptr) - 1, cols, indptr, indices, data)
+    return ExactMatrix.from_csr(len(csr[0]) - 1, cols, *csr)
 
 
 def _read_covers(d: ExactMatrix, t: int, rows, cols) -> list[list[tuple]]:
@@ -236,11 +254,13 @@ def lattice_complex(J: ParabolicType, q: int) -> tuple[tuple, ChainComplex]:
     return levels, cx
 
 
+@lru_cache(maxsize=None)
 def steinberg_dim(J: ParabolicType, q: int) -> int:
     """Inclusion-exclusion dimension of the generalized Steinberg module of J.
 
     Sum of (-1)^{#I - #J} [G : P_I] over J ⊆ I ⊆ Δ.  For J = Δ this is the
-    trivial module, dimension 1.
+    trivial module, dimension 1.  Cached per (J, q) and process, like
+    parabolic_index; a failed sum raises again on the next call.
     """
     total = 0
     for levels in interval_levels(J):

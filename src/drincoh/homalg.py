@@ -5,8 +5,9 @@ A matrix is stored in compressed sparse row (CSR) form: three flat lists,
 `indices` (their columns, strictly increasing within a row) and `data`
 (their values, nonzero Python ints).  The builders write rows in order,
 so no (i, j) tuple is made between a builder and the rank.  Validation
-runs at C level over the lists (types, zeros, column range, row order)
-and raises, so it holds under python -O.
+runs at C level over the lists (types, zeros, column range, row order,
+the last against a byte mask of the row starts) and raises, so it holds
+under python -O.
 
 Every entry is a Python int, and ranks are ranks over the rationals, never
 numerical.  They come from one fraction-free row reduction against a pivot
@@ -28,7 +29,7 @@ gmodules.check_block_dd.
 from __future__ import annotations
 
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import ge, le, sub
+from operator import ge, getitem, le, sub
 from types import MappingProxyType
 
 from .errors import ExactnessError
@@ -96,9 +97,13 @@ class ExactMatrix:
             raise ValueError("a stored entry is zero")
         if indices and (min(indices) < 0 or max(indices) >= cols):
             raise ValueError(f"a column lies outside 0..{cols - 1}")
-        # a column not above its predecessor may only start a row
+        # a column not above its predecessor may only start a row; the row
+        # starts are marked in a byte mask, not hashed into a set
+        starts = bytearray(nnz + 1)
+        for k in indptr:
+            starts[k] = 1
         descents = compress(range(1, nnz), map(ge, indices, islice(indices, 1, None)))
-        if not set(descents) <= set(indptr):
+        if not all(map(getitem, repeat(starts), descents)):
             raise ValueError("columns must be strictly increasing within each row")
         self.rows, self.cols = rows, cols
         self.indptr, self.indices, self.data = indptr, indices, data

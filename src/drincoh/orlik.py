@@ -21,7 +21,7 @@
 from __future__ import annotations
 
 from itertools import accumulate, chain, repeat
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .errors import DeskScaleExceeded, ExactnessError
 from .ffgeom import (
@@ -39,6 +39,7 @@ from .gmodules import (
     lattice_rows,
     steinberg_dim,
     steinberg_resolution,
+    write_covers,
 )
 from .homalg import ChainComplex, ExactMatrix
 from .qarith import parabolic_index, projective_count
@@ -82,15 +83,23 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
     After the augmentation, each differential is the lattice differential
     of E1 row 0 expanded to points: a flag's row is repeated once per
     point of its summand, and each source flag's column moves to that
-    point's column in the source summand: its position in P(U), U the
-    source's subspace (which contains the target's), looked up by its
-    entries on U's pivot columns (ffgeom.point_positions).  Distinct cosets
+    point's column in the source summand: its position in P(V), V the
+    source's subspace (which contains the target's U), looked up by its
+    entries on V's pivot columns (ffgeom.point_positions).  Distinct cosets
     keep separate summands even when they cut out the same subvariety, but
     each subvariety's points are listed once.  The flag guard comes
-    first, before any subset is listed.  d∘d = 0 is checked by
-    gmodules.check_block_dd with one block per subset (its summands, which
-    are contiguous) and Y as the augmentation's one source block; a failure
-    is raised again naming (n, q, m).
+    first, before any subset is listed.
+
+    Every differential is written one subset's row block at a time by
+    gmodules.write_covers, each cover of lattice_rows as one column map:
+    a cover whose source and target summands share U writes each summand's
+    columns as a range; any other reads the position list P(U) -> P(V),
+    built once per (U, V) pair and differential and keyed by the indices of
+    U and V in the flag's key.  The augmentation is one cover of sign 1 per
+    subset.  d∘d = 0 is checked by gmodules.check_block_dd with one block
+    per subset (its summands, which are contiguous) and Y as the
+    augmentation's one source block; a failure is raised again naming
+    (n, q, m).
     """
     check_flag_guard(n, q)
     subsets = interval_levels(ParabolicType.empty(n))[1:]
@@ -133,33 +142,50 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
         covered.update(pts)
     if covered != y_set:
         raise ExactnessError("summands do not cover the hyperplane union")
-    # a point's position in P(U) is looked up by its entries on U's pivot columns
-    locate = {U: (itemgetter(*map(tuple.index, U, repeat(1))), point_positions(len(U), q, m))
-              for U in points_of}
-
-    # augmentation: restriction of functions on Y to each top-level summand
+    # augmentation: restriction of functions on Y to each top-level summand,
+    # one cover of sign 1 per subset
     y_index = {pt: k for k, pt in enumerate(y_points)}
-    cols = [y_index[pt] for s in levels[0] for pt in s.points]
-    rows = len(cols)
-    diffs = [ExactMatrix.from_csr(rows, len(y_points), list(range(rows + 1)), cols, [1] * rows)]
+    csr, r = ([0], [], []), 0
+    for I, (_, size) in zip(subsets[0], blocks[1]):
+        block, r = levels[0][r:r + dims[I]], r + dims[I]
+        write_covers(csr, [1], [[y_index[pt] for s in block for pt in s.points]], size)
+    diffs = [ExactMatrix.from_csr(len(csr[0]) - 1, len(y_points), *csr)]
+
     for t in range(len(levels) - 1):
-        sources, targets = levels[t], iter(levels[t + 1])
-        col0 = list(accumulate((len(s.points) for s in sources), initial=0))
-        place = [(off, *locate[s.subspace]) for off, s in zip(col0, sources)]
-        indptr, indices, data = [0], [], []
-        # summands follow the flags subset by subset, so rows come out in
-        # order; a flag's source columns are summand positions in sources
-        for signs, flag_cols in lattice_rows(subsets[t], subsets[t + 1], dims, q):
-            w = len(signs)
-            # flag_cols first: zip stops on it without taking a summand
-            for srcs, target in zip(flag_cols, targets):
-                images = [map(off.__add__, map(pos.__getitem__, map(pivots, target.points)))
-                          for off, pivots, pos in map(place.__getitem__, srcs)]
-                indices.extend(chain.from_iterable(zip(*images)))
-            # each row of this subset's block has one entry per cover
-            data.extend(signs * ((len(indices) - len(data)) // w))
-            indptr.extend(range(indptr[-1] + w, len(data) + 1, w))
-        diffs.append(ExactMatrix.from_csr(len(indptr) - 1, col0[-1], indptr, indices, data))
+        col0 = list(accumulate((len(s.points) for s in levels[t]), initial=0))
+        # (dim U, dim V) -> {(index of U, index of V): the positions in P(V)
+        # of the points of P(U)}, each list built once per differential
+        embedded: dict = {}
+        csr = [0], [], []
+        # summands follow the flags subset by subset, so the row blocks come
+        # out in order; lattice_rows' column maps index the source summands
+        rows = lattice_rows(subsets[t], subsets[t + 1], dims, q)
+        for I, (covers, signs, images), (_, size) in zip(subsets[t + 1], rows, blocks[t + 2]):
+            p = size // dims[I]  # each summand of I has p points
+            keys, members = flag_keys(I, q), chain_dims(I)
+            columns = []
+            for J, image in zip(covers, images):
+                # each target summand's source summand, by its first column
+                starts = list(map(col0.__getitem__, image))
+                d = chain_dims(J)[0]
+                if d == members[0]:
+                    # the cover keeps each flag's first member U, so each
+                    # source summand is P(U) again, its points in order
+                    columns.append(chain.from_iterable(map(range, starts, map(p.__add__, starts))))
+                    continue
+                # the source's subspace V is the flag's member of dim d: its
+                # points' positions in P(V) follow the key entries of U and V
+                UV = itemgetter(0, members.index(d))
+                table = embedded.setdefault((members[0], d), {})
+                Us, Vs = (enumerate_subspaces(n + 1, e, q) for e in (members[0], d))
+                positions = point_positions(d, q, m)
+                for u, v in set(map(UV, keys)).difference(table):
+                    pivots = itemgetter(*map(tuple.index, Vs[v], repeat(1)))
+                    table[u, v] = list(map(positions.__getitem__, map(pivots, points_of[Us[u]])))
+                columns.append(map(add, chain.from_iterable(map(repeat, starts, repeat(p))),
+                                   chain.from_iterable(map(table.__getitem__, map(UV, keys)))))
+            write_covers(csr, signs, columns, size)
+        diffs.append(ExactMatrix.from_csr(len(csr[0]) - 1, col0[-1], *csr))
     cx = ChainComplex(tuple(terms), tuple(diffs))
     try:
         check_block_dd(diffs, blocks)

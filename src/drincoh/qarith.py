@@ -7,6 +7,8 @@ bug surfaces immediately instead of corrupting downstream dimensions.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import ExactnessError
 from .rootdata import ParabolicType
 
@@ -72,8 +74,11 @@ def gauss_multinomial(parts: tuple[int, ...] | list[int], q: int) -> int:
     return result
 
 
+@lru_cache(maxsize=None)
 def parabolic_index(I: ParabolicType, q: int) -> int:
-    """Cardinality of G/P_I for G = GL_{n+1}(F_q), i.e. the flag count of I's type."""
+    """Cardinality of G/P_I for G = GL_{n+1}(F_q), i.e. the flag count of I's
+    type.  Cached per (I, q) and process: the builders and checks ask for the
+    same few dozen values about a thousand times per desk grid."""
     return gauss_multinomial(I.to_composition(), q)
 
 

@@ -10,6 +10,7 @@ from I.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import attrgetter
 
 
 class Frozen:
@@ -20,20 +21,27 @@ class Frozen:
     order.  Two values are equal when they are of the same class and their
     field tuples are equal, and they hash as that tuple.  Each class writes
     its own __init__.
+
+    The field tuple is read by one operator.attrgetter per class, set when
+    the class is made, so hashing and comparing build it at C level.
     """
 
     __slots__ = ()
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        # a plain callable, not a method: called as self._fields(self); the
+        # getter of one slot returns the bare value, so that is wrapped
+        cls._fields = get if len(cls.__slots__) > 1 else staticmethod(lambda obj: (get(obj),))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._fields(self) == other._fields(other)
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(self._fields(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -46,7 +54,7 @@ class Frozen:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._fields()
+        return type(self), self._fields(self)
 
 
 class ParabolicType(Frozen):

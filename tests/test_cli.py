@@ -288,3 +288,31 @@ def test_pullback_checks_see_every_factor(monkeypatch, factor, keep, message):
     monkeypatch.setattr(cli, "pullback_matrix", tampered)
     with pytest.raises(AssertionError, match=message):
         cli.check_pullback_properties(I, J, L, 2)
+
+
+def test_pullback_job_builds_each_pair_once_and_checks_each_triple_once(monkeypatch):
+    import random
+
+    from drincoh.gmodules import pullback_matrix
+
+    built, checked = [], []
+
+    def counting_pullback(X, Y, q):
+        built.append((X, Y))
+        return pullback_matrix(X, Y, q)
+
+    def counting_check(pullbacks, I, J, L, q, _check=cli._check_triple):
+        checked.append((I, J, L))
+        return _check(pullbacks, I, J, L, q)
+
+    monkeypatch.setattr(cli, "pullback_matrix", counting_pullback)
+    monkeypatch.setattr(cli, "_check_triple", counting_check)
+    for n, q, seed in [(2, 2, 2024), (3, 2, 0), (3, 3, 7)]:
+        built.clear()
+        checked.clear()
+        assert cli._job_pullbacks(n, q, 1, seed) == "20 sampled triples pass"
+        rng = random.Random(seed + 1000 * n + q)
+        triples = list(dict.fromkeys(cli.sample_nested_triple(rng, n) for _ in range(20)))
+        pairs = {p for I, J, L in triples for p in ((I, J), (J, L), (I, L))}
+        assert checked == triples and len(triples) < 20
+        assert len(built) == len(set(built)) and set(built) == pairs

@@ -208,6 +208,32 @@ def test_block_dd_check_matches_reference_product_on_desk_complexes(checked):
         assert reported_dd_failure(diffs, blocks) is None
 
 
+def test_read_covers_returns_the_maps_the_writer_wrote(monkeypatch, checked):
+    written = []
+
+    def recording(csr, signs, images, size, _write=gmodules.write_covers):
+        images = [list(image) for image in images]
+        written.append(list(zip(signs, images)))
+        return _write(csr, signs, images, size)
+
+    for mod in (gmodules, orlik):
+        monkeypatch.setattr(mod, "write_covers", recording)
+    points = [(n, q) for n in (1, 2, 3) for q in (2, 3)] + [(4, 2)]
+    builds = [lambda n=n, q=q, mask=mask: lattice_complex(ParabolicType(n, mask), q)
+              for n, q in points for mask in range((1 << n) - 1)]
+    builds += [lambda n=n, q=q, m=m: build_function_complex(n, q, m)
+               for n, q in points[:-1] for m in (1, 2)]
+    for build in builds:
+        written.clear()
+        build()
+        diffs, blocks = checked[-1]
+        read = [[(sign, image) for _, sign, image in covers]
+                for t, d in enumerate(diffs)
+                for covers in gmodules._read_covers(d, t, blocks[t + 1], blocks[t])]
+        assert written and read == written
+    assert len(checked) == len(builds)
+
+
 def _covers(d, rows):
     """(s, e, w) for each nonempty row block of d: its entries lie at
     s..e-1, w to a row."""

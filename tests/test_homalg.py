@@ -458,6 +458,15 @@ def test_csr_constructor_accepts_descents_at_row_starts():
         M.entries[(0, 1)] = 2  # a read-only view
 
 
+def test_row_order_check_allows_a_descent_only_at_a_row_start():
+    # the columns 1, 2, 0 descend at position 2: fine where row 1 starts there
+    M = ExactMatrix.from_csr(2, 3, [0, 2, 3], [1, 2, 0], [1, 1, 1])
+    assert M.entries == {(0, 1): 1, (0, 2): 1, (1, 0): 1}
+    for indptr in ([0, 1, 3], [0, 3, 3], [0, 0, 3]):  # position 2 is inside a row
+        with pytest.raises(ValueError, match="^columns must be strictly increasing within each row$"):
+            ExactMatrix.from_csr(2, 3, indptr, [1, 2, 0], [1, 1, 1])
+
+
 def test_dict_constructor_drops_zeros_and_rejects_non_ints():
     M = ExactMatrix(2, 2, {(1, 1): 0, (1, 0): 4, (0, 1): -2})
     assert (M.indptr, M.indices, M.data) == ([0, 1, 2], [1, 0], [-2, 4])

@@ -8,7 +8,7 @@ One injected sign flip also shows that a d∘d failure names its complex.
 
 import pytest
 
-from drincoh import cli, cohomology, ffgeom, gmodules, orlik, rootdata
+from drincoh import cli, cohomology, ffgeom, gmodules, orlik, qarith, rootdata
 from drincoh.errors import ExactnessError
 from drincoh.homalg import ExactMatrix
 from drincoh.tables import CohomologyTable, Summand, TwistedModule
@@ -131,9 +131,14 @@ CASES = {
 PATCHED_NAME = {"clearing": "rank", "superspaces": "_superspaces"}
 
 
+# the cache itself: the steinberg_dim case replaces the module's name
+STEINBERG_DIM = gmodules.steinberg_dim
+
+
 def _clear_tables():
     for table in (ffgeom.flag_keys, ffgeom.forget_map, ffgeom.point_positions,
-                  ffgeom._coordinate, ffgeom._digit_planes):
+                  ffgeom._coordinate, ffgeom._digit_planes, qarith.parabolic_index,
+                  STEINBERG_DIM):
         table.cache_clear()
     gmodules.clear_resolutions()
 

@@ -189,3 +189,27 @@ def test_equal_fields_of_another_class_are_unequal():
     twin, I = Twin(3, 5), ParabolicType(3, 5)
     assert twin == Twin(3, 5) and hash(twin) == hash(I)  # same field tuple
     assert twin != I and I != twin
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_classes_hash_and_pickle_as_their_slot_tuple(name):
+    # one attrgetter per class reads the fields, and a one-slot class still
+    # gives a tuple; no class defines its own hashing or equality
+    a = VALUES[name][0]()
+    cls = type(a)
+    fields = tuple(getattr(a, f) for f in cls.__slots__)
+    assert hash(a) == hash(fields)
+    assert a.__reduce__() == (cls, fields)
+    assert "__hash__" not in vars(cls) and "__eq__" not in vars(cls)
+
+
+def test_one_slot_classes_with_equal_fields_are_unequal():
+    class Single(Frozen):
+        __slots__ = ("summands",)
+
+        def __init__(self, summands):
+            object.__setattr__(self, "summands", summands)
+
+    single, module = Single(()), TwistedModule(())
+    assert single == Single(()) and hash(single) == hash(module) == hash(((),))
+    assert single != module and module != single
