@@ -15,6 +15,10 @@ Conventions
 * Digit k of every coordinate of a point forms its digit plane k, a vector
   in F_q^{n+1}.  A form with F_q coefficients vanishes at the point iff it
   vanishes on every digit plane, and an F_q-scalar acts on each plane alone.
+  The point counts test POINT_CHUNK points at a time in one column pass:
+  per-coordinate lookups sum to the code sum(p_j R^j) of the lex indices
+  p_j < R = q^(n+1) of the low (first ceil(m/2)) or high half of the planes,
+  and the code indexes that half's table of the AND of its planes' masks.
 * A subspace is its unique reduced-row-echelon basis, a tuple of row tuples
   with entries in 0..q-1; subspaces compare, hash and sort as these tuples,
   and q is passed alongside wherever it is needed.  Coordinate j of the
@@ -42,9 +46,9 @@ Conventions
 
 from __future__ import annotations
 
-from functools import lru_cache, total_ordering
-from itertools import accumulate, chain, combinations, count, pairwise, product, repeat
-from operator import add, itemgetter, mul
+from functools import lru_cache, partial, reduce, total_ordering
+from itertools import accumulate, chain, combinations, compress, count, pairwise, product, repeat
+from operator import add, and_, countOf, itemgetter, mul
 
 from .errors import DeskScaleExceeded
 from .qarith import is_prime, parabolic_index, projective_count
@@ -54,6 +58,7 @@ POINT_GUARD = 10**8  # candidate vectors q^(m(n+1))
 MASK_GUARD = 10**7  # forms x vectors, the bits of the vanishing-mask table
 FLAG_GUARD = 10**4  # full flags |G/B|, the largest flag set of one (n, q)
 SUBSET_GUARD = 10  # rank n of the dims table, about 4^n subset visits
+POINT_CHUNK = 1024  # points per column pass of _point_masks
 
 
 # ---------------------------------------------------------------------------
@@ -64,9 +69,10 @@ SUBSET_GUARD = 10  # rank n of the dims table, about 4^n subset visits
 def _normalized(length: int, size: int):
     """Nonzero vectors of the given length over 0..size-1 whose first nonzero
     entry is 1, in increasing lex order."""
-    for lead in range(length - 1, -1, -1):
-        for tail in product(range(size), repeat=length - 1 - lead):
-            yield (0,) * lead + (1,) + tail
+    return chain.from_iterable(
+        map(add, repeat((0,) * lead + (1,)), product(range(size), repeat=length - 1 - lead))
+        for lead in range(length - 1, -1, -1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -111,15 +117,12 @@ def _vanishing_masks(forms: tuple[tuple[int, ...], ...], q: int) -> dict[tuple[i
     return {vec: res[0] for vec, res in level}
 
 
-def _on_rational_hyperplane(pt, masks, digits) -> bool:
-    """Whether one form vanishes on every digit plane of pt."""
-    common = -1
-    for plane in zip(*[digits[x] for x in pt]):
-        common &= masks[plane]
-    return common != 0
-
-
-def _check_point_guard(n: int, q: int, m: int):
+def _point_masks(n: int, q: int, m: int):
+    """projective_points(n, q, m), once the guards pass, and an iterator over
+    each point's mask of the forms vanishing on all its digit planes, 0 iff
+    the point is off every rational hyperplane.  The AND tables are built per
+    call and hold at most R^ceil(m/2) < sqrt(POINT_GUARD R) entries each, as
+    R^m < POINT_GUARD, where R = q^(n+1) < MASK_GUARD."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if m < 1:
@@ -135,22 +138,32 @@ def _check_point_guard(n: int, q: int, m: int):
         raise DeskScaleExceeded(
             f"vanishing-mask table needs {bits} form-vector bits, over the {MASK_GUARD} guard"
         )
+    pts, R, split, halves = projective_points(n, q, m), q ** (n + 1), (m + 1) // 2, []
+    masks, tables = list(_vanishing_masks(tuple(rational_forms(n, q)), q).values()), [[-1]]
+    for _ in range(split):  # prefix products: the next plane is the most significant
+        tables.append([a & b for a in masks for b in tables[-1]])
+    for ks in (range(split), range(split, m)):  # m = 1 leaves the high half empty
+        codes = [sum(d[k] * R**j for j, k in enumerate(ks)) for d in _digits(q, m)]
+        weighted = [[q**i * c for c in codes].__getitem__ for i in range(n, -1, -1)]
+        halves.append((tables[len(ks)].__getitem__, weighted))
+
+    def chunk_masks(s):
+        cols = list(zip(*pts[s : s + POINT_CHUNK]))
+        low, high = (map(get, reduce(partial(map, add), map(map, weighted, cols)))
+                     for get, weighted in halves)
+        return map(and_, low, high)
+
+    return pts, chain.from_iterable(map(chunk_masks, range(0, len(pts), POINT_CHUNK)))
 
 
 def drinfeld_points(n: int, q: int, m: int) -> int:
     """Number of F_{q^m}-points of P^n avoiding every F_q-rational hyperplane."""
-    _check_point_guard(n, q, m)
-    masks, digits = _vanishing_masks(tuple(rational_forms(n, q)), q), _digits(q, m)
-    return sum(
-        1 for pt in projective_points(n, q, m) if not _on_rational_hyperplane(pt, masks, digits)
-    )
+    return countOf(_point_masks(n, q, m)[1], 0)
 
 
 def hyperplane_union_points(n: int, q: int, m: int) -> list[tuple[int, ...]]:
     """Sorted F_{q^m}-points of the union of all F_q-rational hyperplanes in P^n."""
-    _check_point_guard(n, q, m)
-    masks, digits = _vanishing_masks(tuple(rational_forms(n, q)), q), _digits(q, m)
-    return [pt for pt in projective_points(n, q, m) if _on_rational_hyperplane(pt, masks, digits)]
+    return list(compress(*_point_masks(n, q, m)))
 
 
 # ---------------------------------------------------------------------------

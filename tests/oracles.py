@@ -11,7 +11,15 @@ from functools import lru_cache
 from itertools import product
 
 from drincoh.errors import ExactnessError
-from drincoh.ffgeom import Flag, chain_dims, enumerate_subspaces
+from drincoh.ffgeom import (
+    Flag,
+    _digits,
+    _vanishing_masks,
+    chain_dims,
+    enumerate_subspaces,
+    projective_points,
+    rational_forms,
+)
 from drincoh.gmodules import check_block_dd, interval_levels
 from drincoh.homalg import ChainComplex, ExactMatrix
 from drincoh.qarith import is_prime, parabolic_index
@@ -211,6 +219,28 @@ def split_by_rational_hyperplanes(n: int, q: int, m: int):
     for pt in projective_points_over(n, F):
         (on if any(_form_vanishes(f, pt, F) for f in forms) else off).append(pt)
     return on, off
+
+
+def split_by_digit_planes(n: int, q: int, m: int):
+    """(points of projective_points(n, q, m) on some F_q-rational hyperplane,
+    the others), in order, one point at a time: the masks of the forms
+    vanishing on each digit plane are ANDed, and a point is on a hyperplane
+    iff some form is left."""
+    masks, digits = _vanishing_masks(tuple(rational_forms(n, q)), q), _digits(q, m)
+    on, off = [], []
+    for pt in projective_points(n, q, m):
+        common = -1
+        for plane in zip(*[digits[x] for x in pt]):
+            common &= masks[plane]
+        (on if common else off).append(pt)
+    return on, off
+
+
+def normalized_by_product(length: int, size: int) -> list[tuple[int, ...]]:
+    """Nonzero vectors over 0..size-1 whose first nonzero entry is 1, in lex
+    order, filtered from every vector."""
+    vectors = product(range(size), repeat=length)
+    return [v for v in vectors if any(v) and next(filter(None, v)) == 1]
 
 
 def subspace_points_over(U, q: int, m: int = 1) -> list[tuple[int, ...]]:

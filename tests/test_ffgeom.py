@@ -5,6 +5,7 @@ from operator import itemgetter
 
 import pytest
 
+from drincoh import ffgeom
 from drincoh.errors import DeskScaleExceeded
 from drincoh.ffgeom import (
     FLAG_GUARD,
@@ -23,6 +24,7 @@ from drincoh.ffgeom import (
     projective_points,
     rational_forms,
     subspace_points,
+    _normalized,
     _superspaces,
     _vanishing_masks,
 )
@@ -35,8 +37,10 @@ from oracles import (
     flags_by_containment,
     in_extension_span,
     intersect_subspaces,
+    normalized_by_product,
     rref,
     span,
+    split_by_digit_planes,
     split_by_rational_hyperplanes,
     subspace_points_over,
     vanishing_masks_by_evaluation,
@@ -97,6 +101,13 @@ def test_projective_points_counts_and_normalization():
         for pt in pts:
             lead = next(x for x in pt if x)
             assert lead == 1
+
+
+@pytest.mark.parametrize(
+    "length,size", [(1, 2), (1, 9), (2, 2), (2, 5), (3, 3), (4, 2), (4, 4), (5, 3), (7, 2)]
+)
+def test_normalized_matches_product_reference(length, size):
+    assert list(_normalized(length, size)) == normalized_by_product(length, size)
 
 
 def test_rational_forms_are_projective_points_of_the_prime_field():
@@ -408,6 +419,26 @@ def test_point_counts_match_reference_field(n, q, m):
     on, off = split_by_rational_hyperplanes(n, q, m)
     assert hyperplane_union_points(n, q, m) == on
     assert drinfeld_points(n, q, m) == len(off)
+
+
+PLANE_REFERENCE_POINTS = [(n, 2, m) for n in (1, 2, 3) for m in range(1, 6)] + [
+    (3, 3, 3),
+    (2, 5, 2),
+    (4, 5, 1),
+    (1, 3, 6),
+]
+
+
+@pytest.mark.parametrize("chunk", [ffgeom.POINT_CHUNK, 7])
+def test_point_counts_match_per_point_reference(chunk, monkeypatch):
+    # chunk 7 puts chunk boundaries inside every point list and leaves a
+    # short last chunk
+    monkeypatch.setattr(ffgeom, "POINT_CHUNK", chunk)
+    for n, q, m in PLANE_REFERENCE_POINTS:
+        on, off = split_by_digit_planes(n, q, m)
+        assert len(on) + len(off) == projective_count(n, q, m)
+        assert hyperplane_union_points(n, q, m) == on, (n, q, m)
+        assert drinfeld_points(n, q, m) == len(off), (n, q, m)
 
 
 @pytest.mark.parametrize(
