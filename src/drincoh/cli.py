@@ -4,7 +4,8 @@ Three subcommands:
 
   cohomology   print H*(Y), H*_c(X), H*(X) for each (n, q), cross-checked
                against their closed forms
-  verify       run the invariant battery over a (n, q, m) grid
+  verify       run the invariant battery over a (n, q, m) grid, with
+               --jobs N on forked workers by the plan in drincoh.plan
   dims         print parabolic indices and Steinberg dimensions for all I
 
 Exit codes: 0 success, 1 usage error or size guard, 2 verification failure.
@@ -70,7 +71,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--m-max", type=int, default=2)
     sp.add_argument("--seed", type=int, default=2024)
     sp.add_argument("--jobs", type=int, default=1,
-                    help="worker processes; 0 = one per cpu")
+                    help="forked workers, at most one per job group; 0 = one per cpu")
 
     sp = sub.add_parser("dims", help="Steinberg dimension and index tables")
     common(sp, "--n")
@@ -218,12 +219,17 @@ def _check_triple(built: dict, I, J, L, q: int):
         raise AssertionError("pullback column sums are not the fiber size")
 
 
-def _job_pullbacks(n: int, q: int, m: int, seed: int) -> str:
+def sampled_triples(n: int, q: int, seed: int) -> dict:
+    """The distinct triples of the pullbacks job at (n, q), in sample order."""
     import random  # only this suite samples
 
     rng = random.Random(seed + 1000 * n + q)
+    return dict.fromkeys(sample_nested_triple(rng, n) for _ in range(20))
+
+
+def _job_pullbacks(n: int, q: int, m: int, seed: int) -> str:
     built: dict = {}  # one pullback per distinct pair, one check per distinct triple
-    for I, J, L in dict.fromkeys(sample_nested_triple(rng, n) for _ in range(20)):
+    for I, J, L in sampled_triples(n, q, seed):
         _check_triple(built, I, J, L, q)
     return "20 sampled triples pass"
 
@@ -270,16 +276,13 @@ def _run_job(args) -> dict:
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
     jobs = [(s, n, q, m, cfg.seed) for (s, n, q, m) in _grid(cfg)]
-    # a pool forks all its workers up front, so never ask for more than jobs
-    workers = min(cfg.jobs if cfg.jobs > 0 else (os.cpu_count() or 1), len(jobs))
-    if workers <= 1:
-        results = [_run_job(j) for j in jobs]
-    else:
-        # imported here: the pool machinery costs every run that does not use it
-        from concurrent.futures import ProcessPoolExecutor
+    workers, bins = cfg.jobs or os.cpu_count() or 1, [jobs]
+    if workers > 1 and hasattr(os, "fork"):  # where fork is missing, one worker
+        from . import plan  # only a run with workers pays for this import
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_job, jobs))
+        bins = plan.place(jobs, workers)
+    # one bin (one group) runs in this process
+    results = [_run_job(j) for j in jobs] if len(bins) == 1 else plan.run_forked(bins, _run_job)
     results.sort(key=lambda r: (r["suite"], r["n"], r["q"], r["m"]))
     ok = all(r["status"] != "fail" for r in results)
     if cfg.fmt == "json":

@@ -194,6 +194,17 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
     return FunctionComplex(y_points, tuple(levels), cx)
 
 
+def function_complex_nnz(n: int, q: int, m: int) -> int:
+    """Nonzeros of all the differentials of build_function_complex(n, q, m),
+    in closed form: each point of a type-I summand has a row with one entry
+    per cover (the augmentation's rows, #I = n-1, one each), so the sum is
+    Σ_{I⊊Δ} (n-#I)·[G:P_I]·#P^{i(I)}(F_{q^m})."""
+    return sum(
+        (n - I.size) * parabolic_index(I, q) * projective_count(i_of_I(I), q, m)
+        for level in interval_levels(ParabolicType.empty(n))[1:] for I in level
+    )
+
+
 # ---------------------------------------------------------------------------
 # E1 rows and the E2 page
 # ---------------------------------------------------------------------------

@@ -1,16 +1,17 @@
 """CLI behavior: exit codes, formats, and the verify grid."""
 
-import concurrent.futures
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import drincoh
-from drincoh import cli
+from drincoh import cli, plan
 from drincoh.cohomology import h_of_y, hc_of_x, h_of_x
 
 
@@ -145,28 +146,162 @@ def test_verify_parallel_jobs(capsys):
     assert out.count("PASS") == 4
 
 
-def test_verify_pool_is_capped_at_the_job_count(monkeypatch, capsys):
-    started = []
+def grid_jobs(argv: str) -> list[tuple]:
+    cfg = cli.build_parser().parse_args(["verify", *argv.split()])
+    return [(s, n, q, m, cfg.seed) for s, n, q, m in cli._grid(cfg)]
 
-    class InlinePool:  # records the requested size, runs the jobs in-process
-        def __init__(self, max_workers):
-            started.append(max_workers)
 
-        def __enter__(self):
-            return self
+PLAN_GRIDS = [
+    pytest.param("--n-max 3 --q 2,3 --m-max 2", id="desk"),
+    pytest.param("--n-max 4 --q 2 --m-max 1", id="n4q2"),
+    pytest.param("--n-max 2 --q 5,7 --m-max 2", id="q57"),
+    pytest.param("--suite steinberg --n-max 2 --q 2,3", id="steinberg"),
+    pytest.param("--suite e2 --n-max 1 --q 2", id="one-group"),
+    # n >= 4 is over the flag guard at q = 3: four groups of cost 0
+    pytest.param("--suite steinberg --n-max 7 --q 3", id="guarded"),
+]
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+@pytest.mark.parametrize("workers", [2, 3, 64])
+@pytest.mark.parametrize("grid", PLAN_GRIDS)
+def test_plan_places_every_job_once_on_one_bin_per_worker_or_group(grid, workers):
+    jobs = grid_jobs(grid)
+    bins = plan.place(jobs, workers)
+    assert len(bins) == min(workers, len(plan.groups(jobs)))
+    assert all(bins)
+    assert sorted(job for b in bins for job in b) == sorted(jobs)
+    assert plan.place(jobs, workers) == bins
 
-    # cmd_verify imports the pool class from concurrent.futures when it needs one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("grid", PLAN_GRIDS)
+def test_plan_builds_each_resolution_in_one_bin_and_balances_the_loads(grid, workers):
+    jobs = grid_jobs(grid)
+    bins = plan.place(jobs, workers)
+    bin_of = {job: k for k, b in enumerate(bins) for job in b}
+    readers: dict = {}
+    for job in jobs:
+        if job[0] in ("steinberg", "e2", "cohomology"):
+            readers.setdefault(job[1:3], set()).add(bin_of[job])
+    assert all(len(ks) == 1 for ks in readers.values())
+    loads = [0] * len(bins)
+    placed = [[] for _ in bins]  # each bin's group costs, in the order of its jobs
+    for group in sorted(plan.groups(jobs), key=lambda g: bins[bin_of[g[0]]].index(g[0])):
+        cost = plan.group_cost(group)
+        loads[bin_of[group[0]]] += cost
+        placed[bin_of[group[0]]].append(cost)
+    assert max(loads) - min(loads) <= max(max(costs) for costs in placed)
+    # largest first: each bin received its groups in order of falling cost
+    assert all(costs == sorted(costs, reverse=True) for costs in placed)
+
+
+def test_plan_costs_a_job_over_the_flag_guard_nothing():
+    # lattice_nnz at n = 16 would sum over 3^16 subset pairs
+    assert plan.group_cost([("steinberg", 16, 2, 1, 0), ("e2", 16, 2, 1, 0)]) == 0
+    assert plan.group_cost([("orlik", 16, 2, 1, 0)]) == 0
+    assert plan.group_cost([("lefschetz", 16, 2, 1, 0)]) == 2**17 - 1
+
+
+def test_plan_costs_are_closed_form_nonzeros():
+    from drincoh.gmodules import lattice_nnz
+    from drincoh.orlik import function_complex_nnz
+    from drincoh.rootdata import ParabolicType, standard_subset
+
+    every_J = [ParabolicType(2, mask) for mask in range(3)]
+    standard = [standard_subset(2, j) for j in range(2)]
+    assert plan.group_cost([("steinberg", 2, 3, 1, 0), ("e2", 2, 3, 1, 0)]) == sum(
+        lattice_nnz(J, 3) for J in every_J
+    )
+    assert plan.group_cost([("e2", 2, 3, 1, 0), ("cohomology", 2, 3, 2, 0)]) == sum(
+        lattice_nnz(J, 3) for J in standard
+    ) + 91
+    assert plan.group_cost([("orlik", 2, 3, 2, 0)]) == function_complex_nnz(2, 3, 2) + 91
+
+
+@pytest.mark.parametrize(
+    "how, why",
+    [
+        ("exit", "exited with status 7"),
+        ("kill", "exited with status -9"),
+        ("unreadable", "exited with status 0 and sent unreadable records"),
+    ],
+    ids=["exit", "kill", "unreadable"],
+)
+def test_verify_fails_the_jobs_of_a_dying_worker(monkeypatch, capsys, how, why):
+    def dying(n, q, m, seed):
+        if (n, q, m) == (2, 3, 1) and how == "exit":
+            os._exit(7)
+        if (n, q, m) == (2, 3, 1) and how == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return "fine"
+
+    def garbage(records, fh):
+        fh.write("[{not json")
+
+    monkeypatch.setitem(cli._JOBS, "lefschetz", dying)
+    if how == "unreadable":
+        monkeypatch.setattr(plan, "json", SimpleNamespace(dump=garbage, loads=json.loads))
+    argv = "--suite lefschetz --n-max 2 --q 2,3 --m-max 2"
+    assert run(["verify", *argv.split(), "--jobs", "2", "--format", "json"]) == 2
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert len(results) == 8
+    bins = plan.place(grid_jobs(argv), 2)
+    # every job of the dying job's bin is lost, the jobs before it included
+    lost = next(b for b in bins if ("lefschetz", 2, 3, 1, 2024) in b)
+    assert len(lost) > 1 and len(bins) == 2
+    lost = {job[:4] for job in (sum(bins, []) if how == "unreadable" else lost)}
+    for r in results:
+        key = (r["suite"], r["n"], r["q"], r["m"])
+        if key in lost:
+            assert r["status"] == "fail"
+            assert r["detail"] == f"no record from its worker, which {why}"
+        else:
+            assert r["status"] == "pass" and r["detail"] == "fine"
+
+
+def test_verify_without_fork_runs_in_one_process(monkeypatch, capsys):
+    def no_plan(jobs, workers):
+        raise AssertionError("planned without fork")
+
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(plan, "place", no_plan)
     assert run(["verify", "--suite", "steinberg", "--n-max", "2", "--q", "2,3",
-                "--jobs", "64"]) == 0
+                "--jobs", "2"]) == 0
     assert capsys.readouterr().out.count("PASS") == 4
-    assert started == [4]
+
+
+def test_verify_runs_a_grid_of_one_group_in_this_process(monkeypatch, capsys):
+    def no_fork(bins, run_job):
+        raise AssertionError("forked for one group")
+
+    monkeypatch.setattr(plan, "run_forked", no_fork)
+    assert run(["verify", "--suite", "e2", "--n-max", "1", "--q", "2", "--jobs", "2"]) == 0
+    assert capsys.readouterr().out.count("PASS") == 1
+
+
+def test_verify_with_workers_prints_what_one_process_prints():
+    # a fresh interpreter, so the workers fork a plain CLI process; -W error
+    # turns the warning of a fork in a threaded process into a failure
+    grid = "verify --suite all --n-max 2 --q 2,3 --m-max 2".split()
+    out = {}
+    for fmt in ("json", "text"):
+        for jobs in ("1", "2"):
+            proc = fresh_python("-W", "error", "-m", "drincoh.cli", *grid,
+                                "--format", fmt, "--jobs", jobs)
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            out[fmt, jobs] = proc.stdout
+    records = {}
+    for jobs in ("1", "2"):
+        payload = json.loads(out["json", jobs])
+        for r in payload["results"]:
+            del r["seconds"]
+        records[jobs] = payload
+    assert records["1"] == records["2"] and len(records["1"]["results"]) == 36
+    lines = {jobs: [ln.rsplit("  (", 1)[0] for ln in out["text", jobs].splitlines()]
+             for jobs in ("1", "2")}
+    assert lines["1"] == lines["2"]
+    assert sum("passed," in ln for ln in lines["2"]) == 1
+    assert lines["2"][-1] == "36 passed, 0 failed, 0 skipped"
 
 
 def test_verify_seed_is_configurable(capsys):
@@ -199,12 +334,15 @@ def fresh_python(*argv):
 
 
 def test_import_loads_no_pool_or_dataclass_machinery():
-    # every CLI run pays for what importing the CLI loads
-    heavy = ("dataclasses", "inspect", "concurrent.futures", "multiprocessing")
+    # every CLI run pays for what importing the CLI loads; only a run with
+    # workers loads the plan, and that loads no pool module either
+    heavy = ("dataclasses", "inspect", "concurrent.futures", "multiprocessing", "drincoh.plan")
     proc = fresh_python("-c", "import sys, drincoh.cli; "
-                              f"print([m for m in {heavy!r} if m in sys.modules])")
+                              f"print([m for m in {heavy!r} if m in sys.modules]); "
+                              "import drincoh.plan; "
+                              f"print([m for m in {heavy[2:4]!r} if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["[]", "[]"]
 
 
 def test_checks_hold_under_python_O():

@@ -47,6 +47,16 @@ def test_function_complex_acyclic_on_grid():
         assert euler_characteristic(fc.complex) == 0
 
 
+@pytest.mark.parametrize(
+    "n, q, m",
+    [(n, q, m) for n in (1, 2, 3) for q in (2, 3) for m in (1, 2)]
+    + [(n, q, m) for n in (1, 2) for q in (5, 7) for m in (1, 2)],
+)
+def test_function_complex_nnz_is_the_nnz_of_the_built_complex(n, q, m):
+    diffs = build_function_complex(n, q, m).complex.diffs
+    assert orlik.function_complex_nnz(n, q, m) == sum(d.nnz for d in diffs)
+
+
 def test_function_complex_summand_invariants():
     fc = build_function_complex(2, 2, 2)
     y = set(fc.y_points)
