@@ -117,6 +117,19 @@ def _vanishing_masks(forms: tuple[tuple[int, ...], ...], q: int) -> dict[tuple[i
     return {vec: res[0] for vec, res in level}
 
 
+def check_point_guard(n: int, q: int, m: int):
+    """Raise DeskScaleExceeded unless a point pass is within both guards."""
+    if q ** (m * (n + 1)) >= POINT_GUARD:
+        raise DeskScaleExceeded(
+            f"q^(m(n+1)) = {q ** (m * (n + 1))} exceeds the {POINT_GUARD} vector guard"
+        )
+    bits = projective_count(n, q) * q ** (n + 1)
+    if bits > MASK_GUARD:
+        raise DeskScaleExceeded(
+            f"vanishing-mask table needs {bits} form-vector bits, over the {MASK_GUARD} guard"
+        )
+
+
 def _point_masks(n: int, q: int, m: int):
     """projective_points(n, q, m), once the guards pass, and an iterator over
     each point's mask of the forms vanishing on all its digit planes, 0 iff
@@ -129,15 +142,7 @@ def _point_masks(n: int, q: int, m: int):
         raise ValueError(f"m must be >= 1, got {m}")
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
-    if q ** (m * (n + 1)) >= POINT_GUARD:
-        raise DeskScaleExceeded(
-            f"q^(m(n+1)) = {q ** (m * (n + 1))} exceeds the {POINT_GUARD} vector guard"
-        )
-    bits = projective_count(n, q) * q ** (n + 1)
-    if bits > MASK_GUARD:
-        raise DeskScaleExceeded(
-            f"vanishing-mask table needs {bits} form-vector bits, over the {MASK_GUARD} guard"
-        )
+    check_point_guard(n, q, m)
     pts, R, split, halves = projective_points(n, q, m), q ** (n + 1), (m + 1) // 2, []
     masks, tables = list(_vanishing_masks(tuple(rational_forms(n, q)), q).values()), [[-1]]
     for _ in range(split):  # prefix products: the next plane is the most significant

@@ -50,7 +50,7 @@ def pullback_matrix(I: ParabolicType, J: ParabolicType, q: int) -> ExactMatrix:
     """
     image = forget_map(I, J, q)
     rows = len(image)
-    return ExactMatrix.from_csr(
+    return ExactMatrix(
         rows, len(flag_keys(J, q)), list(range(rows + 1)), list(image), [1] * rows
     )
 
@@ -120,7 +120,7 @@ def lattice_differential(
     for I, (_, signs, images) in zip(targets, lattice_rows(sources, targets, dims, q)):
         write_covers(csr, signs, images, dims[I])
     cols = sum(dims[J] for J in sources)
-    return ExactMatrix.from_csr(len(csr[0]) - 1, cols, *csr)
+    return ExactMatrix(len(csr[0]) - 1, cols, *csr)
 
 
 def _read_covers(d: ExactMatrix, t: int, rows, cols) -> list[list[tuple]]:

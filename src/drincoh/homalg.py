@@ -3,11 +3,11 @@
 A matrix is stored in compressed sparse row (CSR) form: three flat lists,
 `indptr` (row i's entries sit at positions indptr[i]:indptr[i+1]),
 `indices` (their columns, strictly increasing within a row) and `data`
-(their values, nonzero Python ints).  The builders write rows in order,
-so no (i, j) tuple is made between a builder and the rank.  Validation
-runs at C level over the lists (types, zeros, column range, row order,
-the last against a byte mask of the row starts) and raises, so it holds
-under python -O.
+(their values, nonzero Python ints).  The builders write rows in order
+and hand the lists to the one constructor, so no (i, j) tuple is made
+between a builder and the rank.  Validation runs at C level over the
+lists (types, zeros, column range, row order, the last against a byte
+mask of the row starts) and raises, so it holds under python -O.
 
 Every entry is a Python int, and ranks are ranks over the rationals, never
 numerical.  They come from one fraction-free row reduction against a pivot
@@ -41,37 +41,18 @@ class ExactMatrix:
     Row i's entries sit at positions indptr[i]:indptr[i+1] of `indices`
     (their columns, strictly increasing) and `data` (their values, nonzero
     ints); `indptr` runs from 0 to nnz in rows + 1 steps.  The builders hand
-    over rows written in order through `from_csr`; `ExactMatrix(rows, cols,
-    entries)` takes a dict mapping (i, j) to an int and drops zeros.  Both
-    raise TypeError on a value that is not an int (bool included) and
-    ValueError on a malformed layout, under python -O too.  `rank` reads
-    the rows back in one pass over the lists; `entries` is a read-only dict
-    copy for tests and debugging.  The matrix acts on coordinate columns of
-    its source: a map V -> W with dim V = cols and dim W = rows.
+    over these three lists, rows written in order, and the constructor keeps
+    them once it has validated them: it raises TypeError on a value that is
+    not an int (bool included) and ValueError on a malformed layout, under
+    python -O too.  `rank` reads the rows back in one pass over the lists;
+    `entries` is a read-only dict copy for tests and debugging.  The matrix
+    acts on coordinate columns of its source: a map V -> W with dim V = cols
+    and dim W = rows.
     """
 
     __slots__ = ("rows", "cols", "indptr", "indices", "data")
 
-    def __init__(self, rows: int, cols: int, entries=None):
-        entries = entries or {}
-        # int zeros are dropped; any other value is kept for the type check
-        keys = sorted(k for k, v in entries.items() if v or type(v) is not int)
-        counts = [0] * (rows + 1)
-        for i, j in keys:
-            if not 0 <= i < rows or not 0 <= j < cols:
-                raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
-            counts[i + 1] += 1
-        indptr = list(accumulate(counts))
-        self._set(rows, cols, indptr, [j for _, j in keys], [entries[k] for k in keys])
-
-    @classmethod
-    def from_csr(cls, rows: int, cols: int, indptr, indices, data) -> "ExactMatrix":
-        """The matrix with these CSR lists, validated (the lists are kept)."""
-        M = cls.__new__(cls)
-        M._set(rows, cols, indptr, indices, data)
-        return M
-
-    def _set(self, rows, cols, indptr, indices, data):
+    def __init__(self, rows: int, cols: int, indptr, indices, data):
         # C-level passes over the flat lists; raises, never asserts, so the
         # checks hold under python -O
         if rows < 0 or cols < 0:
@@ -125,7 +106,7 @@ class ExactMatrix:
                     indices.extend(map(col_off[bj].__add__, b.indices[s:e]))
                     data.extend(b.data[s:e])
                 indptr.append(len(data))
-        return ExactMatrix.from_csr(len(indptr) - 1, col_off[-1], indptr, indices, data)
+        return ExactMatrix(len(indptr) - 1, col_off[-1], indptr, indices, data)
 
     @property
     def nnz(self) -> int:

@@ -5,8 +5,10 @@
     translates g.Y_I = P(U) indexed by proper subsets I and cosets of G/P_I.
     Its acyclicity is the finite shadow of the sheaf-level statement and is
     what the verify suite checks.  It is E1 row 0 expanded to points: after
-    the augmentation, each flag of type I stands for the points of its
-    stratum, and the covers and signs are those of gmodules.lattice_rows.
+    the augmentation, a type-I flag stands for the #P^{i(I)}(F_{q^m}) points
+    of P(U), U its first member, so one closed-form layout gives the block
+    sizes, the guard and the nonzeros; the covers and signs are those of
+    gmodules.lattice_rows.
 
 (b) The E1 rows of the spectral sequence: for each even s, a complex of
     induced modules over the subsets containing the prefix I_{s/2}, with the
@@ -54,30 +56,25 @@ FUNCTION_COMPLEX_GUARD = 2 * 10**4
 # ---------------------------------------------------------------------------
 
 
-class StratumSummand:
-    """One summand: the points of P(U)(F_{q^m}) for U the flag's first member,
-    which `subspace` holds as its RREF basis."""
-
-    __slots__ = ("I", "subspace", "points")
-
-    def __init__(self, I: ParabolicType, subspace: tuple[tuple[int, ...], ...],
-                 points: tuple[tuple[int, ...], ...]):
-        self.I = I
-        self.subspace = subspace
-        self.points = points
-
-
-class FunctionComplex:
-    __slots__ = ("y_points", "levels", "complex")
-
-    def __init__(self, y_points: tuple[tuple[int, ...], ...],
-                 levels: tuple[tuple[StratumSummand, ...], ...], complex: ChainComplex):
-        self.y_points = y_points
-        self.levels = levels
-        self.complex = complex
+def function_complex_layout(n: int, q: int, m: int):
+    """(levels, dims, points) of build_function_complex(n, q, m): the subsets
+    I ⊊ Δ by level, #I = n-1 down to ∅, and, keyed by I, the [G:P_I] summands
+    and the #P^{i(I)}(F_{q^m}) points of each.  Its guards raise before any
+    subset (the flag guard) or point (FUNCTION_COMPLEX_GUARD on the closed-
+    form total dimension, #P^n(F_{q^m}) for Y) is listed."""
+    check_flag_guard(n, q)
+    levels = interval_levels(ParabolicType.empty(n))[1:]
+    dims = {I: parabolic_index(I, q) for level in levels for I in level}
+    points = {I: projective_count(i_of_I(I), q, m) for I in dims}
+    bound = projective_count(n, q, m) + sum(dims[I] * points[I] for I in dims)
+    if bound > FUNCTION_COMPLEX_GUARD:
+        raise DeskScaleExceeded(
+            f"function complex dimension {bound} exceeds {FUNCTION_COMPLEX_GUARD}"
+        )
+    return levels, dims, points
 
 
-def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
+def build_function_complex(n: int, q: int, m: int) -> ChainComplex:
     """The complex 0 -> Fun(Y) -> ⊕_{#I=n-1} ⊕_g Fun(g.Y_I) -> ... -> ⊕_{G/B} -> 0.
 
     After the augmentation, each differential is the lattice differential
@@ -87,8 +84,8 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
     source's subspace (which contains the target's U), looked up by its
     entries on V's pivot columns (ffgeom.point_positions).  Distinct cosets
     keep separate summands even when they cut out the same subvariety, but
-    each subvariety's points are listed once.  The flag guard comes
-    first, before any subset is listed.
+    each subvariety's points are listed once.  The block sizes and each
+    source summand's first column come from function_complex_layout.
 
     Every differential is written one subset's row block at a time by
     gmodules.write_covers, each cover of lattice_rows as one column map:
@@ -101,58 +98,39 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
     augmentation's one source block; a failure is raised again naming
     (n, q, m).
     """
-    check_flag_guard(n, q)
-    subsets = interval_levels(ParabolicType.empty(n))[1:]
-    dims = {I: parabolic_index(I, q) for level in subsets for I in level}
-    # closed-form size estimate first, so oversize requests fail fast
-    bound = projective_count(n, q, m) + sum(
-        dims[I] * projective_count(i_of_I(I), q, m) for I in dims
-    )
-    if bound > FUNCTION_COMPLEX_GUARD:
-        raise DeskScaleExceeded(
-            f"function complex dimension {bound} exceeds {FUNCTION_COMPLEX_GUARD}"
-        )
-
-    y_points = tuple(hyperplane_union_points(n, q, m))
-    points_of: dict[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] = {}
-    levels = []
-    # d∘d is checked on blocks: Y, then each subset's summands
-    blocks = [[("Y", len(y_points))]]
-    for level_subsets in subsets:
-        level, sizes = [], []
-        for I in level_subsets:
-            firsts = enumerate_subspaces(n + 1, chain_dims(I)[0], q)
-            size = 0
-            for key in flag_keys(I, q):
-                U = firsts[key[0]]
-                if U not in points_of:
-                    points_of[U] = tuple(subspace_points(U, q, m))
-                level.append(StratumSummand(I, U, points_of[U]))
-                size += len(points_of[U])
-            sizes.append((I.subset_str(), size))
-        levels.append(tuple(level))
-        blocks.append(sizes)
-    terms = [sum(size for _, size in sizes) for sizes in blocks]
-
-    y_set = set(y_points)
-    covered = set()
-    for pts in points_of.values():
-        if not y_set.issuperset(pts):
-            raise ExactnessError("summand points escape the hyperplane union")
-        covered.update(pts)
-    if covered != y_set:
+    subsets, dims, points = function_complex_layout(n, q, m)
+    y_points = hyperplane_union_points(n, q, m)
+    # every subspace U with 0 < dim U <= n is the first member of some flag;
+    # points_of[d][k] lists the points of P(U) once, U the k-th of dim d
+    points_of = {
+        d: [subspace_points(U, q, m) for U in enumerate_subspaces(n + 1, d, q)]
+        for d in range(1, n + 1)
+    }
+    y_index = {pt: k for k, pt in enumerate(y_points)}
+    covered = set().union(*chain.from_iterable(points_of.values()))
+    if not covered <= y_index.keys():
+        raise ExactnessError("summand points escape the hyperplane union")
+    if len(covered) != len(y_index):
         raise ExactnessError("summands do not cover the hyperplane union")
+    # d∘d is checked on blocks: Y, then each subset's summands
+    blocks = [[("Y", len(y_points))]] + [
+        [(I.subset_str(), dims[I] * points[I]) for I in level] for level in subsets
+    ]
+    terms = [sum(size for _, size in sizes) for sizes in blocks]
     # augmentation: restriction of functions on Y to each top-level summand,
     # one cover of sign 1 per subset
-    y_index = {pt: k for k, pt in enumerate(y_points)}
-    csr, r = ([0], [], []), 0
+    csr = [0], [], []
     for I, (_, size) in zip(subsets[0], blocks[1]):
-        block, r = levels[0][r:r + dims[I]], r + dims[I]
-        write_covers(csr, [1], [[y_index[pt] for s in block for pt in s.points]], size)
-    diffs = [ExactMatrix.from_csr(len(csr[0]) - 1, len(y_points), *csr)]
+        summands = (points_of[i_of_I(I) + 1][key[0]] for key in flag_keys(I, q))
+        write_covers(csr, [1], [map(y_index.__getitem__, chain.from_iterable(summands))], size)
+    diffs = [ExactMatrix(len(csr[0]) - 1, len(y_points), *csr)]
 
-    for t in range(len(levels) - 1):
-        col0 = list(accumulate((len(s.points) for s in levels[t]), initial=0))
+    for t in range(len(subsets) - 1):
+        # the first column of each source summand: each source subset J has
+        # dims[J] summands of points[J] columns, in flag order
+        col0 = list(accumulate(
+            chain.from_iterable(repeat(points[J], dims[J]) for J in subsets[t]), initial=0
+        ))
         # (dim U, dim V) -> {(index of U, index of V): the positions in P(V)
         # of the points of P(U)}, each list built once per differential
         embedded: dict = {}
@@ -161,7 +139,7 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
         # out in order; lattice_rows' column maps index the source summands
         rows = lattice_rows(subsets[t], subsets[t + 1], dims, q)
         for I, (covers, signs, images), (_, size) in zip(subsets[t + 1], rows, blocks[t + 2]):
-            p = size // dims[I]  # each summand of I has p points
+            p = points[I]  # each summand of I has p points
             keys, members = flag_keys(I, q), chain_dims(I)
             columns = []
             for J, image in zip(covers, images):
@@ -177,32 +155,30 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
                 # points' positions in P(V) follow the key entries of U and V
                 UV = itemgetter(0, members.index(d))
                 table = embedded.setdefault((members[0], d), {})
-                Us, Vs = (enumerate_subspaces(n + 1, e, q) for e in (members[0], d))
+                Vs, U_points = enumerate_subspaces(n + 1, d, q), points_of[members[0]]
                 positions = point_positions(d, q, m)
                 for u, v in set(map(UV, keys)).difference(table):
                     pivots = itemgetter(*map(tuple.index, Vs[v], repeat(1)))
-                    table[u, v] = list(map(positions.__getitem__, map(pivots, points_of[Us[u]])))
+                    table[u, v] = list(map(positions.__getitem__, map(pivots, U_points[u])))
                 columns.append(map(add, chain.from_iterable(map(repeat, starts, repeat(p))),
                                    chain.from_iterable(map(table.__getitem__, map(UV, keys)))))
             write_covers(csr, signs, columns, size)
-        diffs.append(ExactMatrix.from_csr(len(csr[0]) - 1, col0[-1], *csr))
+        diffs.append(ExactMatrix(len(csr[0]) - 1, col0[-1], *csr))
     cx = ChainComplex(tuple(terms), tuple(diffs))
     try:
         check_block_dd(diffs, blocks)
     except ExactnessError as exc:
         raise ExactnessError(f"function complex (n, q, m) = ({n}, {q}, {m}): {exc}") from exc
-    return FunctionComplex(y_points, tuple(levels), cx)
+    return cx
 
 
 def function_complex_nnz(n: int, q: int, m: int) -> int:
     """Nonzeros of all the differentials of build_function_complex(n, q, m),
-    in closed form: each point of a type-I summand has a row with one entry
-    per cover (the augmentation's rows, #I = n-1, one each), so the sum is
-    Σ_{I⊊Δ} (n-#I)·[G:P_I]·#P^{i(I)}(F_{q^m})."""
-    return sum(
-        (n - I.size) * parabolic_index(I, q) * projective_count(i_of_I(I), q, m)
-        for level in interval_levels(ParabolicType.empty(n))[1:] for I in level
-    )
+    from its layout, raising where it does: each point of a type-I summand
+    has a row with one entry per cover (the augmentation's rows, #I = n-1,
+    one each), so the sum is Σ_{I⊊Δ} (n-#I)·[G:P_I]·#P^{i(I)}(F_{q^m})."""
+    _, dims, points = function_complex_layout(n, q, m)
+    return sum((n - I.size) * dims[I] * points[I] for I in dims)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ those resolutions are built in one worker; every other job is its own
 group.  A group's cost is the closed-form number of nonzeros it builds:
 each distinct resolution once (gmodules.lattice_nnz), each function complex
 (orlik.function_complex_nnz), each distinct pullback of the sampled
-triples, and one per candidate point it tests.  A job over the flag guard
-builds nothing.  Groups are placed largest first, each on the least-loaded
+triples, and one per candidate point it tests.  A job that a guard SKIPs
+costs nothing.  Groups are placed largest first, each on the least-loaded
 of min(workers, #groups) bins (Graham's LPT rule), ties going to the bin
 with fewer jobs, then to the lower bin, so the plan is deterministic.
 
@@ -27,7 +27,7 @@ import sys
 
 from .cli import sampled_triples
 from .errors import DeskScaleExceeded
-from .ffgeom import check_flag_guard
+from .ffgeom import check_flag_guard, check_point_guard
 from .gmodules import lattice_nnz
 from .orlik import function_complex_nnz
 from .qarith import parabolic_index, projective_count
@@ -51,17 +51,19 @@ def group_cost(group: list[tuple]) -> int:
     """Closed-form nonzeros that the group's jobs build; see the module docstring."""
     resolutions, cost = set(), 0
     for suite, n, q, m, seed in group:
-        if suite != "lefschetz":  # every other suite lists flags first
-            try:
+        try:  # the builders' own guards
+            if suite != "lefschetz":  # every other suite lists flags first
                 check_flag_guard(n, q)
-            except DeskScaleExceeded:
-                continue
+            if suite in TESTS_POINTS:
+                check_point_guard(n, q, m)
+            if suite == "orlik":  # raises where build_function_complex does
+                cost += function_complex_nnz(n, q, m)
+        except DeskScaleExceeded:
+            continue
         if suite == "steinberg":
             resolutions.update(J for c in range(n) for J in subsets_of_size(n, c, proper=True))
         elif suite in READS_RESOLUTIONS:
             resolutions.update(standard_subset(n, j) for j in range(n))
-        elif suite == "orlik":
-            cost += function_complex_nnz(n, q, m)
         elif suite == "pullbacks":
             triples = sampled_triples(n, q, seed)
             pairs = {pair for I, J, L in triples for pair in ((I, J), (J, L), (I, L))}

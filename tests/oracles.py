@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 
 from drincoh.errors import ExactnessError
 from drincoh.ffgeom import (
@@ -17,13 +17,15 @@ from drincoh.ffgeom import (
     _vanishing_masks,
     chain_dims,
     enumerate_subspaces,
+    flag_keys,
     projective_points,
     rational_forms,
+    subspace_points,
 )
 from drincoh.gmodules import check_block_dd, interval_levels
 from drincoh.homalg import ChainComplex, ExactMatrix
 from drincoh.qarith import is_prime, parabolic_index
-from drincoh.rootdata import ParabolicType, standard_subset
+from drincoh.rootdata import ParabolicType, standard_subset, subsets_of_size
 from drincoh.tables import CohomologyTable, TwistedModule, summand
 
 
@@ -408,16 +410,32 @@ def in_extension_span(pt: tuple[int, ...], U, F: GaloisField) -> bool:
 # -- matrices and complexes -------------------------------------------------------
 
 
+def from_dict(rows: int, cols: int, entries=None) -> ExactMatrix:
+    """The matrix whose entries are a dict mapping (i, j) to an int, zeros
+    dropped.  ValueError for an entry outside rows x cols; the constructor
+    raises TypeError on a value that is not an int (bool included)."""
+    entries = entries or {}
+    # int zeros are dropped; any other value is kept for the type check
+    keys = sorted(k for k, v in entries.items() if v or type(v) is not int)
+    counts = [0] * (rows + 1)
+    for i, j in keys:
+        if not 0 <= i < rows or not 0 <= j < cols:
+            raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
+        counts[i + 1] += 1
+    indptr = list(accumulate(counts))
+    return ExactMatrix(rows, cols, indptr, [j for _, j in keys], [entries[k] for k in keys])
+
+
 def identity(n: int) -> ExactMatrix:
-    return ExactMatrix(n, n, {(i, i): 1 for i in range(n)})
+    return from_dict(n, n, {(i, i): 1 for i in range(n)})
 
 
 def zero(rows: int, cols: int) -> ExactMatrix:
-    return ExactMatrix(rows, cols)
+    return from_dict(rows, cols)
 
 
 def transpose(M: ExactMatrix) -> ExactMatrix:
-    return ExactMatrix(M.cols, M.rows, {(j, i): v for (i, j), v in M.entries.items()})
+    return from_dict(M.cols, M.rows, {(j, i): v for (i, j), v in M.entries.items()})
 
 
 def product_rows(A: ExactMatrix, B: ExactMatrix):
@@ -449,7 +467,7 @@ def matmul(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
                 indices.append(j)
                 data.append(acc[j])
         indptr.append(len(data))
-    return ExactMatrix.from_csr(A.rows, B.cols, indptr, indices, data)
+    return ExactMatrix(A.rows, B.cols, indptr, indices, data)
 
 
 def reference_product(A: ExactMatrix, B: ExactMatrix) -> dict[tuple[int, int], int]:
@@ -501,12 +519,12 @@ def from_dense(data) -> ExactMatrix:
     entries = {
         (i, j): v for i, row in enumerate(data) for j, v in enumerate(row) if v
     }
-    return ExactMatrix(rows, cols, entries)
+    return from_dict(rows, cols, entries)
 
 
 def reindexed(M: ExactMatrix, row_perm, col_perm) -> ExactMatrix:
     """Apply basis permutations: entry (i, j) moves to (row_perm[i], col_perm[j])."""
-    return ExactMatrix(
+    return from_dict(
         M.rows,
         M.cols,
         {(row_perm[i], col_perm[j]): v for (i, j), v in M.entries.items()},
@@ -524,7 +542,26 @@ def parse_dump(text: str) -> ExactMatrix:
         if int(den) != 1:
             raise ValueError(f"non-integral entry {sv!r} in dump")
         entries[(int(si), int(sj))] = int(num)
-    return ExactMatrix(rows, cols, entries)
+    return from_dict(rows, cols, entries)
+
+
+def function_complex_summands(n: int, q: int, m: int):
+    """The summands of the function complex on Y(F_{q^m}) after Y, level by
+    level: the subsets I ⊊ Δ by size from n-1 down to 0, each in
+    subsets_of_size order, and for each type-I flag in flag_keys order one
+    (I, U, points of P(U)), U the flag's first member.  Read from the flags
+    and the subspace points themselves, not from the builder's closed-form
+    layout."""
+    levels = []
+    for size in range(n - 1, -1, -1):
+        level = []
+        for I in subsets_of_size(n, size, proper=True):
+            firsts = enumerate_subspaces(n + 1, chain_dims(I)[0], q)
+            for key in flag_keys(I, q):
+                U = firsts[key[0]]
+                level.append((I, U, subspace_points(U, q, m)))
+        levels.append(level)
+    return levels
 
 
 def euler_characteristic(cx: ChainComplex) -> int:

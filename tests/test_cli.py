@@ -13,6 +13,9 @@ import pytest
 import drincoh
 from drincoh import cli, plan
 from drincoh.cohomology import h_of_y, hc_of_x, h_of_x
+from drincoh.errors import DeskScaleExceeded
+from drincoh.ffgeom import drinfeld_points
+from oracles import from_dict
 
 
 def run(argv):
@@ -199,7 +202,47 @@ def test_plan_costs_a_job_over_the_flag_guard_nothing():
     # lattice_nnz at n = 16 would sum over 3^16 subset pairs
     assert plan.group_cost([("steinberg", 16, 2, 1, 0), ("e2", 16, 2, 1, 0)]) == 0
     assert plan.group_cost([("orlik", 16, 2, 1, 0)]) == 0
-    assert plan.group_cost([("lefschetz", 16, 2, 1, 0)]) == 2**17 - 1
+    # lefschetz lists no flags, so only the point guards apply: (5,2,1) is
+    # over the flag guard and costs its 63 points; (2,5,4) would test 5^12
+    # vectors and (16,2,1) needs a mask table of (2^17 - 1)·2^17 bits, so
+    # both SKIP
+    assert plan.group_cost([("lefschetz", 5, 2, 1, 0)]) == 63
+    for (n, q, m), guard in [((2, 5, 4), "vector"), ((16, 2, 1), "mask")]:
+        assert plan.group_cost([("lefschetz", n, q, m, 0)]) == 0
+        assert plan.group_cost([("cohomology", n, q, m, 0)]) == 0
+        with pytest.raises(DeskScaleExceeded, match=guard):
+            drinfeld_points(n, q, m)
+
+
+def test_plan_and_builder_see_the_same_function_complex_guard(monkeypatch):
+    from drincoh.orlik import build_function_complex, function_complex_nnz
+
+    with pytest.raises(DeskScaleExceeded, match="^function complex dimension") as built:
+        build_function_complex(4, 2, 1)
+    seen = []
+
+    def recording(n, q, m):
+        try:
+            return function_complex_nnz(n, q, m)
+        except DeskScaleExceeded as exc:
+            seen.append(str(exc))
+            raise
+
+    monkeypatch.setattr(plan, "function_complex_nnz", recording)
+    assert plan.group_cost([("orlik", 4, 2, 1, 0)]) == 0
+    assert seen == [str(built.value)]
+    # under the guard the cost is the closed form and the points
+    assert plan.group_cost([("orlik", 3, 2, 1, 0)]) == function_complex_nnz(3, 2, 1) + 15
+
+
+def test_plan_puts_the_n4_resolutions_on_a_bin_of_their_own():
+    # orlik (4,2,1) SKIPs on its dimension guard and costs nothing, so the
+    # (4,2) resolution group, the largest, gets one worker to itself
+    bins = plan.place(grid_jobs("--n-max 4 --q 2 --m-max 1"), 2)
+    assert sorted(job[:4] for job in bins[0]) == [
+        ("cohomology", 4, 2, 1), ("e2", 4, 2, 1), ("steinberg", 4, 2, 1)
+    ]
+    assert len(bins[1]) == 21
 
 
 def test_plan_costs_are_closed_form_nonzeros():
@@ -317,6 +360,27 @@ def test_verify_seed_is_configurable(capsys):
     assert stripped() == first
 
 
+def test_cohomology_and_verify_run_the_same_duality_checks(monkeypatch, capsys):
+    # twists shifted by one in every dual table: H(X) still equals its
+    # closed form, so only the twist-sum check of duality can fail
+    from drincoh import cohomology
+    from drincoh.tables import CohomologyTable, Summand, TwistedModule
+
+    def shifted(table, theorem, _dual=cohomology.dual_table):
+        out = _dual(table, theorem)
+        entries = {d: TwistedModule.of(*(Summand(s.kind, s.subset, s.dim, s.twist + 1)
+                                         for s in mod.summands))
+                   for d, mod in out.entries.items()}
+        return CohomologyTable(out.n, out.q, out.theorem, entries, out.metadata)
+
+    monkeypatch.setattr(cohomology, "dual_table", shifted)
+    assert run(["cohomology", "--n", "2", "--q", "2"]) == 2
+    assert "twist sum != -n at degree 2 (q=2)" in capsys.readouterr().err
+    assert run(["verify", "--suite", "cohomology", "--n-max", "2", "--q", "2", "--m-max", "1"]) == 2
+    fails = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL")]
+    assert len(fails) == 2 and all("AssertionError: twist sum != -n at degree" in ln for ln in fails)
+
+
 def test_table_diff_renders_per_degree():
     got = h_of_y(2, 2)
     want = h_of_y(2, 3)  # wrong on purpose: different dims, same shape
@@ -367,7 +431,6 @@ def test_pullback_shape_checks_catch_what_functoriality_misses(monkeypatch, row_
     # row a of P_IJ as a combination of e_a and e_b with sum 1 keeps
     # P_IJ @ P_JL == P_IL; only the shape checks can see it.
     from drincoh.gmodules import pullback_matrix
-    from drincoh.homalg import ExactMatrix
     from drincoh.rootdata import ParabolicType
 
     I, L = ParabolicType.empty(2), ParabolicType.of(2, [0])
@@ -383,12 +446,12 @@ def test_pullback_shape_checks_catch_what_functoriality_misses(monkeypatch, row_
         entries = dict(P.entries)
         del entries[(a, a)]
         entries.update({(a, cols[k]): v for k, v in row_a.items()})
-        return ExactMatrix(P.rows, P.cols, entries)
+        return from_dict(P.rows, P.cols, entries)
 
-    cli.check_pullback_properties(I, I, L, 2)
+    cli._check_triple({}, I, I, L, 2)
     monkeypatch.setattr(cli, "pullback_matrix", tampered)
     with pytest.raises(AssertionError, match=message):
-        cli.check_pullback_properties(I, I, L, 2)
+        cli._check_triple({}, I, I, L, 2)
 
 
 @pytest.mark.parametrize(
@@ -405,7 +468,6 @@ def test_pullback_checks_see_every_factor(monkeypatch, factor, keep, message):
     # Row 0 of P_JL or P_IL gains a second 1 in the next column, or its 1
     # moves there, which keeps the shape but breaks the composite.
     from drincoh.gmodules import pullback_matrix
-    from drincoh.homalg import ExactMatrix
     from drincoh.rootdata import ParabolicType
 
     I, J, L = ParabolicType.empty(3), ParabolicType.of(3, [0]), ParabolicType.of(3, [0, 1])
@@ -420,12 +482,12 @@ def test_pullback_checks_see_every_factor(monkeypatch, factor, keep, message):
         if not keep:
             del entries[(0, j)]
         entries[(0, (j + 1) % P.cols)] = 1
-        return ExactMatrix(P.rows, P.cols, entries)
+        return from_dict(P.rows, P.cols, entries)
 
-    cli.check_pullback_properties(I, J, L, 2)
+    cli._check_triple({}, I, J, L, 2)
     monkeypatch.setattr(cli, "pullback_matrix", tampered)
     with pytest.raises(AssertionError, match=message):
-        cli.check_pullback_properties(I, J, L, 2)
+        cli._check_triple({}, I, J, L, 2)
 
 
 def test_pullback_job_builds_each_pair_once_and_checks_each_triple_once(monkeypatch):

@@ -53,7 +53,7 @@ def _differentials(key):
             for d in lattice_complex(J, q)[1].diffs
         ]
     _, n, q, m = key
-    return build_function_complex(n, q, m).complex.diffs
+    return build_function_complex(n, q, m).diffs
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN), ids=lambda k: "-".join(map(str, k)))

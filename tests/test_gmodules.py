@@ -257,7 +257,7 @@ def _covers(d, rows):
 
 
 def _mutate(d, indices=None, data=None):
-    return ExactMatrix.from_csr(d.rows, d.cols, d.indptr, indices or d.indices, data or d.data)
+    return ExactMatrix(d.rows, d.cols, d.indptr, indices or d.indices, data or d.data)
 
 
 def _flipped_entry(d, rows, cols):
@@ -277,7 +277,7 @@ def _scaled_entry(d, rows, cols):
 def _dropped_entry(d, rows, cols):
     s, e, w = _covers(d, rows)[0]
     indptr = d.indptr[:1] + [k - (k > s) for k in d.indptr[1:]]
-    return ExactMatrix.from_csr(d.rows, d.cols, indptr, d.indices[:s] + d.indices[s + 1:],
+    return ExactMatrix(d.rows, d.cols, indptr, d.indices[:s] + d.indices[s + 1:],
                                 d.data[:s] + d.data[s + 1:])
 
 
@@ -336,7 +336,7 @@ def _complex_and_blocks(kind, checked):
     if kind == "lattice":
         diffs = lattice_complex(ParabolicType.empty(3), 2)[1].diffs
     else:
-        diffs = build_function_complex(3, 2, 1).complex.diffs
+        diffs = build_function_complex(3, 2, 1).diffs
     assert checked[-1][0] == tuple(diffs)
     return checked[-1]
 

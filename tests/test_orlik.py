@@ -7,7 +7,7 @@ import pytest
 
 from drincoh import cli, gmodules, orlik
 from drincoh.errors import DeskScaleExceeded, ExactnessError
-from drincoh.ffgeom import enumerate_subspaces
+from drincoh.ffgeom import enumerate_subspaces, hyperplane_union_points
 from drincoh.gmodules import (
     clear_resolutions,
     lattice_complex,
@@ -23,52 +23,74 @@ from oracles import (
     build_e1_page,
     euler_characteristic,
     field,
+    function_complex_summands,
     in_extension_span,
     intersect_subspaces,
 )
 
 
+# every desk point, and past q = 3 at n <= 2
+FUNCTION_COMPLEX_GRID = [(n, q, m) for n in (1, 2, 3) for q in (2, 3) for m in (1, 2)] + [
+    (n, q, m) for n in (1, 2) for q in (5, 7) for m in (1, 2)
+]
+
+
 def test_function_complex_shapes():
     fc = build_function_complex(1, 2, 1)
-    assert fc.complex.terms == (3, 3)
+    assert fc.terms == (3, 3)
     fc = build_function_complex(2, 2, 1)
-    assert fc.complex.terms == (7, 28, 21)
+    assert fc.terms == (7, 28, 21)
     # term sizes over F_4 recomputed from the point enumeration itself:
     # 21 points of P^2(F_4) are all on rational lines, 7 lines with 5 points
     # each plus 7 single-point strata, then 21 full-flag strata
     fc = build_function_complex(2, 2, 2)
-    assert fc.complex.terms == (21, 42, 21)
+    assert fc.terms == (21, 42, 21)
 
 
 def test_function_complex_acyclic_on_grid():
     for n, q, m in [(1, 2, 1), (1, 2, 2), (2, 2, 1), (2, 3, 1)]:
         fc = build_function_complex(n, q, m)
-        assert fc.complex.homology_dims() == (0,) * len(fc.complex.terms)
-        assert euler_characteristic(fc.complex) == 0
+        assert fc.homology_dims() == (0,) * len(fc.terms)
+        assert euler_characteristic(fc) == 0
 
 
-@pytest.mark.parametrize(
-    "n, q, m",
-    [(n, q, m) for n in (1, 2, 3) for q in (2, 3) for m in (1, 2)]
-    + [(n, q, m) for n in (1, 2) for q in (5, 7) for m in (1, 2)],
-)
+@pytest.mark.parametrize("n, q, m", FUNCTION_COMPLEX_GRID)
 def test_function_complex_nnz_is_the_nnz_of_the_built_complex(n, q, m):
-    diffs = build_function_complex(n, q, m).complex.diffs
+    diffs = build_function_complex(n, q, m).diffs
     assert orlik.function_complex_nnz(n, q, m) == sum(d.nnz for d in diffs)
 
 
 def test_function_complex_summand_invariants():
-    fc = build_function_complex(2, 2, 2)
-    y = set(fc.y_points)
+    levels = function_complex_summands(2, 2, 2)
+    y = set(hyperplane_union_points(2, 2, 2))
     covered = set()
-    for level in fc.levels:
-        for s in level:
-            assert set(s.points) <= y
-            covered |= set(s.points)
+    for level in levels:
+        for _, _, points in level:
+            assert set(points) <= y
+            covered |= set(points)
     assert covered == y
     # ordering: subsets by size descending, flags in canonical order
-    assert [s.I.size for s in fc.levels[0]] == [1] * len(fc.levels[0])
-    assert [s.I.size for s in fc.levels[1]] == [0] * len(fc.levels[1])
+    assert [I.size for I, _, _ in levels[0]] == [1] * len(levels[0])
+    assert [I.size for I, _, _ in levels[1]] == [0] * len(levels[1])
+
+
+@pytest.mark.parametrize("n, q, m", FUNCTION_COMPLEX_GRID)
+def test_function_complex_layout_is_the_summands_of_the_built_complex(n, q, m):
+    # the closed-form layout against the flags and points themselves: each
+    # subset's block holds [G:P_I] summands of #P^{i(I)}(F_{q^m}) points
+    levels, dims, points = orlik.function_complex_layout(n, q, m)
+    summands = function_complex_summands(n, q, m)
+    assert levels == [list(dict.fromkeys(I for I, _, _ in level)) for level in summands]
+    for level in summands:
+        for I in dict.fromkeys(I for I, _, _ in level):
+            sizes = [len(pts) for J, _, pts in level if J == I]
+            assert sizes == [points[I]] * dims[I], (n, q, m, I)
+    cx = build_function_complex(n, q, m)
+    y = hyperplane_union_points(n, q, m)
+    assert cx.terms == (len(y),) + tuple(
+        sum(dims[I] * points[I] for I in level) for level in levels
+    )
+    assert cx.terms[1:] == tuple(sum(len(pts) for _, _, pts in level) for level in summands)
 
 
 def test_function_complex_guard(monkeypatch):
@@ -90,11 +112,10 @@ def test_intersection_closure_witness():
     # under pairwise intersection
     for n, q, m in [(2, 2, 1), (2, 2, 2)]:
         F = field(q, m)
-        fc = build_function_complex(n, q, m)
         all_proper = [
             U for d in range(1, n + 1) for U in enumerate_subspaces(n + 1, d, q)
         ]
-        for pt in fc.y_points:
+        for pt in hyperplane_union_points(n, q, m):
             family = [U for U in all_proper if in_extension_span(pt, U, F)]
             assert family
             for U in family:
@@ -146,26 +167,27 @@ def test_function_complex_is_e1_row_0_expanded_to_points():
     # signs, and each entry restricts to the same point of the source summand
     for n, q, m in [(2, 2, 1), (2, 3, 2), (3, 2, 1)]:
         fc = build_function_complex(n, q, m)
+        levels = function_complex_summands(n, q, m)
         row0 = lattice_complex(ParabolicType.empty(n), q)[1].diffs[1:]
-        assert len(fc.complex.diffs) == len(row0) + 1
+        assert len(fc.diffs) == len(row0) + 1
         for t, flag_d in enumerate(row0):
-            d = fc.complex.diffs[t + 1]
-            sources, targets = fc.levels[t], fc.levels[t + 1]
+            d = fc.diffs[t + 1]
+            sources, targets = levels[t], levels[t + 1]
             assert (flag_d.rows, flag_d.cols) == (len(targets), len(sources))
-            src_of = [g for g, s in enumerate(sources) for _ in s.points]
-            src_off = list(accumulate((len(s.points) for s in sources), initial=0))
+            src_of = [g for g, (_, _, pts) in enumerate(sources) for _ in pts]
+            src_off = list(accumulate((len(pts) for _, _, pts in sources), initial=0))
             point_rows = iter(range(d.rows))
-            for f, target in enumerate(targets):
+            for f, (_, _, target_points) in enumerate(targets):
                 lo, hi = flag_d.indptr[f], flag_d.indptr[f + 1]
                 want = dict(zip(flag_d.indices[lo:hi], flag_d.data[lo:hi]))
-                for pt in target.points:
+                for pt in target_points:
                     i = next(point_rows)
                     lo, hi = d.indptr[i], d.indptr[i + 1]
                     got = {}
                     for c, v in zip(d.indices[lo:hi], d.data[lo:hi]):
                         g = src_of[c]
                         assert g not in got
-                        assert sources[g].points[c - src_off[g]] == pt
+                        assert sources[g][2][c - src_off[g]] == pt
                         got[g] = v
                     assert got == want, (n, q, m, t, f)
             assert next(point_rows, None) is None
@@ -242,11 +264,11 @@ def test_page_guard():
 
 def test_function_complex_is_reproducible_bit_for_bit():
     fc = build_function_complex(1, 2, 1)
-    assert fc.y_points == ((0, 1), (1, 0), (1, 1))
-    assert fc.complex.diffs[0].dump() == "3 3 3\n0 0 1/1\n1 1 1/1\n2 2 1/1\n"
+    assert hyperplane_union_points(1, 2, 1) == [(0, 1), (1, 0), (1, 1)]
+    assert fc.diffs[0].dump() == "3 3 3\n0 0 1/1\n1 1 1/1\n2 2 1/1\n"
     again = build_function_complex(1, 2, 1)
-    assert [d.dump() for d in again.complex.diffs] == [
-        d.dump() for d in fc.complex.diffs
+    assert [d.dump() for d in again.diffs] == [
+        d.dump() for d in fc.diffs
     ]
 
 
