@@ -187,12 +187,9 @@ def expected_h_of_x(n: int, q: int) -> CohomologyTable:
 def lefschetz_count(n: int, q: int, m: int) -> int:
     """#X(F_{q^m}) from the closed-form Hc table: no matrices involved.
 
-    Sum of (-1)^{n+i} dim v(I_i) q^{im} over i = 0..n.
+    The alternating Frobenius trace over expected_hc_of_x, that is the sum
+    of (-1)^{n+i} dim v(I_i) q^{im} over i = 0..n.
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    total = 0
-    for i in range(n + 1):
-        sign = -1 if (n + i) % 2 else 1
-        total += sign * steinberg_dim(standard_subset(n, i), q) * q ** (i * m)
-    return total
+    return expected_hc_of_x(n, q).euler_trace(m)

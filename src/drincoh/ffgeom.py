@@ -39,9 +39,8 @@ Conventions
 * Guards raise DeskScaleExceeded before any work: FLAG_GUARD on |G/B| in
   check_flag_guard (n <= 4 at q = 2, n <= 3 at q = 3), which flag_keys, the
   only source of flags, and the lattice builders of gmodules call first,
-  before any subset is listed; POINT_GUARD and MASK_GUARD on a point
-  count and its mask table; and SUBSET_GUARD on the rank n of the `dims`
-  table, whose 2^n rows each sum over an interval of subsets.
+  before any subset is listed; and POINT_GUARD and MASK_GUARD on a point
+  count and its mask table.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from .rootdata import Frozen, ParabolicType
 POINT_GUARD = 10**8  # candidate vectors q^(m(n+1))
 MASK_GUARD = 10**7  # forms x vectors, the bits of the vanishing-mask table
 FLAG_GUARD = 10**4  # full flags |G/B|, the largest flag set of one (n, q)
-SUBSET_GUARD = 10  # rank n of the dims table, about 4^n subset visits
 POINT_CHUNK = 1024  # points per column pass of _point_masks
 
 

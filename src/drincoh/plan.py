@@ -3,11 +3,12 @@
 The grid jobs are split into groups.  The jobs that read the Steinberg
 resolutions of one (n, q) (steinberg, e2, cohomology) form one group, so
 those resolutions are built in one worker; every other job is its own
-group.  A group's cost is the closed-form number of nonzeros it builds:
-each distinct resolution once (gmodules.lattice_nnz), each function complex
-(orlik.function_complex_nnz), each distinct pullback of the sampled
-triples, and one per candidate point it tests.  A job that a guard SKIPs
-costs nothing.  Groups are placed largest first, each on the least-loaded
+group.  A group's cost is the closed-form number of nonzeros it builds,
+read only from closed forms that the builders own: each distinct resolution
+once (gmodules.lattice_nnz), each function complex
+(orlik.function_complex_nnz), and one per candidate point it tests.  A
+pullbacks job has no such closed form and costs nothing, as does a job that
+a guard SKIPs.  Groups are placed largest first, each on the least-loaded
 of min(workers, #groups) bins (Graham's LPT rule), ties going to the bin
 with fewer jobs, then to the lower bin, so the plan is deterministic.
 
@@ -25,12 +26,11 @@ import json
 import os
 import sys
 
-from .cli import sampled_triples
 from .errors import DeskScaleExceeded
 from .ffgeom import check_flag_guard, check_point_guard
 from .gmodules import lattice_nnz
 from .orlik import function_complex_nnz
-from .qarith import parabolic_index, projective_count
+from .qarith import projective_count
 from .rootdata import standard_subset, subsets_of_size
 
 READS_RESOLUTIONS = ("steinberg", "e2", "cohomology")
@@ -50,7 +50,7 @@ def groups(jobs: list[tuple]) -> list[list[tuple]]:
 def group_cost(group: list[tuple]) -> int:
     """Closed-form nonzeros that the group's jobs build; see the module docstring."""
     resolutions, cost = set(), 0
-    for suite, n, q, m, seed in group:
+    for suite, n, q, m, _ in group:
         try:  # the builders' own guards
             if suite != "lefschetz":  # every other suite lists flags first
                 check_flag_guard(n, q)
@@ -64,10 +64,6 @@ def group_cost(group: list[tuple]) -> int:
             resolutions.update(J for c in range(n) for J in subsets_of_size(n, c, proper=True))
         elif suite in READS_RESOLUTIONS:
             resolutions.update(standard_subset(n, j) for j in range(n))
-        elif suite == "pullbacks":
-            triples = sampled_triples(n, q, seed)
-            pairs = {pair for I, J, L in triples for pair in ((I, J), (J, L), (I, L))}
-            cost += sum(parabolic_index(I, q) for I, _ in pairs)
         if suite in TESTS_POINTS:
             cost += projective_count(n, q, m)
     return cost + sum(lattice_nnz(J, q) for J in resolutions)

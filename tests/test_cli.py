@@ -248,6 +248,7 @@ def test_plan_puts_the_n4_resolutions_on_a_bin_of_their_own():
 def test_plan_costs_are_closed_form_nonzeros():
     from drincoh.gmodules import lattice_nnz
     from drincoh.orlik import function_complex_nnz
+    from drincoh.qarith import projective_count
     from drincoh.rootdata import ParabolicType, standard_subset
 
     every_J = [ParabolicType(2, mask) for mask in range(3)]
@@ -259,6 +260,18 @@ def test_plan_costs_are_closed_form_nonzeros():
         lattice_nnz(J, 3) for J in standard
     ) + 91
     assert plan.group_cost([("orlik", 2, 3, 2, 0)]) == function_complex_nnz(2, 3, 2) + 91
+    # pullbacks has no closed form of its own, so it costs nothing, alone
+    # and in a mixed group, as do the jobs that a guard SKIPs
+    assert plan.group_cost([("pullbacks", 3, 3, 1, 2024)]) == 0
+    unguarded = [("steinberg", 2, 3, 1, 0), ("cohomology", 2, 3, 2, 0), ("orlik", 2, 3, 2, 0),
+                 ("orlik", 1, 3, 1, 0), ("lefschetz", 2, 3, 3, 0), ("pullbacks", 2, 3, 1, 0)]
+    guarded = [("orlik", 4, 2, 1, 0), ("lefschetz", 2, 5, 4, 0), ("e2", 4, 3, 1, 0)]
+    points = [job for job in unguarded if job[0] in ("cohomology", "orlik", "lefschetz")]
+    assert plan.group_cost(unguarded + guarded) == (
+        sum(lattice_nnz(J, 3) for J in every_J)
+        + function_complex_nnz(2, 3, 2) + function_complex_nnz(1, 3, 1)
+        + sum(projective_count(n, q, m) for _, n, q, m, _ in points)
+    )
 
 
 @pytest.mark.parametrize(
@@ -407,6 +420,14 @@ def test_import_loads_no_pool_or_dataclass_machinery():
                               f"print([m for m in {heavy[2:4]!r} if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]", "[]"]
+
+
+def test_plan_import_loads_no_cli():
+    # the plan prices jobs through the builders' closed forms only; the CLI
+    # imports the plan, never the other way round
+    proc = fresh_python("-c", "import sys, drincoh.plan; print('drincoh.cli' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_checks_hold_under_python_O():

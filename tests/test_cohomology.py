@@ -1,5 +1,7 @@
 """Final tables: H*(Y), H*_c(X), H*(X), and the Lefschetz cross-check."""
 
+import math
+
 import pytest
 
 from drincoh.cohomology import (
@@ -129,6 +131,19 @@ def test_lefschetz_equals_trace_of_hc():
         t = hc_of_x(h_of_y(n, q))
         for m in (1, 2, 3):
             assert t.euler_trace(m) == lefschetz_count(n, q, m)
+
+
+def test_lefschetz_is_the_count_of_spanning_digit_plane_tuples():
+    # a vector over F_{q^m} avoids every F_q-rational hyperplane iff its m
+    # digit planes span F_q^{n+1}: prod_{i=0..n} (q^m - q^i) vectors, the
+    # full-rank (n+1) x m matrices over F_q; dividing by the q^m - 1 scalars
+    # leaves prod_{i=1..n}, which is 0 for m <= n, where m planes cannot span
+    for n in range(1, 5):
+        for q in (2, 3, 5):
+            for m in range(1, 7):
+                want = math.prod(q**m - q**i for i in range(1, n + 1))
+                assert lefschetz_count(n, q, m) == want, (n, q, m)
+                assert (want == 0) == (m <= n)
 
 
 def test_lefschetz_matches_enumeration_spot_checks():
