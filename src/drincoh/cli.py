@@ -163,10 +163,7 @@ def _job_steinberg(n: int, q: int, m: int, seed: int) -> str:
     return f"all J exact, |G/B|={width}"
 
 def _job_orlik(n: int, q: int, m: int, seed: int) -> str:
-    cx = build_function_complex(n, q, m)  # the summands' points are freed before ranking
-    dims = cx.homology_dims()
-    if any(dims):
-        raise AssertionError(f"function complex not acyclic: {dims}")
+    cx = build_function_complex(n, q, m)  # raises unless its hull matching certifies it
     return f"terms {cx.terms} acyclic"
 
 def _job_e2(n: int, q: int, m: int, seed: int) -> str:

@@ -21,9 +21,9 @@ columns of d_{i+1} that lie in the span of its other columns (d∘d = 0), so
 they are skipped.
 
 A chain complex checks only the shapes of its differentials.  Homology
-relies on d∘d = 0, which the builders check before they rank: both of
-drincoh's complexes are checked from their block layout by
-gmodules.check_block_dd.
+relies on d∘d = 0, which gmodules.check_block_dd checks first.  Only the
+Steinberg resolutions are ranked; the function complex is certified exact
+by the matching of drincoh.matching.
 """
 
 from __future__ import annotations
@@ -207,8 +207,7 @@ class ChainComplex:
 
     `diffs[i]` maps V_i to V_{i+1}; __post_init__ checks their number and
     shapes and raises ValueError.  d∘d = 0 is not checked here: homology_dims
-    relies on it, so a builder checks it before ranking (every complex
-    drincoh builds goes through gmodules.check_block_dd).
+    relies on it, so a builder checks it first (gmodules.check_block_dd).
     """
 
     __slots__ = ("terms", "diffs")

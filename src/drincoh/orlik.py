@@ -3,12 +3,12 @@
 (a) The function complex: K-valued functions on the F_{q^m}-points of the
     union Y of all rational hyperplanes in P^n, resolved by functions on the
     translates g.Y_I = P(U) indexed by proper subsets I and cosets of G/P_I.
-    Its acyclicity is the finite shadow of the sheaf-level statement and is
-    what the verify suite checks.  It is E1 row 0 expanded to points: after
-    the augmentation, a type-I flag stands for the #P^{i(I)}(F_{q^m}) points
-    of P(U), U its first member, so one closed-form layout gives the block
-    sizes, the guard and the nonzeros; the covers and signs are those of
-    gmodules.lattice_rows.
+    Its acyclicity, the finite shadow of the sheaf-level statement, is
+    certified by drincoh.matching's rational-hull matching, not by rank.
+    It is E1 row 0 expanded to points: after the augmentation, a type-I
+    flag stands for the #P^{i(I)}(F_{q^m}) points of P(U), U its first
+    member, so one closed-form layout gives the block sizes, the guard and
+    the nonzeros; the covers and signs are those of gmodules.lattice_rows.
 
 (b) The E1 rows of the spectral sequence: for each even s, a complex of
     induced modules over the subsets containing the prefix I_{s/2}, with the
@@ -95,8 +95,9 @@ def build_function_complex(n: int, q: int, m: int) -> ChainComplex:
     U and V in the flag's key.  The augmentation is one cover of sign 1 per
     subset.  d∘d = 0 is checked by gmodules.check_block_dd with one block
     per subset (its summands, which are contiguous) and Y as the
-    augmentation's one source block; a failure is raised again naming
-    (n, q, m).
+    augmentation's one source block, then exactness by
+    matching.check_matching; a failure, or a point off Y, raises
+    ExactnessError naming (n, q, m).
     """
     subsets, dims, points = function_complex_layout(n, q, m)
     y_points = hyperplane_union_points(n, q, m)
@@ -107,11 +108,7 @@ def build_function_complex(n: int, q: int, m: int) -> ChainComplex:
         for d in range(1, n + 1)
     }
     y_index = {pt: k for k, pt in enumerate(y_points)}
-    covered = set().union(*chain.from_iterable(points_of.values()))
-    if not covered <= y_index.keys():
-        raise ExactnessError("summand points escape the hyperplane union")
-    if len(covered) != len(y_index):
-        raise ExactnessError("summands do not cover the hyperplane union")
+    where = f"function complex (n, q, m) = ({n}, {q}, {m})"
     # d∘d is checked on blocks: Y, then each subset's summands
     blocks = [[("Y", len(y_points))]] + [
         [(I.subset_str(), dims[I] * points[I]) for I in level] for level in subsets
@@ -122,7 +119,10 @@ def build_function_complex(n: int, q: int, m: int) -> ChainComplex:
     csr = [0], [], []
     for I, (_, size) in zip(subsets[0], blocks[1]):
         summands = (points_of[i_of_I(I) + 1][key[0]] for key in flag_keys(I, q))
-        write_covers(csr, [1], [map(y_index.__getitem__, chain.from_iterable(summands))], size)
+        try:
+            write_covers(csr, [1], [map(y_index.__getitem__, chain.from_iterable(summands))], size)
+        except KeyError as exc:
+            raise ExactnessError(f"{where}: summand point {exc} is not in Y") from exc
     diffs = [ExactMatrix(len(csr[0]) - 1, len(y_points), *csr)]
 
     for t in range(len(subsets) - 1):
@@ -165,10 +165,13 @@ def build_function_complex(n: int, q: int, m: int) -> ChainComplex:
             write_covers(csr, signs, columns, size)
         diffs.append(ExactMatrix(len(csr[0]) - 1, col0[-1], *csr))
     cx = ChainComplex(tuple(terms), tuple(diffs))
+    from .matching import check_matching, function_complex_labels
+
     try:
         check_block_dd(diffs, blocks)
+        check_matching(diffs, blocks, function_complex_labels(subsets, dims, terms[0], q, m))
     except ExactnessError as exc:
-        raise ExactnessError(f"function complex (n, q, m) = ({n}, {q}, {m}): {exc}") from exc
+        raise ExactnessError(f"{where}: {exc}") from exc
     return cx
 
 

@@ -430,6 +430,14 @@ def test_plan_import_loads_no_cli():
     assert proc.stdout.split() == ["False"]
 
 
+def test_cli_import_loads_no_matching():
+    # the function complex imports its matching check when it is built, so
+    # a run that builds none never compiles it
+    proc = fresh_python("-c", "import sys, drincoh.cli; print('drincoh.matching' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_checks_hold_under_python_O():
     def run_O(*argv):
         return fresh_python("-O", *argv)

@@ -8,7 +8,7 @@ One injected sign flip also shows that a d∘d failure names its complex.
 
 import pytest
 
-from drincoh import cli, cohomology, ffgeom, gmodules, orlik, qarith, rootdata
+from drincoh import cli, cohomology, ffgeom, gmodules, matching, orlik, qarith, rootdata
 from drincoh.errors import ExactnessError
 from drincoh.homalg import ExactMatrix
 from drincoh.tables import CohomologyTable, Summand, TwistedModule
@@ -101,6 +101,20 @@ def _clearing_one_too_many(self, *, skip_cols=(), pivot_rows=None, _orig=ExactMa
     return _orig(self, skip_cols=skip_cols, pivot_rows=pivot_rows)
 
 
+def _hull_mask_one_flipped(d, q, m, _orig=matching.hull_mask):
+    # the first point of every plane has the wrong rational hull
+    mask = _orig(d, q, m)
+    return bytes([1 - mask[0]]) + mask[1:] if d == 2 else mask
+
+
+def _augmentation_without_covers(csr, signs, images, size, _orig=gmodules.write_covers):
+    # only the augmentation's rows have a single cover: write them empty, so
+    # d_0 = 0, d∘d stays 0 and H_0 = Fun(Y)
+    if len(signs) == 1:
+        signs, images = [], []
+    return _orig(csr, signs, images, size)
+
+
 CASES = {
     "cover_sign": (
         _flipped_cover_sign,
@@ -127,28 +141,31 @@ CASES = {
         (ffgeom,),
         {"orlik", "cohomology", "lefschetz"},
     ),
-    "rank": (_rank_one_short, (ExactMatrix,), {"steinberg", "orlik", "e2", "cohomology"}),
-    "clearing": (
-        _clearing_one_too_many,
-        (ExactMatrix,),
-        {"steinberg", "orlik", "e2", "cohomology"},
-    ),
+    "rank": (_rank_one_short, (ExactMatrix,), {"steinberg", "e2", "cohomology"}),
+    "clearing": (_clearing_one_too_many, (ExactMatrix,), {"steinberg", "e2", "cohomology"}),
+    "hull_mask": (_hull_mask_one_flipped, (matching,), {"orlik"}),
+    "augmentation": (_augmentation_without_covers, (orlik,), {"orlik"}),
 }
 # cases that patch a name other than their own
-PATCHED_NAME = {"clearing": "rank", "superspaces": "_superspaces", "digits": "_digits"}
+PATCHED_NAME = {
+    "clearing": "rank",
+    "superspaces": "_superspaces",
+    "digits": "_digits",
+    "augmentation": "write_covers",
+}
 # cases whose bug shows only past m = 1: at m = 1 the top digit is the only one
 ARGV = {"digits": [*VERIFY[:-1], "2"]}
 
 
-# the caches themselves: the steinberg_dim and digits cases replace the
-# module's name
-STEINBERG_DIM, DIGITS = gmodules.steinberg_dim, ffgeom._digits
+# the caches themselves: the steinberg_dim, digits and hull_mask cases
+# replace the module's name
+STEINBERG_DIM, DIGITS, HULL_MASK = gmodules.steinberg_dim, ffgeom._digits, matching.hull_mask
 
 
 def _clear_tables():
     for table in (ffgeom.flag_keys, ffgeom.forget_map, ffgeom.point_positions,
                   ffgeom._coordinate, ffgeom._digit_planes, qarith.parabolic_index,
-                  STEINBERG_DIM, DIGITS):
+                  STEINBERG_DIM, DIGITS, HULL_MASK):
         table.cache_clear()
     gmodules.clear_resolutions()
 

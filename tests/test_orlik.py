@@ -5,24 +5,26 @@ from itertools import accumulate
 
 import pytest
 
-from drincoh import cli, gmodules, orlik
+from drincoh import cli, gmodules, matching, orlik
 from drincoh.errors import DeskScaleExceeded, ExactnessError
-from drincoh.ffgeom import enumerate_subspaces, hyperplane_union_points
+from drincoh.ffgeom import enumerate_subspaces, hyperplane_union_points, projective_points
 from drincoh.gmodules import (
     clear_resolutions,
     lattice_complex,
     steinberg_dim,
     steinberg_resolution,
 )
-from drincoh.homalg import ChainComplex
+from drincoh.homalg import ChainComplex, ExactMatrix
+from drincoh.matching import check_matching, function_complex_labels, hull_mask
 from drincoh.orlik import build_e1_row, build_function_complex, e2_page
 from drincoh.qarith import parabolic_index
-from drincoh.rootdata import ParabolicType, standard_subset
+from drincoh.rootdata import ParabolicType, i_of_I, standard_subset
 from drincoh.tables import TwistedModule, summand
 from oracles import (
     build_e1_page,
     euler_characteristic,
     field,
+    from_dict,
     function_complex_summands,
     in_extension_span,
     intersect_subspaces,
@@ -52,6 +54,134 @@ def test_function_complex_acyclic_on_grid():
         fc = build_function_complex(n, q, m)
         assert fc.homology_dims() == (0,) * len(fc.terms)
         assert euler_characteristic(fc) == 0
+
+
+# hulls of dimension 3 first appear at m = 3
+MATCHING_GRID = FUNCTION_COMPLEX_GRID + [(3, 2, 3), (3, 2, 4)]
+
+
+def _labels(n, q, m):
+    levels, dims, _ = orlik.function_complex_layout(n, q, m)
+    return levels, dims, function_complex_labels(
+        levels, dims, len(hyperplane_union_points(n, q, m)), q, m
+    )
+
+
+@pytest.mark.parametrize("n, q, m", MATCHING_GRID)
+def test_hull_matching_agrees_with_homology_dims(n, q, m):
+    # the builder certified the complex acyclic by the matching; the
+    # reference ranks agree, and each rank is exactly the number of matched
+    # pairs across it
+    cx = build_function_complex(n, q, m)
+    assert cx.homology_dims() == (0,) * len(cx.terms)
+    _, _, down = _labels(n, q, m)
+    assert list(map(len, down)) == list(cx.terms)
+    for t, d in enumerate(cx.diffs):
+        assert d.rank() == down[t].count(0) == down[t + 1].count(1), (n, q, m, t)
+
+
+@pytest.mark.parametrize("n, q, m", MATCHING_GRID)
+def test_matched_down_cells_are_the_closed_form_hull_counts(n, q, m):
+    # a type-I summand's matched-down points are the F_{q^m}-points of its
+    # P(U) off every rational hyperplane: #Ω^{d-1}(F_{q^m}) = ∏_{i=1}^{d-1}(q^m - q^i)
+    levels, dims, down = _labels(n, q, m)
+    assert down[0].count(1) == 0
+    for level, mask in zip(levels, down[1:]):
+        expected = 0
+        for I in level:
+            generic = 1
+            for i in range(1, i_of_I(I) + 1):
+                generic *= q**m - q**i
+            expected += dims[I] * generic
+        assert mask.count(1) == expected, (n, q, m, level)
+
+
+@pytest.mark.parametrize("d, q, m", [(1, 2, 1), (2, 2, 1), (2, 3, 2), (3, 2, 2),
+                                     (3, 2, 3), (3, 3, 2), (4, 2, 2)])
+def test_hull_mask_is_the_brute_force_rational_hull(d, q, m):
+    # a point of P^{d-1}(F_{q^m}) is generic iff no proper rational subspace
+    # of F_q^d holds it, checked in the reference field
+    F = field(q, m)
+    proper = [W for k in range(1, d) for W in enumerate_subspaces(d, k, q)]
+    points = projective_points(d - 1, q, m)
+    generic = bytes(not any(in_extension_span(x, W, F) for W in proper) for x in points)
+    assert hull_mask(d, q, m) == generic
+
+
+def _interval():
+    # the augmented cochain complex of an edge: Y's one cell, two vertices,
+    # one edge, matched as Y-a and b-edge
+    blocks = [[("Y", 1)], [("V", 2)], [("E", 1)]]
+    diffs = [from_dict(2, 1, {(0, 0): 1, (1, 0): 1}), from_dict(1, 2, {(0, 0): -1, (0, 1): 1})]
+    return diffs, blocks, [b"\x00", b"\x01\x00", b"\x01"]
+
+
+def test_check_matching_on_a_hand_built_complex():
+    diffs, blocks, down = _interval()
+    check_matching(diffs, blocks, down)
+    # any nonzero value on a matched entry is accepted: the check is over Q
+    doubled = [from_dict(d.rows, d.cols, {k: 2 * v for k, v in d.entries.items()}) for d in diffs]
+    check_matching(doubled, blocks, down)
+    # the ends: nothing below term 0, nothing above the top term
+    with pytest.raises(ExactnessError, match=r"^term 0, cell 0 of block Y: matched down"):
+        check_matching(diffs, blocks, [b"\x01", b"\x01\x00", b"\x01"])
+    with pytest.raises(ExactnessError, match=r"^term 2, cell 0 of block E: matched up"):
+        check_matching(diffs, blocks, [b"\x00", b"\x01\x00", b"\x00"])
+    # a d_0 with no entries keeps d∘d = 0, but H_0 = 1 shows as a row short
+    empty = [ExactMatrix(2, 1, [0, 0, 0], [], []), diffs[1]]
+    with pytest.raises(ExactnessError, match=r"^d_0, row cell 0 of block V: .* 0 entries"):
+        check_matching(empty, blocks, down)
+    with pytest.raises(ValueError):
+        check_matching(diffs, blocks, down[:2])
+
+
+def test_check_matching_rejects_a_row_with_two_partners():
+    # the edge's row meets both matched-up vertices
+    d = from_dict(1, 2, {(0, 0): -1, (0, 1): 1})
+    with pytest.raises(ExactnessError, match=r"^d_0, row cell 0 of block E: .* 2 entries"):
+        check_matching([d], [[("V", 2)], [("E", 1)]], [b"\x00\x00", b"\x01"])
+
+
+def test_check_matching_rejects_an_unmatched_or_doubly_matched_cell():
+    # vertex a is matched up, but no matched-down row has an entry there
+    d = from_dict(1, 2, {(0, 1): 1})
+    with pytest.raises(ExactnessError, match=r"^d_0, column cell 0 of block V: .* of 0 "):
+        check_matching([d], [[("V", 2)], [("E", 1)]], [b"\x00\x00", b"\x01"])
+    # both vertices claim Y's one cell
+    d = from_dict(2, 1, {(0, 0): 1, (1, 0): 1})
+    with pytest.raises(ExactnessError, match=r"^d_0, column cell 0 of block Y: .* of 2 "):
+        check_matching([d], [[("Y", 1)], [("V", 2)]], [b"\x00", b"\x01\x01"])
+
+
+def test_matching_failure_names_the_function_complex(monkeypatch):
+    def flipped(d, q, m, _orig=hull_mask):
+        mask = _orig(d, q, m)
+        return bytes([1 - mask[0]]) + mask[1:] if d == 2 else mask
+
+    monkeypatch.setattr(matching, "hull_mask", flipped)
+    where = r"^function complex \(n, q, m\) = \(2, 2, 1\): d_0, column cell 0 of block Y"
+    with pytest.raises(ExactnessError, match=where) as exc:
+        build_function_complex(2, 2, 1)
+    assert isinstance(exc.value.__cause__, ExactnessError)
+
+
+def test_summand_point_off_y_names_the_function_complex(monkeypatch):
+    monkeypatch.setattr(orlik, "hyperplane_union_points",
+                        lambda n, q, m: hyperplane_union_points(n, q, m)[:-1])
+    where = r"^function complex \(n, q, m\) = \(2, 2, 1\): summand point .* is not in Y"
+    with pytest.raises(ExactnessError, match=where) as exc:
+        build_function_complex(2, 2, 1)
+    assert isinstance(exc.value.__cause__, KeyError)
+
+
+def test_orlik_suite_ranks_nothing(monkeypatch, capsys):
+    def no_rank(self, **kwargs):
+        raise AssertionError("ExactMatrix.rank called on the orlik path")
+
+    monkeypatch.setattr(ExactMatrix, "rank", no_rank)
+    argv = ["verify", "--suite", "orlik", "--n-max", "3", "--q", "2,3", "--m-max", "2"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert "FAIL" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("n, q, m", FUNCTION_COMPLEX_GRID)
