@@ -13,18 +13,14 @@ the subset lattice.
 
 This module owns the one walk over the subset lattice (lattice_rows): the
 Steinberg resolutions and, expanded to points, orlik's function complex are
-built from it.  Both builders write their differentials through one writer
-(write_covers), and the one d∘d check (check_block_dd), which both call
-before anything is ranked, reads them back through _read_covers.  Writer
-and reader share one strided cover layout: within a row block of w entries
-per row, cover k is entry k of every row, the slice indices[s+k:e:w] of the
-CSR lists; its columns, one per row, lie in one column block, and its
-values are the cover's constant sign.  So a differential is a signed sum of
-column maps, and d∘d = 0 is checked by composing the maps along the paths
-K -> J -> L.  Each resolution is built, ranked and checked once per (J, q)
-and run: steinberg_resolution keeps only its verified homology, and orlik
-reads the E1 rows from that.  The closed forms parabolic_index and
-steinberg_dim are cached per (I, q) and process.
+built from it, and the one d∘d check (check_block_dd) reads both as cover
+forms: per row block, its covers (b, sign, image), each a map of its rows
+into column block b with one sign.  Only the resolutions, being ranked, are
+written in CSR (write_covers: cover k of a row block of w entries per row
+is the slice indices[s+k:e:w]) and read back (_read_covers).  Each is built,
+ranked and checked once per (J, q) and run: steinberg_resolution keeps
+only its verified homology, and orlik reads the E1 rows from that.  The
+closed forms parabolic_index and steinberg_dim are cached per (I, q).
 """
 
 from __future__ import annotations
@@ -124,14 +120,10 @@ def lattice_differential(
 
 
 def _read_covers(d: ExactMatrix, t: int, rows, cols) -> list[list[tuple]]:
-    """The covers of each row block of d = d_t, read from its CSR lists.
-
-    `rows` and `cols` are the (label, size) blocks of d's target and source.
-    In a row block of w entries per row, cover k is entry k of every row: it
-    gives (b, sign, image), where every column of `image` (one per row, as
-    global columns of d) lies in column block b and every value is `sign`.
-    Any other layout raises ExactnessError naming the block.
-    """
+    """The cover form of d = d_t, `rows` and `cols` the (label, size) blocks
+    of its target and source: in a row block of w entries per row, cover k
+    is entry k of every row, b the block of its first column.  Rows of
+    unequal length or a cover of two values raise ExactnessError."""
     col_off = list(accumulate((size for _, size in cols), initial=0))
     n_rows = sum(size for _, size in rows)
     if (d.rows, d.cols) != (n_rows, col_off[-1]):
@@ -149,23 +141,31 @@ def _read_covers(d: ExactMatrix, t: int, rows, cols) -> list[list[tuple]]:
             )
         covers = []
         for k in range(w):
-            image = idx[s + k:e:w]
-            b = bisect_right(col_off, image[0]) - 1
-            if min(image) < col_off[b] or max(image) >= col_off[b + 1]:
-                raise ExactnessError(
-                    f"d∘d check: d_{t}, row block {label}: entry {k} of its rows "
-                    "spans column blocks"
-                )
             sign = val[s + k]
             if val[s + k:e:w].count(sign) != size:
                 raise ExactnessError(
                     f"d∘d check: d_{t}, row block {label}: entry {k} of its rows "
                     "is not one constant sign"
                 )
-            covers.append((b, sign, image))
+            covers.append((bisect_right(col_off, idx[s + k]) - 1, sign, idx[s + k:e:w]))
         out.append(covers)
         r += size
     return out
+
+
+def check_covers(covers, t: int, rows, cols, check: str) -> None:
+    """Raise ExactnessError, prefixed by `check`, unless each cover (b, sign,
+    image) of the form `covers` of d_t maps its row block into block b."""
+    col_off = list(accumulate((size for _, size in cols), initial=0))
+    if len(covers) != len(rows):
+        raise ExactnessError(f"{check}: d_{t} has {len(covers)} row blocks, not {len(rows)}")
+    for (label, size), block in zip(rows, covers):
+        for k, (b, _, image) in enumerate(block):
+            if len(image) != size or not 0 <= b < len(cols) or image and (
+                min(image) < col_off[b] or max(image) >= col_off[b + 1]
+            ):
+                raise ExactnessError(f"{check}: d_{t}, row block {label}: entry {k} of its "
+                                     f"rows does not map its {size} rows into block {b}")
 
 
 def _first_nonzero_row(paths):
@@ -217,19 +217,13 @@ def _check_pair(low, high, t: int, blocks) -> None:
         row0 += size
 
 
-def check_block_dd(diffs, blocks) -> None:
-    """Check d∘d = 0 for the differentials `diffs`, d_t mapping term t to
-    term t+1, from their block layout.
-
-    `blocks[t]` lists term t's blocks as (label, size) pairs in order.  Each
-    differential's layout is read by _read_covers, so the check proves d∘d
-    = 0 for the matrices as stored, not for the builder's intent; a matrix
-    whose layout does not fit raises.  Only two adjacent differentials'
-    covers are held at a time.
-    """
+def check_block_dd(covers, blocks) -> None:
+    """Check d∘d = 0 for the cover forms `covers` of d_t, term t to t+1, each
+    checked first against the (label, size) blocks `blocks[t]` of each term.
+    Only two adjacent forms of the iterable `covers` are held at a time."""
     low = None
-    for t, d in enumerate(diffs):
-        high = _read_covers(d, t, blocks[t + 1], blocks[t])
+    for t, high in enumerate(covers):
+        check_covers(high, t, blocks[t + 1], blocks[t], "d∘d check")
         if low is not None:
             _check_pair(low, high, t - 1, blocks)
         low = high
@@ -239,16 +233,19 @@ def lattice_complex(J: ParabolicType, q: int) -> tuple[tuple, ChainComplex]:
     """The levels interval_levels(J) and the complex over them of
     ⊕ Ind_{P_I}^G K, level by level, with lattice_differential between.  The
     flag guard comes first, before any subset is listed.  d∘d = 0 is checked
-    by check_block_dd, one block per subset; a failure is raised again
-    naming J and q."""
+    by check_block_dd, one block per subset, on the covers read back from
+    the CSR; a failure is raised again naming J and q."""
     check_flag_guard(J.n, q)
     levels = tuple(map(tuple, interval_levels(J)))
     dims = {I: parabolic_index(I, q) for level in levels for I in level}
     terms = tuple(sum(dims[I] for I in level) for level in levels)
     diffs = tuple(lattice_differential(*pair, dims, q) for pair in pairwise(levels))
     cx = ChainComplex(terms, diffs)
+    blocks = [[(I.subset_str(), dims[I]) for I in level] for level in levels]
     try:
-        check_block_dd(diffs, [[(I.subset_str(), dims[I]) for I in level] for level in levels])
+        check_block_dd(
+            (_read_covers(d, t, blocks[t + 1], blocks[t]) for t, d in enumerate(diffs)), blocks
+        )
     except ExactnessError as exc:
         raise ExactnessError(f"lattice complex J={J.subset_str()}, q={q}: {exc}") from exc
     return levels, cx

@@ -22,8 +22,8 @@ they are skipped.
 
 A chain complex checks only the shapes of its differentials.  Homology
 relies on d∘d = 0, which gmodules.check_block_dd checks first.  Only the
-Steinberg resolutions are ranked; the function complex is certified exact
-by the matching of drincoh.matching.
+Steinberg resolutions are stored and ranked here; the function complex
+stays cover forms (gmodules), certified exact by drincoh.matching.
 """
 
 from __future__ import annotations

@@ -1,17 +1,18 @@
-"""Exactness from an acyclic matching, checked on the matrices themselves.
+"""Exactness from an acyclic matching, checked on the differentials themselves.
 
 A matching labels each cell (basis vector) of each term of a complex as
 matched down, paired with a cell of the term below, or matched up.  For
-d_t from term t to term t+1, check_matching asks that every matched-down
-row of term t+1 has exactly one entry in a matched-up column of term t,
-and that these partner columns are distinct and are every matched-up cell
-of term t; term 0 has no matched-down cell and the top term no matched-up
-cell.  Then the rows of matched-down cells and the columns of their
-partners cut out of d_t a permutation with nonzero entries, so rank d_t is
-at least the number of matched-up cells of term t, whatever the values.
-With d∘d = 0, which the builder checks first, every homology group over Q
-is 0 (Forman, Adv. Math. 134, 1998).  The labels are only hints: a wrong
-one can make the check fail, never pass.
+d_t from term t to term t+1, given as its cover form (gmodules),
+check_matching asks that every matched-down row of term t+1 has exactly
+one entry in a matched-up column of term t, of value ±1, and that these
+partner columns are distinct and are every matched-up cell of term t; term
+0 has no matched-down cell and the top term no matched-up cell.  Then the
+rows of matched-down cells and the columns of their partners cut out of
+d_t a signed permutation, so rank d_t is at least the number of
+matched-up cells of term t, over Q and over every F_ℓ.  With d∘d = 0,
+which the builder checks first, every homology group is 0, over Z too
+(Forman, Adv. Math. 134, 1998).  The labels are only hints: a wrong one
+can make the check fail, never pass.
 
 The function complex of orlik is split point by point.  The cells over a
 point x of Y are the flags whose first member U has x in P(U), that is
@@ -25,11 +26,12 @@ i.e. iff x is generic in U (hull_mask), and every other cell is matched up.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, compress, count, islice, repeat
-from operator import and_, not_, sub, truth
+from itertools import compress, count, islice
+from operator import add, lt, not_, truth
 
 from .errors import ExactnessError
 from .ffgeom import _point_masks
+from .gmodules import check_covers
 from .rootdata import i_of_I
 
 
@@ -72,51 +74,75 @@ def _first_difference(got: list, want: list) -> int:
     return max(got, want, key=len)[min(len(got), len(want))]
 
 
-def check_matching(diffs, blocks, down) -> None:
-    """Raise ExactnessError unless `down` is an acyclic matching of the
-    complex with differentials `diffs`, d_t from term t to term t+1.
+def _nth(mask: bytes, k: int) -> int:
+    """The position of the k-th nonzero byte of mask."""
+    return next(islice(compress(count(), mask), k, None))
+
+
+def check_matching(covers, blocks, down) -> None:
+    """Raise ExactnessError unless `down` is an acyclic matching with unit
+    partners of the complex whose differentials have the cover forms
+    `covers`, d_t from term t to term t+1.
 
     `down[t]` is a byte mask over term t's cells, nonzero for a matched-down
-    cell, and `blocks[t]` lists term t's (label, size) blocks, used only to
-    name a failure.  Per d_t, one byte per stored entry marks the entries
-    in a matched-down row and a matched-up column; their rows, read in
-    storage order, must be the matched-down rows once each, and their
-    columns, sorted, the matched-up columns once each.
+    cell, and `blocks[t]` lists term t's (label, size) blocks; each cover
+    form is checked against them by gmodules.check_covers.  Per cover, one
+    byte per matched-down row marks whether its column is matched up, and
+    these bytes, summed over a row block's covers, must all be 1, so two
+    covers of one row that meet one such column count as two partners.  The
+    partners' columns must be the matched-up columns once each, and a cover
+    with a partner must have sign ±1.
     """
-    if len(down) != len(diffs) + 1:
-        raise ValueError(f"{len(down)} label masks for {len(diffs) + 1} terms")
+    if len(down) != len(covers) + 1:
+        raise ValueError(f"{len(down)} label masks for {len(covers) + 1} terms")
     first = next(compress(count(), down[0]), None)
     if first is not None:
         raise ExactnessError(f"term 0, {_cell(blocks[0], first)}: matched down, with no term below")
-    last = len(diffs)
+    last = len(covers)
     first = next(compress(count(), map(not_, down[last])), None)
     if first is not None:
         raise ExactnessError(
             f"term {last}, {_cell(blocks[last], first)}: matched up, with no term above"
         )
-    for t, d in enumerate(diffs):
+    for t, form in enumerate(covers):
+        check_covers(form, t, blocks[t + 1], blocks[t], "matching check")
         rows_down, up = bytes(map(truth, down[t + 1])), bytes(map(not_, down[t]))
-        if (len(rows_down), len(up)) != (d.rows, d.cols):
+        shape = tuple(sum(size for _, size in blocks[u]) for u in (t + 1, t))
+        if (len(rows_down), len(up)) != shape:
             raise ValueError(
-                f"d_{t} is {d.rows}x{d.cols}, its labels give {len(rows_down)}x{len(up)}"
+                f"d_{t} is {shape[0]}x{shape[1]}, its labels give {len(rows_down)}x{len(up)}"
             )
-        ptr = d.indptr
-        lengths = list(map(sub, islice(ptr, 1, None), ptr))
-        hits = bytes(map(and_, chain.from_iterable(map(repeat, rows_down, lengths)),
-                         map(up.__getitem__, d.indices)))
-        got = list(compress(d._row_ids(), hits))
-        want = list(compress(range(d.rows), rows_down))
-        if got != want:
-            r = _first_difference(got, want)
-            raise ExactnessError(
-                f"d_{t}, row {_cell(blocks[t + 1], r)}: matched down with "
-                f"{got.count(r)} entries in matched-up columns, not 1"
-            )
-        got = sorted(compress(d.indices, hits))
-        want = list(compress(range(d.cols), up))
-        if got != want:
-            c = _first_difference(got, want)
+        cols, r0 = [], 0
+        for (_, size), block in zip(blocks[t + 1], form):
+            mask = rows_down[r0:r0 + size]
+            acc = bytes(mask.count(1))
+            for _, sign, image in block:
+                # the cover's columns in the matched-down rows, and which of
+                # them are matched up
+                sel = list(compress(image, mask))
+                hits = bytes(map(up.__getitem__, sel))
+                if sign != 1 and sign != -1 and 1 in hits:
+                    r = r0 + _nth(mask, hits.index(1))
+                    raise ExactnessError(
+                        f"d_{t}, row {_cell(blocks[t + 1], r)}: matched down with the "
+                        f"partner entry {sign}, not ±1"
+                    )
+                acc = bytes(map(add, acc, hits))
+                cols += compress(sel, hits)
+            if acc != b"\x01" * len(acc):
+                k = next(k for k, c in enumerate(acc) if c != 1)
+                r = r0 + _nth(mask, k)
+                raise ExactnessError(
+                    f"d_{t}, row {_cell(blocks[t + 1], r)}: matched down with "
+                    f"{acc[k]} entries in matched-up columns, not 1"
+                )
+            r0 += size
+        # the partners are matched-up columns: once sorted, they are every
+        # one once iff they rise strictly and number #up
+        cols.sort()
+        if len(cols) != up.count(1) or not all(map(lt, cols, islice(cols, 1, None))):
+            c = _first_difference(cols, list(compress(range(len(up)), up)))
             raise ExactnessError(
                 f"d_{t}, column {_cell(blocks[t], c)}: matched up and the partner of "
-                f"{got.count(c)} matched-down rows, not 1"
+                f"{cols.count(c)} matched-down rows, not 1"
             )

@@ -4,7 +4,8 @@
     union Y of all rational hyperplanes in P^n, resolved by functions on the
     translates g.Y_I = P(U) indexed by proper subsets I and cosets of G/P_I.
     Its acyclicity, the finite shadow of the sheaf-level statement, is
-    certified by drincoh.matching's rational-hull matching, not by rank.
+    certified by drincoh.matching's rational-hull matching, not by rank,
+    so its differentials stay cover column maps, never CSR matrices.
     It is E1 row 0 expanded to points: after the augmentation, a type-I
     flag stands for the #P^{i(I)}(F_{q^m}) points of P(U), U its first
     member, so one closed-form layout gives the block sizes, the guard and
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from itertools import accumulate, chain, repeat
 from operator import add, itemgetter
+from typing import NamedTuple
 
 from .errors import DeskScaleExceeded, ExactnessError
 from .ffgeom import (
@@ -41,9 +43,7 @@ from .gmodules import (
     lattice_rows,
     steinberg_dim,
     steinberg_resolution,
-    write_covers,
 )
-from .homalg import ChainComplex, ExactMatrix
 from .qarith import parabolic_index, projective_count
 from .rootdata import ParabolicType, i_of_I, standard_subset
 from .tables import TwistedModule, summand
@@ -74,7 +74,25 @@ def function_complex_layout(n: int, q: int, m: int):
     return levels, dims, points
 
 
-def build_function_complex(n: int, q: int, m: int) -> ChainComplex:
+class FunctionComplex(NamedTuple):
+    """Term dimensions and each differential's cover form (gmodules)."""
+
+    terms: tuple[int, ...]
+    covers: tuple[list, ...]
+
+
+def _augmentation(level, points_of, y_points, q: int) -> list[list[tuple]]:
+    """The cover form of d_0: per top-level subset, one cover of sign 1."""
+    y_index = {pt: k for k, pt in enumerate(y_points)}
+    return [
+        [(0, 1, list(map(y_index.__getitem__, chain.from_iterable(
+            points_of[i_of_I(I) + 1][key[0]] for key in flag_keys(I, q)
+        ))))]
+        for I in level
+    ]
+
+
+def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
     """The complex 0 -> Fun(Y) -> ⊕_{#I=n-1} ⊕_g Fun(g.Y_I) -> ... -> ⊕_{G/B} -> 0.
 
     After the augmentation, each differential is the lattice differential
@@ -87,17 +105,12 @@ def build_function_complex(n: int, q: int, m: int) -> ChainComplex:
     each subvariety's points are listed once.  The block sizes and each
     source summand's first column come from function_complex_layout.
 
-    Every differential is written one subset's row block at a time by
-    gmodules.write_covers, each cover of lattice_rows as one column map:
-    a cover whose source and target summands share U writes each summand's
-    columns as a range; any other reads the position list P(U) -> P(V),
-    built once per (U, V) pair and differential and keyed by the indices of
-    U and V in the flag's key.  The augmentation is one cover of sign 1 per
-    subset.  d∘d = 0 is checked by gmodules.check_block_dd with one block
-    per subset (its summands, which are contiguous) and Y as the
-    augmentation's one source block, then exactness by
-    matching.check_matching; a failure, or a point off Y, raises
-    ExactnessError naming (n, q, m).
+    Each differential is kept as its cover form, one block per subset and
+    Y as d_0's, each cover of lattice_rows one list of columns: ranges if
+    source and target summands share U, else the positions of P(U) in
+    P(V), listed once per (U, V) and differential.  d∘d = 0 is checked by
+    gmodules.check_block_dd, then exactness by matching.check_matching; a
+    failure, or a point off Y, raises ExactnessError naming (n, q, m).
     """
     subsets, dims, points = function_complex_layout(n, q, m)
     y_points = hyperplane_union_points(n, q, m)
@@ -107,23 +120,15 @@ def build_function_complex(n: int, q: int, m: int) -> ChainComplex:
         d: [subspace_points(U, q, m) for U in enumerate_subspaces(n + 1, d, q)]
         for d in range(1, n + 1)
     }
-    y_index = {pt: k for k, pt in enumerate(y_points)}
     where = f"function complex (n, q, m) = ({n}, {q}, {m})"
-    # d∘d is checked on blocks: Y, then each subset's summands
     blocks = [[("Y", len(y_points))]] + [
         [(I.subset_str(), dims[I] * points[I]) for I in level] for level in subsets
     ]
-    terms = [sum(size for _, size in sizes) for sizes in blocks]
-    # augmentation: restriction of functions on Y to each top-level summand,
-    # one cover of sign 1 per subset
-    csr = [0], [], []
-    for I, (_, size) in zip(subsets[0], blocks[1]):
-        summands = (points_of[i_of_I(I) + 1][key[0]] for key in flag_keys(I, q))
-        try:
-            write_covers(csr, [1], [map(y_index.__getitem__, chain.from_iterable(summands))], size)
-        except KeyError as exc:
-            raise ExactnessError(f"{where}: summand point {exc} is not in Y") from exc
-    diffs = [ExactMatrix(len(csr[0]) - 1, len(y_points), *csr)]
+    terms = tuple(sum(size for _, size in sizes) for sizes in blocks)
+    try:
+        covers = [_augmentation(subsets[0], points_of, y_points, q)]
+    except KeyError as exc:
+        raise ExactnessError(f"{where}: summand point {exc} is not in Y") from exc
 
     for t in range(len(subsets) - 1):
         # the first column of each source summand: each source subset J has
@@ -134,45 +139,45 @@ def build_function_complex(n: int, q: int, m: int) -> ChainComplex:
         # (dim U, dim V) -> {(index of U, index of V): the positions in P(V)
         # of the points of P(U)}, each list built once per differential
         embedded: dict = {}
-        csr = [0], [], []
-        # summands follow the flags subset by subset, so the row blocks come
-        # out in order; lattice_rows' column maps index the source summands
+        form = []
+        # lattice_rows' column maps index the source summands
         rows = lattice_rows(subsets[t], subsets[t + 1], dims, q)
-        for I, (covers, signs, images), (_, size) in zip(subsets[t + 1], rows, blocks[t + 2]):
+        for I, (sources, signs, images) in zip(subsets[t + 1], rows):
             p = points[I]  # each summand of I has p points
             keys, members = flag_keys(I, q), chain_dims(I)
-            columns = []
-            for J, image in zip(covers, images):
+            block = []
+            for J, sign, image in zip(sources, signs, images):
                 # each target summand's source summand, by its first column
                 starts = list(map(col0.__getitem__, image))
                 d = chain_dims(J)[0]
                 if d == members[0]:
                     # the cover keeps each flag's first member U, so each
                     # source summand is P(U) again, its points in order
-                    columns.append(chain.from_iterable(map(range, starts, map(p.__add__, starts))))
-                    continue
-                # the source's subspace V is the flag's member of dim d: its
-                # points' positions in P(V) follow the key entries of U and V
-                UV = itemgetter(0, members.index(d))
-                table = embedded.setdefault((members[0], d), {})
-                Vs, U_points = enumerate_subspaces(n + 1, d, q), points_of[members[0]]
-                positions = point_positions(d, q, m)
-                for u, v in set(map(UV, keys)).difference(table):
-                    pivots = itemgetter(*map(tuple.index, Vs[v], repeat(1)))
-                    table[u, v] = list(map(positions.__getitem__, map(pivots, U_points[u])))
-                columns.append(map(add, chain.from_iterable(map(repeat, starts, repeat(p))),
-                                   chain.from_iterable(map(table.__getitem__, map(UV, keys)))))
-            write_covers(csr, signs, columns, size)
-        diffs.append(ExactMatrix(len(csr[0]) - 1, col0[-1], *csr))
-    cx = ChainComplex(tuple(terms), tuple(diffs))
+                    columns = chain.from_iterable(map(range, starts, map(p.__add__, starts)))
+                else:
+                    # the source's subspace V is the flag's member of dim d:
+                    # its points' places in P(V) follow U's and V's keys
+                    UV = itemgetter(0, members.index(d))
+                    table = embedded.setdefault((members[0], d), {})
+                    Vs, U_points = enumerate_subspaces(n + 1, d, q), points_of[members[0]]
+                    positions = point_positions(d, q, m)
+                    for u, v in set(map(UV, keys)).difference(table):
+                        pivots = itemgetter(*map(tuple.index, Vs[v], repeat(1)))
+                        table[u, v] = list(map(positions.__getitem__, map(pivots, U_points[u])))
+                    columns = map(add, chain.from_iterable(map(repeat, starts, repeat(p))),
+                                  chain.from_iterable(map(table.__getitem__, map(UV, keys))))
+                block.append((subsets[t].index(J), sign, list(columns)))
+            form.append(block)
+        covers.append(form)
+    del points_of  # the checks' temporaries need not stack on it at the peak
     from .matching import check_matching, function_complex_labels
 
     try:
-        check_block_dd(diffs, blocks)
-        check_matching(diffs, blocks, function_complex_labels(subsets, dims, terms[0], q, m))
+        check_block_dd(covers, blocks)
+        check_matching(covers, blocks, function_complex_labels(subsets, dims, terms[0], q, m))
     except ExactnessError as exc:
         raise ExactnessError(f"{where}: {exc}") from exc
-    return cx
+    return FunctionComplex(terms, tuple(covers))
 
 
 def function_complex_nnz(n: int, q: int, m: int) -> int:

@@ -22,7 +22,7 @@ from drincoh.ffgeom import (
     rational_forms,
     subspace_points,
 )
-from drincoh.gmodules import check_block_dd, interval_levels
+from drincoh.gmodules import _read_covers, check_block_dd, interval_levels, write_covers
 from drincoh.homalg import ChainComplex, ExactMatrix
 from drincoh.qarith import is_prime, parabolic_index
 from drincoh.rootdata import ParabolicType, standard_subset, subsets_of_size
@@ -494,11 +494,37 @@ def reference_dd_failure(diffs) -> tuple[int, int, int, int] | None:
     return None
 
 
+def read_covers(diffs, blocks):
+    """The cover forms of CSR differentials, read by gmodules._read_covers
+    as lattice_complex reads them, lazily, one differential at a time."""
+    return (_read_covers(d, t, blocks[t + 1], blocks[t]) for t, d in enumerate(diffs))
+
+
+def cover_matrix(form, cols: int) -> ExactMatrix:
+    """The CSR matrix of a cover form (gmodules) with `cols` columns, each
+    row block written by gmodules.write_covers, its size that of its first
+    cover's image (every row block of the function complex has a cover):
+    the reference materializer of the function complex's differentials."""
+    csr = [0], [], []
+    for block in form:
+        signs = [sign for _, sign, _ in block]
+        write_covers(csr, signs, [image for _, _, image in block], len(block[0][2]))
+    return ExactMatrix(len(csr[0]) - 1, cols, *csr)
+
+
+def materialized(fc) -> ChainComplex:
+    """orlik.build_function_complex's result as a ChainComplex of CSR matrices."""
+    return ChainComplex(
+        fc.terms, tuple(cover_matrix(form, fc.terms[t]) for t, form in enumerate(fc.covers))
+    )
+
+
 def reported_dd_failure(diffs, blocks) -> tuple[int, int, int, int] | None:
     """(t, row, col, value) that gmodules.check_block_dd reports for a d∘d
-    failure, None when it passes; a layout error propagates."""
+    failure of CSR differentials, read back by read_covers, None when it
+    passes; a layout error propagates."""
     try:
-        check_block_dd(diffs, blocks)
+        check_block_dd(read_covers(diffs, blocks), blocks)
     except ExactnessError as exc:
         match = re.fullmatch(
             r"d∘d != 0 between positions (\d+) and (\d+), blocks \(K, L\) = \(.*\): "

@@ -18,8 +18,11 @@ from drincoh.orlik import build_function_complex, e2_page
 from drincoh.qarith import parabolic_index
 from drincoh.rootdata import ParabolicType, subsets_of_size
 from oracles import (
+    cover_matrix,
     identity,
+    materialized,
     matmul,
+    read_covers,
     reference_dd_failure,
     reindexed,
     reported_dd_failure,
@@ -177,12 +180,13 @@ def test_flag_guard_comes_before_the_subset_lattice(monkeypatch):
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Every (diffs, blocks) the builders pass to check_block_dd."""
+    """Every (cover forms, blocks) the builders pass to check_block_dd."""
     calls = []
 
-    def recording(diffs, blocks, _check=gmodules.check_block_dd):
-        calls.append((tuple(diffs), blocks))
-        return _check(diffs, blocks)
+    def recording(covers, blocks, _check=gmodules.check_block_dd):
+        covers = tuple(covers)
+        calls.append((covers, blocks))
+        return _check(covers, blocks)
 
     for mod in (gmodules, orlik):
         monkeypatch.setattr(mod, "check_block_dd", recording)
@@ -199,7 +203,9 @@ def test_block_dd_check_matches_reference_product_on_desk_complexes(checked):
             build_function_complex(n, q, m)
     lattice = sum(2**n - 1 for n, _ in points)
     assert len(checked) == lattice + 12
-    for diffs, blocks in checked:
+    for covers, blocks in checked:
+        diffs = [cover_matrix(form, sum(size for _, size in blocks[t]))
+                 for t, form in enumerate(covers)]
         # the builders' block sizes tile every term, and every pair is zero
         assert [sum(size for _, size in term) for term in blocks] == [
             diffs[0].cols, *(d.rows for d in diffs)
@@ -226,22 +232,27 @@ def test_read_covers_returns_the_maps_the_writer_wrote(monkeypatch, checked):
         written.append(list(zip(signs, images)))
         return _write(csr, signs, images, size)
 
-    for mod in (gmodules, orlik):
-        monkeypatch.setattr(mod, "write_covers", recording)
+    monkeypatch.setattr(gmodules, "write_covers", recording)
     points = [(n, q) for n in (1, 2, 3) for q in (2, 3)] + [(4, 2)]
-    builds = [lambda n=n, q=q, mask=mask: lattice_complex(ParabolicType(n, mask), q)
-              for n, q in points for mask in range((1 << n) - 1)]
-    builds += [lambda n=n, q=q, m=m: build_function_complex(n, q, m)
-               for n, q in points[:-1] for m in (1, 2)]
-    for build in builds:
-        written.clear()
-        build()
-        diffs, blocks = checked[-1]
-        read = [[(sign, image) for _, sign, image in covers]
-                for t, d in enumerate(diffs)
-                for covers in gmodules._read_covers(d, t, blocks[t + 1], blocks[t])]
-        assert written and read == written
-    assert len(checked) == len(builds)
+    for n, q in points:
+        for mask in range((1 << n) - 1):
+            written.clear()
+            lattice_complex(ParabolicType(n, mask), q)
+            covers, _ = checked[-1]
+            read = [[(sign, image) for _, sign, image in block] for form in covers for block in form]
+            assert written and read == written
+    # the function complex writes no CSR; its cover forms, written by the
+    # reference materializer and read back, are the forms it checked
+    written.clear()
+    for n, q in points[:-1]:
+        for m in (1, 2):
+            build_function_complex(n, q, m)
+            covers, blocks = checked[-1]
+            assert not written
+            diffs = [cover_matrix(form, sum(size for _, size in blocks[t]))
+                     for t, form in enumerate(covers)]
+            assert list(read_covers(diffs, blocks)) == [list(form) for form in covers]
+    assert len(checked) == sum(2**n - 1 for n, _ in points) + 12
 
 
 def _covers(d, rows):
@@ -333,12 +344,15 @@ MUTATIONS = {
 
 
 def _complex_and_blocks(kind, checked):
+    # the function complex is mutated in its materialized CSR, and both
+    # kinds are read back by _read_covers, as lattice_complex reads them
     if kind == "lattice":
         diffs = lattice_complex(ParabolicType.empty(3), 2)[1].diffs
     else:
-        diffs = build_function_complex(3, 2, 1).diffs
-    assert checked[-1][0] == tuple(diffs)
-    return checked[-1]
+        diffs = materialized(build_function_complex(3, 2, 1)).diffs
+    covers, blocks = checked[-1]
+    assert tuple(read_covers(diffs, blocks)) == covers
+    return diffs, blocks
 
 
 @pytest.mark.parametrize("kind", ["lattice", "function"])
@@ -355,7 +369,7 @@ def test_block_dd_check_rejects_mutations(name, kind, checked):
     if layout_error:
         where = rf"^d∘d check: d_{t}, row block \S+: .*{layout_error}"
         with pytest.raises(ExactnessError, match=where):
-            gmodules.check_block_dd(mutated, blocks)
+            gmodules.check_block_dd(read_covers(mutated, blocks), blocks)
     else:
         assert reported_dd_failure(mutated, blocks) == want
 
@@ -368,6 +382,8 @@ def test_block_dd_check_rejects_a_permuted_basis():
     perms = [rng.sample(range(t), t) for t in cx.terms]
     diffs = [reindexed(d, perms[i + 1], perms[i]) for i, d in enumerate(cx.diffs)]
     assert reference_dd_failure(diffs) is None
-    where = r"^d∘d check: d_1, row block \{\}: entry 0 of its rows spans column blocks"
+    # the columns are checked by check_block_dd after _read_covers, whose
+    # constant-sign check sees the permuted layout first
+    where = r"^d∘d check: d_1, row block \{\}: entry 0 of its rows is not one constant sign"
     with pytest.raises(ExactnessError, match=where):
-        gmodules.check_block_dd(diffs, blocks)
+        gmodules.check_block_dd(read_covers(diffs, blocks), blocks)

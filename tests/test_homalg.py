@@ -28,6 +28,7 @@ from oracles import (
     matmul,
     parse_dump,
     product_rows,
+    read_covers,
     reference_dd_failure,
     reference_product,
     reindexed,
@@ -157,8 +158,9 @@ def test_chain_complex_validation(monkeypatch):
     d0 = identity(2)
     d1 = identity(2)
     ChainComplex((2, 2, 2), (d0, d1))
+    blocks = [[("a", 2)], [("b", 2)], [("c", 2)]]
     with pytest.raises(ExactnessError, match=r"^d∘d != 0 between positions 0 and 2"):
-        check_block_dd((d0, d1), [[("a", 2)], [("b", 2)], [("c", 2)]])
+        check_block_dd(read_covers((d0, d1), blocks), blocks)
 
 
 def test_euler_characteristic_equals_alternating_homology():
@@ -480,7 +482,7 @@ def test_dict_constructor_drops_zeros_and_rejects_non_ints():
 
 
 def _random_layout(rng, row_sizes, col_sizes, signs):
-    """A random differential with the block layout check_block_dd reads:
+    """A random differential with the block layout _read_covers reads:
     each row block takes a random increasing list of column blocks as its
     covers, each with a constant sign and a random column map."""
     col_off = list(itertools.accumulate(col_sizes, initial=0))
@@ -562,7 +564,7 @@ def test_dd_failure_names_the_first_nonzero_entry():
     blocks = [[("K", 1)], [("J1", 1), ("J2", 1)], [("L", 1)]]
     with pytest.raises(ExactnessError, match=r"positions 0 and 2, blocks \(K, L\) = \(K, L\): "
                        r"entry \(0,0\) of d_1∘d_0 is 2"):
-        check_block_dd((d0, d1), blocks)
+        check_block_dd(read_covers((d0, d1), blocks), blocks)
     # one cover's sign flipped in a Steinberg resolution: the report is the
     # first nonzero entry of the product, found by the reference product
     from drincoh.gmodules import lattice_complex
@@ -583,28 +585,34 @@ def test_dd_failure_names_the_first_nonzero_entry():
     data[10] = -data[10]
     flipped = ExactMatrix(d1.rows, d1.cols, d1.indptr, d1.indices, data)
     with pytest.raises(ExactnessError, match=r"^d∘d check: d_1, row block \{\}: entry 0 .*sign"):
-        check_block_dd((d0, flipped), blocks)
+        check_block_dd(read_covers((d0, flipped), blocks), blocks)
 
 
-def _stored_bytes_per_nonzero(build):
+def _stored_bytes_per_nonzero(build, nnz):
     build()  # warm the flag and point caches
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        diffs = build()
+        stored = build()
         gc.collect()
-        stored = tracemalloc.get_traced_memory()[0] - before
+        size = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    return stored / sum(d.nnz for d in diffs)
+    return size / nnz(stored)
 
 
 def test_stored_matrices_take_at_most_80_bytes_per_nonzero():
+    # the lattice keeps CSR for rank; the function complex keeps only its
+    # cover forms, one list of columns per cover
     from drincoh.gmodules import lattice_complex
     from drincoh.orlik import build_function_complex
 
-    assert _stored_bytes_per_nonzero(lambda: build_function_complex(3, 3, 2).diffs) <= 80
+    def cover_nnz(covers):
+        return sum(len(image) for form in covers for block in form for _, _, image in block)
+
+    assert _stored_bytes_per_nonzero(lambda: build_function_complex(3, 3, 2).covers, cover_nnz) <= 40
     assert _stored_bytes_per_nonzero(
-        lambda: lattice_complex(ParabolicType.empty(3), 3)[1].diffs
+        lambda: lattice_complex(ParabolicType.empty(3), 3)[1].diffs,
+        lambda diffs: sum(d.nnz for d in diffs),
     ) <= 80

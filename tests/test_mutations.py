@@ -107,12 +107,20 @@ def _hull_mask_one_flipped(d, q, m, _orig=matching.hull_mask):
     return bytes([1 - mask[0]]) + mask[1:] if d == 2 else mask
 
 
-def _augmentation_without_covers(csr, signs, images, size, _orig=gmodules.write_covers):
-    # only the augmentation's rows have a single cover: write them empty, so
-    # d_0 = 0, d∘d stays 0 and H_0 = Fun(Y)
-    if len(signs) == 1:
-        signs, images = [], []
-    return _orig(csr, signs, images, size)
+def _augmentation_without_covers(*args, _orig=orlik._augmentation):
+    # every row block of d_0 loses its one cover, so d_0 = 0, d∘d stays 0
+    # and H_0 = Fun(Y)
+    return [[] for _ in _orig(*args)]
+
+
+def _lattice_rows_last_scaled(sources, targets, dims, q, _orig=gmodules.lattice_rows):
+    # the function complex's last differential, into the full flags, has
+    # its signs doubled: d∘d stays 0 and every rank over Q is unchanged,
+    # but its matched minor is no longer a signed permutation over Z
+    for covers, signs, images in _orig(sources, targets, dims, q):
+        if targets[0].mask == 0:
+            signs = [2 * sign for sign in signs]
+        yield covers, signs, images
 
 
 CASES = {
@@ -145,13 +153,15 @@ CASES = {
     "clearing": (_clearing_one_too_many, (ExactMatrix,), {"steinberg", "e2", "cohomology"}),
     "hull_mask": (_hull_mask_one_flipped, (matching,), {"orlik"}),
     "augmentation": (_augmentation_without_covers, (orlik,), {"orlik"}),
+    "unit_partners": (_lattice_rows_last_scaled, (orlik,), {"orlik"}),
 }
 # cases that patch a name other than their own
 PATCHED_NAME = {
     "clearing": "rank",
     "superspaces": "_superspaces",
     "digits": "_digits",
-    "augmentation": "write_covers",
+    "augmentation": "_augmentation",
+    "unit_partners": "lattice_rows",
 }
 # cases whose bug shows only past m = 1: at m = 1 the top digit is the only one
 ARGV = {"digits": [*VERIFY[:-1], "2"]}

@@ -24,10 +24,10 @@ from oracles import (
     build_e1_page,
     euler_characteristic,
     field,
-    from_dict,
     function_complex_summands,
     in_extension_span,
     intersect_subspaces,
+    materialized,
 )
 
 
@@ -52,7 +52,7 @@ def test_function_complex_shapes():
 def test_function_complex_acyclic_on_grid():
     for n, q, m in [(1, 2, 1), (1, 2, 2), (2, 2, 1), (2, 3, 1)]:
         fc = build_function_complex(n, q, m)
-        assert fc.homology_dims() == (0,) * len(fc.terms)
+        assert materialized(fc).homology_dims() == (0,) * len(fc.terms)
         assert euler_characteristic(fc) == 0
 
 
@@ -72,7 +72,7 @@ def test_hull_matching_agrees_with_homology_dims(n, q, m):
     # the builder certified the complex acyclic by the matching; the
     # reference ranks agree, and each rank is exactly the number of matched
     # pairs across it
-    cx = build_function_complex(n, q, m)
+    cx = materialized(build_function_complex(n, q, m))
     assert cx.homology_dims() == (0,) * len(cx.terms)
     _, _, down = _labels(n, q, m)
     assert list(map(len, down)) == list(cx.terms)
@@ -109,48 +109,76 @@ def test_hull_mask_is_the_brute_force_rational_hull(d, q, m):
 
 
 def _interval():
-    # the augmented cochain complex of an edge: Y's one cell, two vertices,
-    # one edge, matched as Y-a and b-edge
+    # the augmented cochain complex of an edge as cover forms: Y's one cell,
+    # two vertices, one edge, matched as Y-a and b-edge
     blocks = [[("Y", 1)], [("V", 2)], [("E", 1)]]
-    diffs = [from_dict(2, 1, {(0, 0): 1, (1, 0): 1}), from_dict(1, 2, {(0, 0): -1, (0, 1): 1})]
-    return diffs, blocks, [b"\x00", b"\x01\x00", b"\x01"]
+    covers = [[[(0, 1, [0, 0])]], [[(0, -1, [0]), (0, 1, [1])]]]
+    return covers, blocks, [b"\x00", b"\x01\x00", b"\x01"]
 
 
 def test_check_matching_on_a_hand_built_complex():
-    diffs, blocks, down = _interval()
-    check_matching(diffs, blocks, down)
-    # any nonzero value on a matched entry is accepted: the check is over Q
-    doubled = [from_dict(d.rows, d.cols, {k: 2 * v for k, v in d.entries.items()}) for d in diffs]
-    check_matching(doubled, blocks, down)
+    covers, blocks, down = _interval()
+    check_matching(covers, blocks, down)
+    # a partner entry must be ±1, so that the matched minor is a signed
+    # permutation over Z
+    doubled = [[[(b, 2 * sign, image) for b, sign, image in block] for block in form]
+               for form in covers]
+    with pytest.raises(ExactnessError, match=r"^d_0, row cell 0 of block V: .* entry 2, not ±1"):
+        check_matching(doubled, blocks, down)
     # the ends: nothing below term 0, nothing above the top term
     with pytest.raises(ExactnessError, match=r"^term 0, cell 0 of block Y: matched down"):
-        check_matching(diffs, blocks, [b"\x01", b"\x01\x00", b"\x01"])
+        check_matching(covers, blocks, [b"\x01", b"\x01\x00", b"\x01"])
     with pytest.raises(ExactnessError, match=r"^term 2, cell 0 of block E: matched up"):
-        check_matching(diffs, blocks, [b"\x00", b"\x01\x00", b"\x00"])
-    # a d_0 with no entries keeps d∘d = 0, but H_0 = 1 shows as a row short
-    empty = [ExactMatrix(2, 1, [0, 0, 0], [], []), diffs[1]]
+        check_matching(covers, blocks, [b"\x00", b"\x01\x00", b"\x00"])
+    # a d_0 with no covers keeps d∘d = 0, but H_0 = 1 shows as a row short
+    empty = [[[]], covers[1]]
     with pytest.raises(ExactnessError, match=r"^d_0, row cell 0 of block V: .* 0 entries"):
         check_matching(empty, blocks, down)
     with pytest.raises(ValueError):
-        check_matching(diffs, blocks, down[:2])
+        check_matching(covers, blocks, down[:2])
 
 
 def test_check_matching_rejects_a_row_with_two_partners():
     # the edge's row meets both matched-up vertices
-    d = from_dict(1, 2, {(0, 0): -1, (0, 1): 1})
+    covers = [[[(0, -1, [0]), (0, 1, [1])]]]
     with pytest.raises(ExactnessError, match=r"^d_0, row cell 0 of block E: .* 2 entries"):
-        check_matching([d], [[("V", 2)], [("E", 1)]], [b"\x00\x00", b"\x01"])
+        check_matching(covers, [[("V", 2)], [("E", 1)]], [b"\x00\x00", b"\x01"])
+    # two covers of the edge's row meet the one matched-up vertex b: the
+    # entry there is their sum, 0, so they count as two partners
+    covers, blocks, down = _interval()
+    covers[1] = [[(0, 1, [1]), (0, -1, [1])]]
+    with pytest.raises(ExactnessError, match=r"^d_1, row cell 0 of block E: .* 2 entries"):
+        check_matching(covers, blocks, down)
 
 
 def test_check_matching_rejects_an_unmatched_or_doubly_matched_cell():
     # vertex a is matched up, but no matched-down row has an entry there
-    d = from_dict(1, 2, {(0, 1): 1})
+    covers = [[[(0, 1, [1])]]]
     with pytest.raises(ExactnessError, match=r"^d_0, column cell 0 of block V: .* of 0 "):
-        check_matching([d], [[("V", 2)], [("E", 1)]], [b"\x00\x00", b"\x01"])
+        check_matching(covers, [[("V", 2)], [("E", 1)]], [b"\x00\x00", b"\x01"])
     # both vertices claim Y's one cell
-    d = from_dict(2, 1, {(0, 0): 1, (1, 0): 1})
+    covers = [[[(0, 1, [0, 0])]]]
     with pytest.raises(ExactnessError, match=r"^d_0, column cell 0 of block Y: .* of 2 "):
-        check_matching([d], [[("Y", 1)], [("V", 2)]], [b"\x00", b"\x01\x01"])
+        check_matching(covers, [[("Y", 1)], [("V", 2)]], [b"\x00", b"\x01\x01"])
+
+
+@pytest.mark.parametrize("cover", [
+    (0, 1, [0]),  # an image of the wrong length
+    (0, 1, [0, 0, 0]),
+    (0, 1, [0, 1]),  # a column outside its block
+    (1, 1, [0, 0]),  # a block that is not there
+])
+def test_both_checks_reject_a_malformed_cover_form(cover):
+    covers, blocks, down = _interval()
+    gmodules.check_block_dd(covers, blocks)
+    with pytest.raises(ExactnessError, match=r"^d∘d check: d_1 has 2 row blocks, not 1"):
+        gmodules.check_block_dd([covers[0], covers[1] * 2], blocks)
+    covers[0] = [[cover]]
+    where = rf"check: d_0, row block V: entry 0 .* its 2 rows into block {cover[0]}$"
+    with pytest.raises(ExactnessError, match="^d∘d " + where):
+        gmodules.check_block_dd(covers, blocks)
+    with pytest.raises(ExactnessError, match="^matching " + where):
+        check_matching(covers, blocks, down)
 
 
 def test_matching_failure_names_the_function_complex(monkeypatch):
@@ -175,10 +203,14 @@ def test_summand_point_off_y_names_the_function_complex(monkeypatch):
 
 
 def test_orlik_suite_ranks_nothing(monkeypatch, capsys):
-    def no_rank(self, **kwargs):
-        raise AssertionError("ExactMatrix.rank called on the orlik path")
+    # the function complex is kept as its cover forms: nothing is ranked,
+    # no CSR list is written or read back, and no ExactMatrix is made
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("a CSR matrix made, read or ranked on the orlik path")
 
-    monkeypatch.setattr(ExactMatrix, "rank", no_rank)
+    for cls_or_mod, name in [(ExactMatrix, "rank"), (ExactMatrix, "__init__"),
+                             (gmodules, "write_covers"), (gmodules, "_read_covers")]:
+        monkeypatch.setattr(cls_or_mod, name, no_matrix)
     argv = ["verify", "--suite", "orlik", "--n-max", "3", "--q", "2,3", "--m-max", "2"]
     assert cli.main(argv) == cli.EXIT_OK
     assert "FAIL" not in capsys.readouterr().out
@@ -186,7 +218,7 @@ def test_orlik_suite_ranks_nothing(monkeypatch, capsys):
 
 @pytest.mark.parametrize("n, q, m", FUNCTION_COMPLEX_GRID)
 def test_function_complex_nnz_is_the_nnz_of_the_built_complex(n, q, m):
-    diffs = build_function_complex(n, q, m).diffs
+    diffs = materialized(build_function_complex(n, q, m)).diffs
     assert orlik.function_complex_nnz(n, q, m) == sum(d.nnz for d in diffs)
 
 
@@ -296,7 +328,7 @@ def test_function_complex_is_e1_row_0_expanded_to_points():
     # back, summand by summand, to that flag's row of E1 row 0, with the same
     # signs, and each entry restricts to the same point of the source summand
     for n, q, m in [(2, 2, 1), (2, 3, 2), (3, 2, 1)]:
-        fc = build_function_complex(n, q, m)
+        fc = materialized(build_function_complex(n, q, m))
         levels = function_complex_summands(n, q, m)
         row0 = lattice_complex(ParabolicType.empty(n), q)[1].diffs[1:]
         assert len(fc.diffs) == len(row0) + 1
@@ -393,10 +425,10 @@ def test_page_guard():
 
 
 def test_function_complex_is_reproducible_bit_for_bit():
-    fc = build_function_complex(1, 2, 1)
+    fc = materialized(build_function_complex(1, 2, 1))
     assert hyperplane_union_points(1, 2, 1) == [(0, 1), (1, 0), (1, 1)]
     assert fc.diffs[0].dump() == "3 3 3\n0 0 1/1\n1 1 1/1\n2 2 1/1\n"
-    again = build_function_complex(1, 2, 1)
+    again = materialized(build_function_complex(1, 2, 1))
     assert [d.dump() for d in again.diffs] == [
         d.dump() for d in fc.diffs
     ]
