@@ -5,7 +5,7 @@ Three subcommands:
   cohomology   print H*(Y), H*_c(X), H*(X) for each (n, q), cross-checked
                against their closed forms
   verify       run the invariant battery over a (n, q, m) grid, with
-               --jobs N on forked workers by the plan in drincoh.plan
+               --jobs N on forked workers fed from one queue (drincoh.plan)
   dims         print parabolic indices and Steinberg dimensions for all I
 
 Exit codes: 0 success, 1 usage error or size guard, 2 verification failure.
@@ -266,13 +266,14 @@ def _run_job(args) -> dict:
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
     jobs = [(s, n, q, m, cfg.seed) for (s, n, q, m) in _grid(cfg)]
-    workers, bins = cfg.jobs or os.cpu_count() or 1, [jobs]
+    workers, grouped = cfg.jobs or os.cpu_count() or 1, [jobs]
     if workers > 1 and hasattr(os, "fork"):  # where fork is missing, one worker
         from . import plan  # only a run with workers pays for this import
 
-        bins = plan.place(jobs, workers)
-    # one bin (one group) runs in this process
-    results = [_run_job(j) for j in jobs] if len(bins) == 1 else plan.run_forked(bins, _run_job)
+        grouped = plan.groups(jobs)
+    # one group runs in this process
+    results = (plan.run_forked(grouped, workers, _run_job) if len(grouped) > 1
+               else [_run_job(j) for j in jobs])
     results.sort(key=lambda r: (r["suite"], r["n"], r["q"], r["m"]))
     ok = all(r["status"] != "fail" for r in results)
     if cfg.fmt == "json":

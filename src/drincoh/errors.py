@@ -1,4 +1,11 @@
-"""Shared exception types."""
+"""Shared exception types, and the way a guard's message shows a size."""
+
+
+def shown(size: int) -> str:
+    """size in decimal up to 640 digits, the lowest int-to-str limit an
+    interpreter setting may choose, else the power of 2 it reaches, so that
+    a guard's message never expands a huge closed form into decimal."""
+    return str(size) if size < 10**640 else f"at least 2^{size.bit_length() - 1}"
 
 
 class DeskScaleExceeded(ValueError):

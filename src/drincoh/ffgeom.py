@@ -49,7 +49,7 @@ from functools import lru_cache, partial, reduce, total_ordering
 from itertools import accumulate, chain, combinations, compress, count, pairwise, product, repeat
 from operator import add, and_, countOf, itemgetter, mul
 
-from .errors import DeskScaleExceeded
+from .errors import DeskScaleExceeded, shown
 from .qarith import is_prime, parabolic_index, projective_count
 from .rootdata import Frozen, ParabolicType
 
@@ -119,7 +119,7 @@ def check_point_guard(n: int, q: int, m: int):
     """Raise DeskScaleExceeded unless a point pass is within both guards."""
     if q ** (m * (n + 1)) >= POINT_GUARD:
         raise DeskScaleExceeded(
-            f"q^(m(n+1)) = {q ** (m * (n + 1))} exceeds the {POINT_GUARD} vector guard"
+            f"q^(m(n+1)) = {shown(q ** (m * (n + 1)))} exceeds the {POINT_GUARD} vector guard"
         )
     bits = projective_count(n, q) * q ** (n + 1)
     if bits > MASK_GUARD:
@@ -310,7 +310,8 @@ def check_flag_guard(n: int, q: int):
     full = parabolic_index(ParabolicType.empty(n), q)
     if full > FLAG_GUARD:
         raise DeskScaleExceeded(
-            f"full flag variety of GL_{n + 1}(F_{q}) has {full} flags, over the {FLAG_GUARD} guard"
+            f"full flag variety of GL_{n + 1}(F_{q}) has {shown(full)} flags, "
+            f"over the {FLAG_GUARD} guard"
         )
 
 

@@ -251,14 +251,6 @@ def lattice_complex(J: ParabolicType, q: int) -> tuple[tuple, ChainComplex]:
     return levels, cx
 
 
-def lattice_nnz(J: ParabolicType, q: int) -> int:
-    """Nonzeros of all the differentials of lattice_complex(J, q), in closed
-    form: each type-I flag's row holds one entry per cover I ∪ {a}, so the
-    sum is Σ_{J⊆I⊊Δ} (n-#I)·[G:P_I]."""
-    return sum((J.n - I.size) * parabolic_index(I, q)
-               for level in interval_levels(J) for I in level)
-
-
 @lru_cache(maxsize=None)
 def steinberg_dim(J: ParabolicType, q: int) -> int:
     """Inclusion-exclusion dimension of the generalized Steinberg module of J.

@@ -27,7 +27,7 @@ from itertools import accumulate, chain, repeat
 from operator import add, itemgetter
 from typing import NamedTuple
 
-from .errors import DeskScaleExceeded, ExactnessError
+from .errors import DeskScaleExceeded, ExactnessError, shown
 from .ffgeom import (
     chain_dims,
     check_flag_guard,
@@ -69,7 +69,7 @@ def function_complex_layout(n: int, q: int, m: int):
     bound = projective_count(n, q, m) + sum(dims[I] * points[I] for I in dims)
     if bound > FUNCTION_COMPLEX_GUARD:
         raise DeskScaleExceeded(
-            f"function complex dimension {bound} exceeds {FUNCTION_COMPLEX_GUARD}"
+            f"function complex dimension {shown(bound)} exceeds {FUNCTION_COMPLEX_GUARD}"
         )
     return levels, dims, points
 
@@ -178,15 +178,6 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
     except ExactnessError as exc:
         raise ExactnessError(f"{where}: {exc}") from exc
     return FunctionComplex(terms, tuple(covers))
-
-
-def function_complex_nnz(n: int, q: int, m: int) -> int:
-    """Nonzeros of all the differentials of build_function_complex(n, q, m),
-    from its layout, raising where it does: each point of a type-I summand
-    has a row with one entry per cover (the augmentation's rows, #I = n-1,
-    one each), so the sum is Σ_{I⊊Δ} (n-#I)·[G:P_I]·#P^{i(I)}(F_{q^m})."""
-    _, dims, points = function_complex_layout(n, q, m)
-    return sum((n - I.size) * dims[I] * points[I] for I in dims)
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,19 @@
-"""The plan of a `verify --jobs N` run, and its forked workers.
+"""The forked workers of a `verify --jobs N` run, fed from one queue.
 
 The grid jobs are split into groups.  The jobs that read the Steinberg
 resolutions of one (n, q) (steinberg, e2, cohomology) form one group, so
 those resolutions are built in one worker; every other job is its own
-group.  A group's cost is the closed-form number of nonzeros it builds,
-read only from closed forms that the builders own: each distinct resolution
-once (gmodules.lattice_nnz), each function complex
-(orlik.function_complex_nnz), and one per candidate point it tests.  A
-pullbacks job has no such closed form and costs nothing, as does a job that
-a guard SKIPs.  Groups are placed largest first, each on the least-loaded
-of min(workers, #groups) bins (Graham's LPT rule), ties going to the bin
-with fewer jobs, then to the lower bin, so the plan is deterministic.
+group.  Groups are ordered largest first by |G/B| of (n, q), then m, ties
+keeping grid order.
 
-run_forked forks one child per bin.  A child runs its jobs, writes their
-records to a pipe as one JSON list and leaves through os._exit, with status
-0 only after the whole list is written.  The parent runs no job: it reads
-every pipe, then reaps every child with waitpid, so the children's CPU time
-counts as the CLI's.  A job that its child did not report gets a fail
-record naming the child's exit status.
+run_forked forks min(workers, #groups) children and writes the group
+indices, 4 bytes each, into one pipe that every child reads, so a free child
+takes the next group (Graham's list scheduling; on this order, his LPT
+rule).  A child writes each index it takes, then that group's records as one
+JSON line, to its own unnamed temporary file, so it never waits on the
+parent.  The parent runs no job: it feeds the queue, reaps every child with
+waitpid, so their CPU time counts as the CLI's, then reads their files.  A
+group taken but not reported fails, naming its child's exit status.
 """
 
 from __future__ import annotations
@@ -25,71 +21,38 @@ from __future__ import annotations
 import json
 import os
 import sys
+import tempfile
 
-from .errors import DeskScaleExceeded
-from .ffgeom import check_flag_guard, check_point_guard
-from .gmodules import lattice_nnz
-from .orlik import function_complex_nnz
-from .qarith import projective_count
-from .rootdata import standard_subset, subsets_of_size
+from .qarith import parabolic_index
+from .rootdata import ParabolicType
 
 READS_RESOLUTIONS = ("steinberg", "e2", "cohomology")
-TESTS_POINTS = ("orlik", "cohomology", "lefschetz")
 
 
 def groups(jobs: list[tuple]) -> list[list[tuple]]:
     """The jobs (suite, n, q, m, seed) grouped: one group per (n, q) for the
-    resolution readers, one per job otherwise, in order of first job."""
+    resolution readers, one per job otherwise, largest first."""
     out: dict = {}
     for job in jobs:
         key = job[1:3] if job[0] in READS_RESOLUTIONS else job
         out.setdefault(key, []).append(job)
-    return list(out.values())
+
+    def size(group):
+        return max((parabolic_index(ParabolicType.empty(n), q), m) for _, n, q, m, _ in group)
+
+    return sorted(out.values(), key=size, reverse=True)  # stable, also reversed
 
 
-def group_cost(group: list[tuple]) -> int:
-    """Closed-form nonzeros that the group's jobs build; see the module docstring."""
-    resolutions, cost = set(), 0
-    for suite, n, q, m, _ in group:
-        try:  # the builders' own guards
-            if suite != "lefschetz":  # every other suite lists flags first
-                check_flag_guard(n, q)
-            if suite in TESTS_POINTS:
-                check_point_guard(n, q, m)
-            if suite == "orlik":  # raises where build_function_complex does
-                cost += function_complex_nnz(n, q, m)
-        except DeskScaleExceeded:
-            continue
-        if suite == "steinberg":
-            resolutions.update(J for c in range(n) for J in subsets_of_size(n, c, proper=True))
-        elif suite in READS_RESOLUTIONS:
-            resolutions.update(standard_subset(n, j) for j in range(n))
-        if suite in TESTS_POINTS:
-            cost += projective_count(n, q, m)
-    return cost + sum(lattice_nnz(J, q) for J in resolutions)
-
-
-def place(jobs: list[tuple], workers: int) -> list[list[tuple]]:
-    """min(workers, #groups) bins of jobs, none empty: the groups largest
-    first, each on the least-loaded bin."""
-    grouped = groups(jobs)
-    bins: list[list[tuple]] = [[] for _ in range(min(workers, len(grouped)))]
-    loads = [0] * len(bins)
-    # sorted is stable, so groups of equal cost keep grid order
-    for cost, group in sorted(((group_cost(g), g) for g in grouped), key=lambda cg: -cg[0]):
-        k = min(range(len(bins)), key=lambda b: (loads[b], len(bins[b])))
-        bins[k] += group
-        loads[k] += cost
-    return bins
-
-
-def _child(w: int, jobs: list[tuple], run_job) -> None:
-    """Run the jobs, send their records down the pipe w and exit; never returns."""
+def _child(r: int, out, grouped: list[list[tuple]], run_job) -> None:
+    """Run the groups whose indices come down the pipe r, reporting each to
+    the file out, until the pipe is empty and closed; never returns."""
     status = 1
     try:
-        records = list(map(run_job, jobs))
-        with open(w, "w") as fh:
-            json.dump(records, fh)
+        while len(taken := os.read(r, 4)) == 4:
+            i = int.from_bytes(taken, "little")
+            os.write(out.fileno(), b"%d " % i)
+            records = list(map(run_job, grouped[i]))
+            os.write(out.fileno(), json.dumps(records).encode() + b"\n")
         status = 0
     except BaseException:
         import traceback
@@ -101,37 +64,46 @@ def _child(w: int, jobs: list[tuple], run_job) -> None:
         os._exit(status)
 
 
-def run_forked(bins: list[list[tuple]], run_job) -> list[dict]:
-    """The records of every job, each bin run by run_job in its own forked
-    child.  A job its child did not report fails, naming the exit status."""
+def run_forked(grouped: list[list[tuple]], workers: int, run_job) -> list[dict]:
+    """The records of every job, each group run by run_job in whichever
+    forked child takes it.  A job its child did not report fails, naming the
+    exit status."""
     sys.stdout.flush()
     sys.stderr.flush()
+    r, w = os.pipe()
     children = []
-    for jobs in bins:
-        r, w = os.pipe()
+    for _ in range(min(workers, len(grouped))):
+        out = tempfile.TemporaryFile()
         pid = os.fork()
         if pid == 0:
-            os.close(r)
-            _child(w, jobs, run_job)
-        os.close(w)
-        children.append((pid, r, jobs))
-    sent = []
-    for _, r, _ in children:
-        with open(r, "rb") as fh:
-            sent.append(fh.read())
-    results = []
-    for (pid, _, jobs), data in zip(children, sent):
+            os.close(w)
+            _child(r, out, grouped, run_job)
+        children.append((pid, out))
+    os.close(r)  # once every child has exited, feeding it raises
+    try:
+        with open(w, "wb") as fh:
+            fh.write(b"".join(i.to_bytes(4, "little") for i in range(len(grouped))))
+    except BrokenPipeError:  # the groups no child took fail below
+        pass
+    reported, lost = {}, {}
+    for pid, out in children:
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         why = f"no record from its worker, which exited with status {code}"
-        reported = {}
-        if code == 0:
+        with out:
+            out.seek(0)
+            *done, running = out.read().split(b"\n")
+        for line in done:
+            i, _, sent = line.partition(b" ")
             try:
-                reported = {(r["suite"], r["n"], r["q"], r["m"]): r for r in json.loads(data)}
+                reported.update({(x["suite"], x["n"], x["q"], x["m"]): x for x in json.loads(sent)})
             except (ValueError, TypeError, KeyError):
-                why += " and sent unreadable records"
-        for suite, n, q, m, _ in jobs:
-            results.append(reported.get((suite, n, q, m)) or {
-                "suite": suite, "n": n, "q": q, "m": m,
-                "status": "fail", "detail": why, "seconds": 0.0,
-            })
-    return results
+                lost[int(i)] = why + " and sent unreadable records"
+        if running:  # the group it took last and did not report
+            lost[int(running.split()[0])] = why
+    return [
+        reported.get((suite, n, q, m)) or {
+            "suite": suite, "n": n, "q": q, "m": m, "status": "fail",
+            "detail": lost.get(i, "no record from any worker"), "seconds": 0.0,
+        }
+        for i, group in enumerate(grouped) for suite, n, q, m, _ in group
+    ]

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, formats, and the verify grid."""
 
+import itertools
 import json
 import os
 import signal
@@ -13,8 +14,8 @@ import pytest
 import drincoh
 from drincoh import cli, plan
 from drincoh.cohomology import h_of_y, hc_of_x, h_of_x
-from drincoh.errors import DeskScaleExceeded
-from drincoh.ffgeom import drinfeld_points
+from drincoh.qarith import parabolic_index
+from drincoh.rootdata import ParabolicType
 from oracles import from_dict
 
 
@@ -160,118 +161,134 @@ PLAN_GRIDS = [
     pytest.param("--n-max 2 --q 5,7 --m-max 2", id="q57"),
     pytest.param("--suite steinberg --n-max 2 --q 2,3", id="steinberg"),
     pytest.param("--suite e2 --n-max 1 --q 2", id="one-group"),
-    # n >= 4 is over the flag guard at q = 3: four groups of cost 0
+    # n >= 4 is over the flag guard at q = 3: four groups that SKIP
     pytest.param("--suite steinberg --n-max 7 --q 3", id="guarded"),
 ]
 
 
-@pytest.mark.parametrize("workers", [2, 3, 64])
+@pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("grid", PLAN_GRIDS)
-def test_plan_places_every_job_once_on_one_bin_per_worker_or_group(grid, workers):
-    jobs = grid_jobs(grid)
-    bins = plan.place(jobs, workers)
-    assert len(bins) == min(workers, len(plan.groups(jobs)))
-    assert all(bins)
-    assert sorted(job for b in bins for job in b) == sorted(jobs)
-    assert plan.place(jobs, workers) == bins
+def test_queue_runs_every_job_once_as_one_process_does(grid, workers, capsys):
+    def records(jobs):
+        assert run(["verify", *grid.split(), "--format", "json", "--jobs", jobs]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        for r in payload["results"]:
+            del r["seconds"]
+        return payload
+
+    forked = records(str(workers))
+    assert forked == records("1")
+    assert len(forked["results"]) == len(grid_jobs(grid))
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("grid", PLAN_GRIDS)
-def test_plan_builds_each_resolution_in_one_bin_and_balances_the_loads(grid, workers):
-    jobs = grid_jobs(grid)
-    bins = plan.place(jobs, workers)
-    bin_of = {job: k for k, b in enumerate(bins) for job in b}
-    readers: dict = {}
-    for job in jobs:
-        if job[0] in ("steinberg", "e2", "cohomology"):
-            readers.setdefault(job[1:3], set()).add(bin_of[job])
-    assert all(len(ks) == 1 for ks in readers.values())
-    loads = [0] * len(bins)
-    placed = [[] for _ in bins]  # each bin's group costs, in the order of its jobs
-    for group in sorted(plan.groups(jobs), key=lambda g: bins[bin_of[g[0]]].index(g[0])):
-        cost = plan.group_cost(group)
-        loads[bin_of[group[0]]] += cost
-        placed[bin_of[group[0]]].append(cost)
-    assert max(loads) - min(loads) <= max(max(costs) for costs in placed)
-    # largest first: each bin received its groups in order of falling cost
-    assert all(costs == sorted(costs, reverse=True) for costs in placed)
+def test_queue_runs_each_resolution_group_in_one_worker(grid, workers, monkeypatch, capsys):
+    # each record names the process that ran it, through the _run_job that
+    # cmd_verify hands to the workers
+    for suite in cli.SUITES:
+        monkeypatch.setitem(cli._JOBS, suite, lambda n, q, m, seed: "fine")
+    real = cli._run_job
+    monkeypatch.setattr(cli, "_run_job", lambda job: {**real(job), "pid": os.getpid()})
+    assert run(["verify", *grid.split(), "--format", "json", "--jobs", str(workers)]) == 0
+    pid_of = {(r["suite"], r["n"], r["q"], r["m"]): r["pid"]
+              for r in json.loads(capsys.readouterr().out)["results"]}
+    grouped = plan.groups(grid_jobs(grid))
+    for group in grouped:
+        assert len({pid_of[job[:4]] for job in group}) == 1, group
+    pids = set(pid_of.values())
+    if len(grouped) == 1:  # a grid of one group runs in this process
+        assert pids == {os.getpid()}
+    else:  # the parent runs no job
+        assert os.getpid() not in pids and len(pids) <= min(workers, len(grouped))
 
 
-def test_plan_costs_a_job_over_the_flag_guard_nothing():
-    # lattice_nnz at n = 16 would sum over 3^16 subset pairs
-    assert plan.group_cost([("steinberg", 16, 2, 1, 0), ("e2", 16, 2, 1, 0)]) == 0
-    assert plan.group_cost([("orlik", 16, 2, 1, 0)]) == 0
-    # lefschetz lists no flags, so only the point guards apply: (5,2,1) is
-    # over the flag guard and costs its 63 points; (2,5,4) would test 5^12
-    # vectors and (16,2,1) needs a mask table of (2^17 - 1)·2^17 bits, so
-    # both SKIP
-    assert plan.group_cost([("lefschetz", 5, 2, 1, 0)]) == 63
-    for (n, q, m), guard in [((2, 5, 4), "vector"), ((16, 2, 1), "mask")]:
-        assert plan.group_cost([("lefschetz", n, q, m, 0)]) == 0
-        assert plan.group_cost([("cohomology", n, q, m, 0)]) == 0
-        with pytest.raises(DeskScaleExceeded, match=guard):
-            drinfeld_points(n, q, m)
+def test_groups_are_the_resolution_readers_of_one_n_q_largest_first():
+    jobs = grid_jobs("--n-max 3 --q 2,3 --m-max 2")
+    grouped = plan.groups(jobs)
+    assert sorted(job for group in grouped for job in group) == sorted(jobs)
+    assert grouped[0] == [("steinberg", 3, 3, 1, 2024), ("e2", 3, 3, 1, 2024),
+                          ("cohomology", 3, 3, 1, 2024), ("cohomology", 3, 3, 2, 2024)]
+    for group in grouped:
+        readers = group[0][0] in plan.READS_RESOLUTIONS
+        assert all((job[0] in plan.READS_RESOLUTIONS) == readers for job in group)
+        assert len(group) == 1 or readers and len({job[1:3] for job in group}) == 1
+    # |G/B| of (n, q), then m, never rises: 2080 flags at (3,3), 315 at (3,2)
+    sizes = [max((parabolic_index(ParabolicType.empty(n), q), m) for _, n, q, m, _ in g)
+             for g in grouped]
+    assert sizes == sorted(sizes, reverse=True)
+    # ties keep grid order: the readers of (3,3) come before orlik (3,3,2)
+    assert grouped[1] == [("orlik", 3, 3, 2, 2024)]
 
 
-def test_plan_and_builder_see_the_same_function_complex_guard(monkeypatch):
-    from drincoh.orlik import build_function_complex, function_complex_nnz
-
-    with pytest.raises(DeskScaleExceeded, match="^function complex dimension") as built:
-        build_function_complex(4, 2, 1)
-    seen = []
-
-    def recording(n, q, m):
-        try:
-            return function_complex_nnz(n, q, m)
-        except DeskScaleExceeded as exc:
-            seen.append(str(exc))
-            raise
-
-    monkeypatch.setattr(plan, "function_complex_nnz", recording)
-    assert plan.group_cost([("orlik", 4, 2, 1, 0)]) == 0
-    assert seen == [str(built.value)]
-    # under the guard the cost is the closed form and the points
-    assert plan.group_cost([("orlik", 3, 2, 1, 0)]) == function_complex_nnz(3, 2, 1) + 15
+def _trivial_record(job):
+    suite, n, q, m, _ = job
+    return {"suite": suite, "n": n, "q": q, "m": m, "status": "pass", "detail": "fine",
+            "seconds": 0.0}
 
 
-def test_plan_puts_the_n4_resolutions_on_a_bin_of_their_own():
-    # orlik (4,2,1) SKIPs on its dimension guard and costs nothing, so the
-    # (4,2) resolution group, the largest, gets one worker to itself
-    bins = plan.place(grid_jobs("--n-max 4 --q 2 --m-max 1"), 2)
-    assert sorted(job[:4] for job in bins[0]) == [
-        ("cohomology", 4, 2, 1), ("e2", 4, 2, 1), ("steinberg", 4, 2, 1)
+def test_queue_takes_the_largest_group_first():
+    # one worker takes the groups in queue order; its count of jobs run is
+    # its own, copied at the fork
+    grouped = plan.groups(grid_jobs("--n-max 3 --q 2,3 --m-max 2"))
+    taken = itertools.count()
+    results = plan.run_forked(grouped, 1, lambda job: {**_trivial_record(job), "seq": next(taken)})
+    assert [r["seq"] for r in results] == list(range(len(results)))
+    assert [job[:4] for job in grouped[0]] == [
+        (r["suite"], r["n"], r["q"], r["m"]) for r in results[:len(grouped[0])]
     ]
-    assert len(bins[1]) == 21
+    assert next(taken) == 0  # the parent ran nothing
 
 
-def test_plan_costs_are_closed_form_nonzeros():
-    from drincoh.gmodules import lattice_nnz
-    from drincoh.orlik import function_complex_nnz
-    from drincoh.qarith import projective_count
-    from drincoh.rootdata import ParabolicType, standard_subset
+def test_queue_longer_than_a_pipe_buffer_finishes():
+    # 20,000 indices of 4 bytes are more than one 64 KiB pipe buffer holds
+    grouped = [[("lefschetz", 1, 2, m, 0)] for m in range(20000)]
+    results = plan.run_forked(grouped, 2, _trivial_record)
+    assert results == [_trivial_record(job) for group in grouped for job in group]
 
-    every_J = [ParabolicType(2, mask) for mask in range(3)]
-    standard = [standard_subset(2, j) for j in range(2)]
-    assert plan.group_cost([("steinberg", 2, 3, 1, 0), ("e2", 2, 3, 1, 0)]) == sum(
-        lattice_nnz(J, 3) for J in every_J
-    )
-    assert plan.group_cost([("e2", 2, 3, 1, 0), ("cohomology", 2, 3, 2, 0)]) == sum(
-        lattice_nnz(J, 3) for J in standard
-    ) + 91
-    assert plan.group_cost([("orlik", 2, 3, 2, 0)]) == function_complex_nnz(2, 3, 2) + 91
-    # pullbacks has no closed form of its own, so it costs nothing, alone
-    # and in a mixed group, as do the jobs that a guard SKIPs
-    assert plan.group_cost([("pullbacks", 3, 3, 1, 2024)]) == 0
-    unguarded = [("steinberg", 2, 3, 1, 0), ("cohomology", 2, 3, 2, 0), ("orlik", 2, 3, 2, 0),
-                 ("orlik", 1, 3, 1, 0), ("lefschetz", 2, 3, 3, 0), ("pullbacks", 2, 3, 1, 0)]
-    guarded = [("orlik", 4, 2, 1, 0), ("lefschetz", 2, 5, 4, 0), ("e2", 4, 3, 1, 0)]
-    points = [job for job in unguarded if job[0] in ("cohomology", "orlik", "lefschetz")]
-    assert plan.group_cost(unguarded + guarded) == (
-        sum(lattice_nnz(J, 3) for J in every_J)
-        + function_complex_nnz(2, 3, 2) + function_complex_nnz(1, 3, 1)
-        + sum(projective_count(n, q, m) for _, n, q, m, _ in points)
-    )
+
+def test_queue_fails_the_groups_no_worker_took():
+    # the one worker dies in group 5: groups 0-4 keep the records it wrote,
+    # group 5 fails naming its status, and the parent's feed meets a pipe
+    # with no reader, so groups 6 on stay untaken
+    def dying(job):
+        if job[3] == 5:
+            os._exit(3)
+        return _trivial_record(job)
+
+    grouped = [[("lefschetz", 1, 2, m, 0)] for m in range(20000)]
+    results = plan.run_forked(grouped, 1, dying)
+    assert results[:5] == [_trivial_record(group[0]) for group in grouped[:5]]
+    assert results[5]["detail"] == "no record from its worker, which exited with status 3"
+    assert all(r["status"] == "fail" for r in results[5:])
+    assert {r["detail"] for r in results[6:]} == {"no record from any worker"}
+
+
+# past 4300 digits, the default int-to-str limit of 3.10.7 and later, str()
+# raises ValueError; past 640, the lowest limit a setting may choose, the
+# guards show a size as the power of 2 it reaches
+GUARDED = {
+    ("lefschetz", 1, 2, 7143): "q^(m(n+1)) = at least 2^14286 exceeds the 100000000 vector guard",
+    ("cohomology", 1, 2, 7143): "q^(m(n+1)) = at least 2^14286 exceeds the 100000000 vector guard",
+    ("orlik", 1, 2, 14400): "function complex dimension at least 2^14400 exceeds 20000",
+    ("steinberg", 200, 2, 1):
+        "full flag variety of GL_201(F_2) has at least 2^20299 flags, over the 10000 guard",
+    # 2^2126 has 640 digits, 2^2128 has 641
+    ("lefschetz", 1, 2, 1063): f"q^(m(n+1)) = {2**2126} exceeds the 100000000 vector guard",
+    ("lefschetz", 1, 2, 1064): "q^(m(n+1)) = at least 2^2128 exceeds the 100000000 vector guard",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_guards_skip_sizes_past_the_int_to_str_limit(workers):
+    jobs = [(*key, 2024) for key in GUARDED]
+    if workers == 1:
+        results = list(map(cli._run_job, jobs))
+    else:
+        results = plan.run_forked(plan.groups(jobs), workers, cli._run_job)
+    assert {(r["suite"], r["n"], r["q"], r["m"]): (r["status"], r["detail"]) for r in results} == {
+        key: ("skip", detail) for key, detail in GUARDED.items()
+    }
 
 
 @pytest.mark.parametrize(
@@ -285,30 +302,32 @@ def test_plan_costs_are_closed_form_nonzeros():
 )
 def test_verify_fails_the_jobs_of_a_dying_worker(monkeypatch, capsys, how, why):
     def dying(n, q, m, seed):
-        if (n, q, m) == (2, 3, 1) and how == "exit":
+        if (n, q, m) == (1, 2, 1) and how == "exit":
             os._exit(7)
-        if (n, q, m) == (2, 3, 1) and how == "kill":
+        if (n, q, m) == (1, 2, 1) and how == "kill":
             os.kill(os.getpid(), signal.SIGKILL)
         return "fine"
 
-    def garbage(records, fh):
-        fh.write("[{not json")
+    def garbage(records):
+        if any((r["suite"], r["n"], r["q"], r["m"]) == ("cohomology", 1, 2, 1) for r in records):
+            return "[{not json"
+        return json.dumps(records)
 
-    monkeypatch.setitem(cli._JOBS, "lefschetz", dying)
+    for suite in cli.SUITES:
+        monkeypatch.setitem(cli._JOBS, suite, lambda n, q, m, seed: "fine")
+    monkeypatch.setitem(cli._JOBS, "cohomology", dying)
     if how == "unreadable":
-        monkeypatch.setattr(plan, "json", SimpleNamespace(dump=garbage, loads=json.loads))
-    argv = "--suite lefschetz --n-max 2 --q 2,3 --m-max 2"
+        monkeypatch.setattr(plan, "json", SimpleNamespace(dumps=garbage, loads=json.loads))
+    argv = "--n-max 2 --q 2,3 --m-max 2"
     assert run(["verify", *argv.split(), "--jobs", "2", "--format", "json"]) == 2
     results = json.loads(capsys.readouterr().out)["results"]
-    assert len(results) == 8
-    bins = plan.place(grid_jobs(argv), 2)
-    # every job of the dying job's bin is lost, the jobs before it included
-    lost = next(b for b in bins if ("lefschetz", 2, 3, 1, 2024) in b)
-    assert len(lost) > 1 and len(bins) == 2
-    lost = {job[:4] for job in (sum(bins, []) if how == "unreadable" else lost)}
+    assert len(results) == 36
+    # the dying job's group, among the last queued, is lost, the jobs that
+    # ran before it included; every other group passes, those the dead
+    # worker finished among them
+    lost = {("steinberg", 1, 2, 1), ("e2", 1, 2, 1), ("cohomology", 1, 2, 1), ("cohomology", 1, 2, 2)}
     for r in results:
-        key = (r["suite"], r["n"], r["q"], r["m"])
-        if key in lost:
+        if (r["suite"], r["n"], r["q"], r["m"]) in lost:
             assert r["status"] == "fail"
             assert r["detail"] == f"no record from its worker, which {why}"
         else:
@@ -316,18 +335,18 @@ def test_verify_fails_the_jobs_of_a_dying_worker(monkeypatch, capsys, how, why):
 
 
 def test_verify_without_fork_runs_in_one_process(monkeypatch, capsys):
-    def no_plan(jobs, workers):
-        raise AssertionError("planned without fork")
+    def no_groups(jobs):
+        raise AssertionError("grouped without fork")
 
     monkeypatch.delattr(os, "fork")
-    monkeypatch.setattr(plan, "place", no_plan)
+    monkeypatch.setattr(plan, "groups", no_groups)
     assert run(["verify", "--suite", "steinberg", "--n-max", "2", "--q", "2,3",
                 "--jobs", "2"]) == 0
     assert capsys.readouterr().out.count("PASS") == 4
 
 
 def test_verify_runs_a_grid_of_one_group_in_this_process(monkeypatch, capsys):
-    def no_fork(bins, run_job):
+    def no_fork(grouped, workers, run_job):
         raise AssertionError("forked for one group")
 
     monkeypatch.setattr(plan, "run_forked", no_fork)
@@ -423,8 +442,7 @@ def test_import_loads_no_pool_or_dataclass_machinery():
 
 
 def test_plan_import_loads_no_cli():
-    # the plan prices jobs through the builders' closed forms only; the CLI
-    # imports the plan, never the other way round
+    # the CLI imports the plan, never the other way round
     proc = fresh_python("-c", "import sys, drincoh.plan; print('drincoh.cli' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]

@@ -215,13 +215,16 @@ def test_block_dd_check_matches_reference_product_on_desk_complexes(checked):
 
 
 def test_lattice_nnz_is_the_nnz_of_the_built_complex():
+    # each type-I flag's row holds one entry per cover I ∪ {a}, so the
+    # differentials hold Σ_{J⊆I⊊Δ} (n-#I)·[G:P_I] nonzeros
     points = [(n, q) for n in (1, 2, 3) for q in (2, 3)] + [(4, 2)]
     points += [(n, q) for n in (1, 2) for q in (5, 7)]
     for n, q in points:
         for mask in range((1 << n) - 1):
             J = ParabolicType(n, mask)
-            diffs = lattice_complex(J, q)[1].diffs
-            assert gmodules.lattice_nnz(J, q) == sum(d.nnz for d in diffs), (n, q, J)
+            levels, cx = lattice_complex(J, q)
+            nnz = sum((n - I.size) * parabolic_index(I, q) for level in levels for I in level)
+            assert nnz == sum(d.nnz for d in cx.diffs), (n, q, J)
 
 
 def test_read_covers_returns_the_maps_the_writer_wrote(monkeypatch, checked):

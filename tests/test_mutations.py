@@ -14,6 +14,7 @@ from drincoh.homalg import ExactMatrix
 from drincoh.tables import CohomologyTable, Summand, TwistedModule
 
 VERIFY = ["verify", "--n-max", "2", "--q", "2", "--m-max", "1"]
+VERIFY_N3 = ["verify", "--n-max", "3", "--q", "2", "--m-max", "1"]
 
 
 def _failed_suites(capsys) -> set[str]:
@@ -123,6 +124,15 @@ def _lattice_rows_last_scaled(sources, targets, dims, q, _orig=gmodules.lattice_
         yield covers, signs, images
 
 
+def _first_cover_rows_swapped(csr, signs, images, size, _orig=gmodules.write_covers):
+    # rows 0 and 1 of the first cover of every row block of at least 4 rows
+    # trade columns: rank and homology miss it, the read-back's d∘d does not
+    if size >= 4:
+        images = [list(image) for image in images]
+        images[0][:2] = images[0][1::-1]
+    return _orig(csr, signs, images, size)
+
+
 CASES = {
     "cover_sign": (
         _flipped_cover_sign,
@@ -154,6 +164,7 @@ CASES = {
     "hull_mask": (_hull_mask_one_flipped, (matching,), {"orlik"}),
     "augmentation": (_augmentation_without_covers, (orlik,), {"orlik"}),
     "unit_partners": (_lattice_rows_last_scaled, (orlik,), {"orlik"}),
+    "write_covers": (_first_cover_rows_swapped, (gmodules,), {"steinberg", "e2", "cohomology"}),
 }
 # cases that patch a name other than their own
 PATCHED_NAME = {
@@ -163,8 +174,10 @@ PATCHED_NAME = {
     "augmentation": "_augmentation",
     "unit_partners": "lattice_rows",
 }
-# cases whose bug shows only past m = 1: at m = 1 the top digit is the only one
-ARGV = {"digits": [*VERIFY[:-1], "2"]}
+# cases whose bug shows only past m = 1 (at m = 1 the top digit is the only
+# one), or only past n = 2, where the read-back's d∘d check first sees the
+# swapped rows
+ARGV = {"digits": [*VERIFY[:-1], "2"], "write_covers": VERIFY_N3}
 
 
 # the caches themselves: the steinberg_dim, digits and hull_mask cases

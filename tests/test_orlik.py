@@ -218,8 +218,12 @@ def test_orlik_suite_ranks_nothing(monkeypatch, capsys):
 
 @pytest.mark.parametrize("n, q, m", FUNCTION_COMPLEX_GRID)
 def test_function_complex_nnz_is_the_nnz_of_the_built_complex(n, q, m):
+    # each point of a type-I summand has a row with one entry per cover (the
+    # augmentation's rows, #I = n-1, one each), so the differentials hold
+    # Σ_{I⊊Δ} (n-#I)·[G:P_I]·#P^{i(I)}(F_{q^m}) nonzeros
+    _, dims, points = orlik.function_complex_layout(n, q, m)
     diffs = materialized(build_function_complex(n, q, m)).diffs
-    assert orlik.function_complex_nnz(n, q, m) == sum(d.nnz for d in diffs)
+    assert sum((n - I.size) * dims[I] * points[I] for I in dims) == sum(d.nnz for d in diffs)
 
 
 def test_function_complex_summand_invariants():
