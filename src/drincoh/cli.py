@@ -9,6 +9,9 @@ Three subcommands:
   dims         print parabolic indices and Steinberg dimensions for all I
 
 Exit codes: 0 success, 1 usage error or size guard, 2 verification failure.
+
+Importing this module loads only the parser and drincoh.errors; each command
+imports the layers it runs when it runs them.
 """
 
 from __future__ import annotations
@@ -19,13 +22,7 @@ import os
 import sys
 import time
 
-from . import cohomology as coh
 from .errors import DeskScaleExceeded
-from .ffgeom import drinfeld_points
-from .gmodules import clear_resolutions, pullback_matrix, steinberg_dim, steinberg_resolution
-from .orlik import build_function_complex, e2_page
-from .qarith import is_prime, parabolic_index, projective_count
-from .rootdata import ParabolicType, subsets_of_size
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -82,6 +79,8 @@ def build_parser() -> _Parser:
 
 
 def _validate(cfg: argparse.Namespace) -> str | None:
+    from .qarith import is_prime
+
     if cfg.n < 1:
         return f"n must be >= 1, got {cfg.n}"
     for q in cfg.q:
@@ -113,6 +112,8 @@ def _table_diff(name: str, got, want) -> list[str]:
 def _check_tables(n: int, q: int, hy, hc, hx) -> list[str]:
     """The failures of H(Y), Hc(X) and H(X) against their closed forms, and
     of Poincaré duality between H(X) and Hc(X): dimensions and twist sums."""
+    from . import cohomology as coh
+
     failures = _table_diff(f"H(Y) n={n} q={q}", hy, coh.closed_form_h_of_y(n, q))
     failures += _table_diff(f"Hc(X) n={n} q={q}", hc, coh.expected_hc_of_x(n, q))
     failures += _table_diff(f"H(X) n={n} q={q}", hx, coh.expected_h_of_x(n, q))
@@ -127,6 +128,8 @@ def _check_tables(n: int, q: int, hy, hc, hx) -> list[str]:
 
 
 def cmd_cohomology(cfg: argparse.Namespace) -> int:
+    from . import cohomology as coh
+
     failures: list[str] = []
     payload = []
     for q in cfg.q:
@@ -155,6 +158,10 @@ def cmd_cohomology(cfg: argparse.Namespace) -> int:
 
 
 def _job_steinberg(n: int, q: int, m: int, seed: int) -> str:
+    from .gmodules import steinberg_resolution
+    from .qarith import parabolic_index
+    from .rootdata import ParabolicType, subsets_of_size
+
     for c in range(n):
         for J in subsets_of_size(n, c, proper=True):
             # raises unless exact with the inclusion-exclusion cokernel dim
@@ -163,14 +170,22 @@ def _job_steinberg(n: int, q: int, m: int, seed: int) -> str:
     return f"all J exact, |G/B|={width}"
 
 def _job_orlik(n: int, q: int, m: int, seed: int) -> str:
+    from .orlik import build_function_complex
+
     cx = build_function_complex(n, q, m)  # raises unless its hull matching certifies it
     return f"terms {cx.terms} acyclic"
 
 def _job_e2(n: int, q: int, m: int, seed: int) -> str:
+    from .orlik import e2_page
+
     page = e2_page(n, q)  # raises on any closed-form mismatch
     return f"{len(page)} nonzero entries match"
 
 def _job_cohomology(n: int, q: int, m: int, seed: int) -> str:
+    from . import cohomology as coh
+    from .ffgeom import drinfeld_points
+    from .qarith import projective_count
+
     hy = coh.h_of_y(n, q)
     hc = coh.hc_of_x(hy)
     failures = _check_tables(n, q, hy, hc, coh.h_of_x(hc))
@@ -183,8 +198,11 @@ def _job_cohomology(n: int, q: int, m: int, seed: int) -> str:
     return "tables and traces match"
 
 def _job_lefschetz(n: int, q: int, m: int, seed: int) -> str:
+    from . import cohomology as coh
+    from .ffgeom import drinfeld_points
+
+    dp = drinfeld_points(n, q, m)  # first, so its guards bound the closed form too
     lc = coh.lefschetz_count(n, q, m)
-    dp = drinfeld_points(n, q, m)
     if lc != dp:
         raise AssertionError(f"lefschetz {lc} != enumeration {dp}")
     return f"both sides {lc}"
@@ -192,6 +210,8 @@ def _job_lefschetz(n: int, q: int, m: int, seed: int) -> str:
 def sample_nested_triple(rng, n: int):
     """A random nested triple I ⊆ J ⊆ L of simple-root subsets; rng is a
     random.Random."""
+    from .rootdata import ParabolicType
+
     L = [r for r in range(n) if rng.random() < 0.7]
     J = [r for r in L if rng.random() < 0.7]
     I = [r for r in J if rng.random() < 0.7]
@@ -199,6 +219,9 @@ def sample_nested_triple(rng, n: int):
 
 
 def _check_triple(built: dict, I, J, L, q: int):
+    from .gmodules import pullback_matrix
+    from .qarith import parabolic_index
+
     # a pair missing from `built` (one job's pullbacks) is built and shape-checked
     for pair in ((I, J), (J, L), (I, L)):
         if pair not in built:
@@ -268,7 +291,9 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     jobs = [(s, n, q, m, cfg.seed) for (s, n, q, m) in _grid(cfg)]
     workers, grouped = cfg.jobs or os.cpu_count() or 1, [jobs]
     if workers > 1 and hasattr(os, "fork"):  # where fork is missing, one worker
-        from . import plan  # only a run with workers pays for this import
+        # only a run with workers pays for the plan; it loads cohomology and
+        # orlik too, before the fork, so the workers share one compiled copy
+        from . import cohomology, orlik, plan  # noqa: F401
 
         grouped = plan.groups(jobs)
     # one group runs in this process
@@ -296,6 +321,9 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 def cmd_dims(cfg: argparse.Namespace) -> int:
     if cfg.n > SUBSET_GUARD:  # before any subset is listed
         raise DeskScaleExceeded(f"dims lists 2^{cfg.n} subsets, over the n <= {SUBSET_GUARD} guard")
+    from .qarith import parabolic_index, steinberg_dim
+    from .rootdata import subsets_of_size
+
     payload = []
     for q in cfg.q:
         rows = []
@@ -324,7 +352,9 @@ def cmd_dims(cfg: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    clear_resolutions()  # each run builds its own resolutions, whatever ran earlier in this process
+    # each run builds its own resolutions, whatever ran earlier in this process
+    if "drincoh.gmodules" in sys.modules:
+        sys.modules["drincoh.gmodules"].clear_resolutions()
     cfg = build_parser().parse_args(argv)
     problem = _validate(cfg)
     if problem:

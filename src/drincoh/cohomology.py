@@ -22,9 +22,7 @@ with brute-force enumeration.
 from __future__ import annotations
 
 from .errors import LESUnderdetermined
-from .gmodules import steinberg_dim
-from .orlik import e2_page
-from .qarith import parabolic_index
+from .qarith import parabolic_index, steinberg_dim
 from .rootdata import standard_subset
 from .tables import CohomologyTable, Summand, TwistedModule, summand
 
@@ -50,7 +48,10 @@ def h_of_projective_space(n: int, q: int) -> CohomologyTable:
 
 
 def h_of_y(n: int, q: int) -> CohomologyTable:
-    """H*(Y) assembled from computed E2 homology (split filtration)."""
+    """H*(Y) assembled from computed E2 homology (split filtration).  The
+    only computed table, so the only one that loads the E2 page's layers."""
+    from .orlik import e2_page
+
     page = e2_page(n, q)
     entries: dict[int, TwistedModule] = {}
     for (r, s), mod in page.items():

@@ -9,7 +9,7 @@ The generalized Steinberg representation attached to J is the quotient of
 Ind_{P_J}^G K by the sum of the inductions from all strictly larger
 parabolics.  Its dimension is computed twice: as the top cokernel of the
 explicit resolution and by inclusion-exclusion over the interval [J, Δ] of
-the subset lattice.
+the subset lattice (qarith.steinberg_dim).
 
 This module owns the one walk over the subset lattice (lattice_rows): the
 Steinberg resolutions and, expanded to points, orlik's function complex are
@@ -20,7 +20,8 @@ written in CSR (write_covers: cover k of a row block of w entries per row
 is the slice indices[s+k:e:w]) and read back (_read_covers).  Each is built,
 ranked and checked once per (J, q) and run: steinberg_resolution keeps
 only its verified homology, and orlik reads the E1 rows from that.  The
-closed forms parabolic_index and steinberg_dim are cached per (I, q).
+closed forms parabolic_index and steinberg_dim live in qarith, cached per
+(I, q).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from operator import sub
 from .errors import ExactnessError
 from .ffgeom import check_flag_guard, flag_keys, forget_map
 from .homalg import ChainComplex, ExactMatrix
-from .qarith import parabolic_index
+from .qarith import parabolic_index, steinberg_dim
 from .rootdata import ParabolicType, cover_sign, subsets_of_size
 
 
@@ -249,24 +250,6 @@ def lattice_complex(J: ParabolicType, q: int) -> tuple[tuple, ChainComplex]:
     except ExactnessError as exc:
         raise ExactnessError(f"lattice complex J={J.subset_str()}, q={q}: {exc}") from exc
     return levels, cx
-
-
-@lru_cache(maxsize=None)
-def steinberg_dim(J: ParabolicType, q: int) -> int:
-    """Inclusion-exclusion dimension of the generalized Steinberg module of J.
-
-    Sum of (-1)^{#I - #J} [G : P_I] over J ⊆ I ⊆ Δ.  For J = Δ this is the
-    trivial module, dimension 1.  Cached per (J, q) and process, like
-    parabolic_index; a failed sum raises again on the next call.
-    """
-    total = 0
-    for levels in interval_levels(J):
-        for I in levels:
-            sign = -1 if (I.size - J.size) % 2 else 1
-            total += sign * parabolic_index(I, q)
-    if total <= 0:
-        raise ExactnessError("inclusion-exclusion must give a positive dimension")
-    return total
 
 
 @lru_cache(maxsize=None)

@@ -41,10 +41,9 @@ from .gmodules import (
     check_block_dd,
     interval_levels,
     lattice_rows,
-    steinberg_dim,
     steinberg_resolution,
 )
-from .qarith import parabolic_index, projective_count
+from .qarith import parabolic_index, projective_count, steinberg_dim
 from .rootdata import ParabolicType, i_of_I, standard_subset
 from .tables import TwistedModule, summand
 

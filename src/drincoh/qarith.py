@@ -1,4 +1,5 @@
-"""q-analog arithmetic: Gaussian binomials, flag counts, projective point counts.
+"""q-analog arithmetic: Gaussian binomials, flag counts, projective point counts,
+and the inclusion-exclusion dimensions of the generalized Steinberg modules.
 
 Everything returns Python ints (arbitrary precision).  All divisions are
 exact integer divisions guarded by a divisibility check, so a formula
@@ -10,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import ExactnessError
-from .rootdata import ParabolicType
+from .rootdata import ParabolicType, subsets_of_size
 
 
 def is_prime(q: int) -> bool:
@@ -80,6 +81,24 @@ def parabolic_index(I: ParabolicType, q: int) -> int:
     type.  Cached per (I, q) and process: the builders and checks ask for the
     same few dozen values about a thousand times per desk grid."""
     return gauss_multinomial(I.to_composition(), q)
+
+
+@lru_cache(maxsize=None)
+def steinberg_dim(J: ParabolicType, q: int) -> int:
+    """Inclusion-exclusion dimension of the generalized Steinberg module of J.
+
+    Sum of (-1)^{#I - #J} [G : P_I] over J ⊆ I ⊆ Δ.  For J = Δ this is the
+    trivial module, dimension 1.  Cached per (J, q) and process, like
+    parabolic_index; a failed sum raises again on the next call.
+    """
+    total = 0
+    for size in range(J.size, J.n + 1):
+        sign = -1 if (size - J.size) % 2 else 1
+        for I in subsets_of_size(J.n, size, containing=J, proper=False):
+            total += sign * parabolic_index(I, q)
+    if total <= 0:
+        raise ExactnessError("inclusion-exclusion must give a positive dimension")
+    return total
 
 
 def projective_count(n: int, q: int, m: int = 1) -> int:

@@ -24,9 +24,9 @@ from drincoh.ffgeom import (
     drinfeld_points,
     enumerate_subspaces,
 )
-from drincoh.gmodules import lattice_complex, steinberg_dim, steinberg_resolution
+from drincoh.gmodules import lattice_complex, steinberg_resolution
 from drincoh.orlik import build_function_complex, e2_page
-from drincoh.qarith import gauss_binomial, parabolic_index
+from drincoh.qarith import gauss_binomial, parabolic_index, steinberg_dim
 from drincoh.rootdata import ParabolicType, standard_subset, subsets_of_size
 from drincoh.tables import TwistedModule, summand
 from oracles import materialized

@@ -40,16 +40,16 @@ def test_cohomology_json_round_trips(capsys):
 
 
 def test_cohomology_builds_each_e2_page_once(monkeypatch, capsys):
-    from drincoh import cohomology
+    from drincoh import orlik
 
     calls = []
-    real = cohomology.e2_page
+    real = orlik.e2_page
 
     def counting(n, q):
         calls.append((n, q))
         return real(n, q)
 
-    monkeypatch.setattr(cohomology, "e2_page", counting)
+    monkeypatch.setattr(orlik, "e2_page", counting)
     assert run(["cohomology", "--n", "2", "--q", "2,3"]) == 0
     assert calls == [(2, 2), (2, 3)]
 
@@ -91,10 +91,12 @@ def test_dims_table(capsys):
 
 
 def test_dims_over_the_subset_guard_is_a_usage_error(monkeypatch, capsys):
+    from drincoh import rootdata
+
     def refuse(*args, **kwargs):
         raise AssertionError("subsets listed before the guard")
 
-    monkeypatch.setattr(cli, "subsets_of_size", refuse)
+    monkeypatch.setattr(rootdata, "subsets_of_size", refuse)
     assert run(["dims", "--n", "11", "--q", "2"]) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -131,6 +133,21 @@ def test_verify_skips_oversize_grid_points(capsys):
                 "--m-max", "3"]) == 0
     out = capsys.readouterr().out
     assert "SKIP" in out
+
+
+def test_lefschetz_job_skips_on_the_point_guard_before_the_closed_form(monkeypatch):
+    # the closed form grows exponentially in n; the point count's guards
+    # must SKIP the job before it runs
+    from drincoh import cohomology
+
+    def refuse(n, q, m):
+        raise AssertionError("closed form computed before the point guard")
+
+    monkeypatch.setattr(cohomology, "lefschetz_count", refuse)
+    record = cli._run_job(("lefschetz", 11, 2, 1, 0))
+    assert record["status"] == "skip"
+    assert record["detail"] == ("vanishing-mask table needs 16773120 form-vector bits, "
+                                "over the 10000000 guard")
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -448,12 +465,41 @@ def test_plan_import_loads_no_cli():
     assert proc.stdout.split() == ["False"]
 
 
-def test_cli_import_loads_no_matching():
-    # the function complex imports its matching check when it is built, so
-    # a run that builds none never compiles it
-    proc = fresh_python("-c", "import sys, drincoh.cli; print('drincoh.matching' in sys.modules)")
+# prints the drincoh modules loaded so far as one line of stderr
+SHOW_LOADED = "print(*sorted(m for m in sys.modules if m.startswith('drincoh')), file=sys.stderr)"
+RUN = "drincoh.cli.main({!r}.split())"
+# under --jobs, shows them as plan.run_forked is called, before any fork
+SPY_ON_FORK = ("import drincoh.plan as plan; fork = plan.run_forked\n"
+               f"def spy(*args):\n    {SHOW_LOADED}\n    return fork(*args)\n"
+               "plan.run_forked = spy\n")
+ALWAYS = {"drincoh", "drincoh.cli", "drincoh.errors"}
+
+
+@pytest.mark.parametrize("code, check", [
+    pytest.param("", lambda loaded: loaded == ALWAYS, id="import"),
+    # no point count loads gmodules, homalg, orlik, matching or plan
+    pytest.param(RUN.format("verify --suite lefschetz --n-max 2 --q 2"),
+                 lambda loaded: loaded == ALWAYS | {"drincoh.cohomology", "drincoh.tables",
+                                                    "drincoh.ffgeom", "drincoh.qarith",
+                                                    "drincoh.rootdata"},
+                 id="lefschetz"),
+    pytest.param(RUN.format("dims --n 2 --q 2"),
+                 lambda loaded: loaded == ALWAYS | {"drincoh.qarith", "drincoh.rootdata"},
+                 id="dims"),
+    # the workers share one compiled copy of the layers, even on a grid
+    # that never calls them
+    pytest.param(SPY_ON_FORK + RUN.format("verify --suite lefschetz --n-max 2 --q 2 --jobs 2"),
+                 lambda loaded: {"drincoh.cohomology", "drincoh.orlik"} <= loaded,
+                 id="jobs"),
+])
+def test_cli_loads_only_the_layers_it_runs(code, check):
+    # where no bytecode cache is written, each run compiles every module it
+    # loads, so importing the CLI loads the parser only and each command the
+    # layers it runs
+    proc = fresh_python("-c", f"import sys, drincoh.cli\n{code}\n{SHOW_LOADED}")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    loaded = set(proc.stderr.splitlines()[0].split())
+    assert check(loaded), loaded
 
 
 def test_checks_hold_under_python_O():
@@ -477,6 +523,7 @@ def test_pullback_shape_checks_catch_what_functoriality_misses(monkeypatch, row_
     # and b of P_JL send two flags to the same flag of type L, so rewriting
     # row a of P_IJ as a combination of e_a and e_b with sum 1 keeps
     # P_IJ @ P_JL == P_IL; only the shape checks can see it.
+    from drincoh import gmodules
     from drincoh.gmodules import pullback_matrix
     from drincoh.rootdata import ParabolicType
 
@@ -496,7 +543,7 @@ def test_pullback_shape_checks_catch_what_functoriality_misses(monkeypatch, row_
         return from_dict(P.rows, P.cols, entries)
 
     cli._check_triple({}, I, I, L, 2)
-    monkeypatch.setattr(cli, "pullback_matrix", tampered)
+    monkeypatch.setattr(gmodules, "pullback_matrix", tampered)
     with pytest.raises(AssertionError, match=message):
         cli._check_triple({}, I, I, L, 2)
 
@@ -514,6 +561,7 @@ def test_pullback_checks_see_every_factor(monkeypatch, factor, keep, message):
     # I = ∅ ⊂ J = {a0} ⊂ L = {a0, a1} at (3,2) give three distinct pullbacks.
     # Row 0 of P_JL or P_IL gains a second 1 in the next column, or its 1
     # moves there, which keeps the shape but breaks the composite.
+    from drincoh import gmodules
     from drincoh.gmodules import pullback_matrix
     from drincoh.rootdata import ParabolicType
 
@@ -532,7 +580,7 @@ def test_pullback_checks_see_every_factor(monkeypatch, factor, keep, message):
         return from_dict(P.rows, P.cols, entries)
 
     cli._check_triple({}, I, J, L, 2)
-    monkeypatch.setattr(cli, "pullback_matrix", tampered)
+    monkeypatch.setattr(gmodules, "pullback_matrix", tampered)
     with pytest.raises(AssertionError, match=message):
         cli._check_triple({}, I, J, L, 2)
 
@@ -540,6 +588,7 @@ def test_pullback_checks_see_every_factor(monkeypatch, factor, keep, message):
 def test_pullback_job_builds_each_pair_once_and_checks_each_triple_once(monkeypatch):
     import random
 
+    from drincoh import gmodules
     from drincoh.gmodules import pullback_matrix
 
     built, checked = [], []
@@ -552,7 +601,7 @@ def test_pullback_job_builds_each_pair_once_and_checks_each_triple_once(monkeypa
         checked.append((I, J, L))
         return _check(pullbacks, I, J, L, q)
 
-    monkeypatch.setattr(cli, "pullback_matrix", counting_pullback)
+    monkeypatch.setattr(gmodules, "pullback_matrix", counting_pullback)
     monkeypatch.setattr(cli, "_check_triple", counting_check)
     for n, q, seed in [(2, 2, 2024), (3, 2, 0), (3, 3, 7)]:
         built.clear()

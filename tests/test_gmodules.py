@@ -10,12 +10,11 @@ from drincoh.errors import DeskScaleExceeded, ExactnessError
 from drincoh.gmodules import (
     lattice_complex,
     pullback_matrix,
-    steinberg_dim,
     steinberg_resolution,
 )
 from drincoh.homalg import ExactMatrix
 from drincoh.orlik import build_function_complex, e2_page
-from drincoh.qarith import parabolic_index
+from drincoh.qarith import parabolic_index, steinberg_dim
 from drincoh.rootdata import ParabolicType, subsets_of_size
 from oracles import (
     cover_matrix,

@@ -34,7 +34,7 @@ def _flipped_cover_sign(I, a):
     return -sign if I.mask == 0 and a == 0 else sign
 
 
-def _steinberg_dim_plus_one(J, q, _orig=gmodules.steinberg_dim):
+def _steinberg_dim_plus_one(J, q, _orig=qarith.steinberg_dim):
     return _orig(J, q) + 1
 
 
@@ -141,7 +141,7 @@ CASES = {
     ),
     "steinberg_dim": (
         _steinberg_dim_plus_one,
-        (gmodules, orlik, cohomology, cli),
+        (qarith, gmodules, orlik, cohomology),
         {"steinberg", "e2", "lefschetz", "cohomology"},
     ),
     "closed_form_h_of_y": (_shifted_h_of_y, (cohomology,), {"cohomology"}),
@@ -182,7 +182,7 @@ ARGV = {"digits": [*VERIFY[:-1], "2"], "write_covers": VERIFY_N3}
 
 # the caches themselves: the steinberg_dim, digits and hull_mask cases
 # replace the module's name
-STEINBERG_DIM, DIGITS, HULL_MASK = gmodules.steinberg_dim, ffgeom._digits, matching.hull_mask
+STEINBERG_DIM, DIGITS, HULL_MASK = qarith.steinberg_dim, ffgeom._digits, matching.hull_mask
 
 
 def _clear_tables():

@@ -11,13 +11,12 @@ from drincoh.ffgeom import enumerate_subspaces, hyperplane_union_points, project
 from drincoh.gmodules import (
     clear_resolutions,
     lattice_complex,
-    steinberg_dim,
     steinberg_resolution,
 )
 from drincoh.homalg import ChainComplex, ExactMatrix
 from drincoh.matching import check_matching, function_complex_labels, hull_mask
 from drincoh.orlik import build_e1_row, build_function_complex, e2_page
-from drincoh.qarith import parabolic_index
+from drincoh.qarith import parabolic_index, steinberg_dim
 from drincoh.rootdata import ParabolicType, i_of_I, standard_subset
 from drincoh.tables import TwistedModule, summand
 from oracles import (
