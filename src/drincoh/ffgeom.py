@@ -15,10 +15,14 @@ Conventions
 * Digit k of every coordinate of a point forms its digit plane k, a vector
   in F_q^{n+1}.  A form with F_q coefficients vanishes at the point iff it
   vanishes on every digit plane, and an F_q-scalar acts on each plane alone.
-  The point counts test POINT_CHUNK points at a time in one column pass:
-  per-coordinate lookups sum to the code sum(p_j R^j) of the lex indices
-  p_j < R = q^(n+1) of the low (first ceil(m/2)) or high half of the planes,
-  and the code indexes that half's table of the AND of its planes' masks.
+  A point's code for the low (first ceil(m/2)) or high half of its planes
+  is sum(p_k R^k) over the lex indices p_k < R = q^(n+1) of the half's
+  planes, and it indexes that half's table of the AND of their masks.  It
+  is also sum(q^(n-j) c(x_j)), c(x) being the code of one coordinate x, so
+  the point counts take the points in blocks: those with the same leading
+  1 and the same head coordinates, whose codes are the head's code plus
+  each code of the last coordinates, listed once per leading 1 (at most
+  POINT_CHUNK of them).
 * A subspace is its unique reduced-row-echelon basis, a tuple of row tuples
   with entries in 0..q-1; subspaces compare, hash and sort as these tuples,
   and q is passed alongside wherever it is needed.  Coordinate j of the
@@ -45,7 +49,7 @@ Conventions
 
 from __future__ import annotations
 
-from functools import lru_cache, partial, reduce, total_ordering
+from functools import lru_cache, total_ordering
 from itertools import accumulate, chain, combinations, compress, count, pairwise, product, repeat
 from operator import add, and_, countOf, itemgetter, mul
 
@@ -56,7 +60,7 @@ from .rootdata import Frozen, ParabolicType
 POINT_GUARD = 10**8  # candidate vectors q^(m(n+1))
 MASK_GUARD = 10**7  # forms x vectors, the bits of the vanishing-mask table
 FLAG_GUARD = 10**4  # full flags |G/B|, the largest flag set of one (n, q)
-POINT_CHUNK = 1024  # points per column pass of _point_masks
+POINT_CHUNK = 1024  # codes per block of _mask_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +132,18 @@ def check_point_guard(n: int, q: int, m: int):
         )
 
 
-def _point_masks(n: int, q: int, m: int):
-    """projective_points(n, q, m), once the guards pass, and an iterator over
-    each point's mask of the forms vanishing on all its digit planes, 0 iff
-    the point is off every rational hyperplane.  The AND tables are built per
-    call and hold at most R^ceil(m/2) < sqrt(POINT_GUARD R) entries each, as
-    R^m < POINT_GUARD, where R = q^(n+1) < MASK_GUARD."""
+def _mask_blocks(n: int, q: int, m: int):
+    """An iterator over the mask of the forms vanishing on all digit planes
+    of each point of projective_points(n, q, m), in its order, once the
+    guards pass: 0 iff the point is off every rational hyperplane.  The AND
+    tables are built per call and hold at most R^ceil(m/2) < sqrt(POINT_GUARD
+    R) entries each, as R^m < POINT_GUARD, where R = q^(n+1) < MASK_GUARD.
+
+    The tail is the last coordinates, as many as have at most POINT_CHUNK
+    values together, and the head the free coordinates before it.  A block
+    is the points with their leading 1 at one coordinate and one value of
+    the head: its codes are the head's code plus each tail code, for both
+    halves in lockstep, so blocks and points come in lex order."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if m < 1:
@@ -141,22 +151,43 @@ def _point_masks(n: int, q: int, m: int):
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
     check_point_guard(n, q, m)
-    pts, R, split, halves = projective_points(n, q, m), q ** (n + 1), (m + 1) // 2, []
+    R, split, width = q ** (n + 1), (m + 1) // 2, 0
     masks, tables = list(_vanishing_masks(tuple(rational_forms(n, q)), q).values()), [[-1]]
     for _ in range(split):  # prefix products: the next plane is the most significant
         tables.append([a & b for a in masks for b in tables[-1]])
-    for ks in (range(split), range(split, m)):  # m = 1 leaves the high half empty
-        codes = [sum(d[k] * R**j for j, k in enumerate(ks)) for d in _digits(q, m)]
-        weighted = [[q**i * c for c in codes].__getitem__ for i in range(n, -1, -1)]
-        halves.append((tables[len(ks)].__getitem__, weighted))
+    low, high = tables[split].__getitem__, tables[m - split].__getitem__
+    # each element's code in the low and in the high half (all 0 at m = 1, where
+    # the high half is empty and its table is [-1])
+    codes = [[sum(d[k] * R**j for j, k in enumerate(ks)) for d in _digits(q, m)]
+             for ks in (range(split), range(split, m))]
+    while q ** (m * (width + 1)) <= POINT_CHUNK:
+        width += 1
 
-    def chunk_masks(s):
-        cols = list(zip(*pts[s : s + POINT_CHUNK]))
-        low, high = (map(get, reduce(partial(map, add), map(map, weighted, cols)))
-                     for get, weighted in halves)
-        return map(and_, low, high)
+    def outer(start, coords):
+        """Each half's codes of the vectors over coords, in lex order, plus its start."""
+        out = [[s] for s in start]
+        for j in coords:
+            w = q ** (n - j)
+            out = [[s + w * c for s in half for c in cs] for half, cs in zip(out, codes)]
+        return out
 
-    return pts, chain.from_iterable(map(chunk_masks, range(0, len(pts), POINT_CHUNK)))
+    def blocks():
+        for lead in range(n, -1, -1):
+            cut, one = max(lead + 1, n + 1 - width), q ** (n - lead)
+            tail_low, tail_high = outer((0, 0), range(cut, n + 1))
+            for a, b in zip(*outer((one * codes[0][1], one * codes[1][1]), range(lead + 1, cut))):
+                yield map(and_, map(low, map(a.__add__, tail_low)),
+                          map(high, map(b.__add__, tail_high)))
+
+    return chain.from_iterable(blocks())
+
+
+def _point_masks(n: int, q: int, m: int):
+    """projective_points(n, q, m), once the guards pass, and _mask_blocks's
+    iterator over its points' masks.  drinfeld_points reads only the masks;
+    the list is what bench/tracer.py counts as the points it tested."""
+    masks = _mask_blocks(n, q, m)
+    return projective_points(n, q, m), masks
 
 
 def drinfeld_points(n: int, q: int, m: int) -> int:

@@ -30,7 +30,7 @@ from itertools import compress, count, islice
 from operator import add, lt, not_, truth
 
 from .errors import ExactnessError
-from .ffgeom import _point_masks
+from .ffgeom import _mask_blocks
 from .gmodules import check_covers
 from .rootdata import i_of_I
 
@@ -43,7 +43,7 @@ def hull_mask(d: int, q: int, m: int) -> bytes:
     rational hull U iff its lam does.  For d = 1 the one point is generic."""
     if d == 1:
         return b"\x01"
-    return bytes(map(not_, _point_masks(d - 1, q, m)[1]))
+    return bytes(map(not_, _mask_blocks(d - 1, q, m)))
 
 
 def function_complex_labels(levels, dims, y_size: int, q: int, m: int) -> list[bytes]:

@@ -426,13 +426,16 @@ PLANE_REFERENCE_POINTS = [(n, 2, m) for n in (1, 2, 3) for m in range(1, 6)] + [
     (2, 5, 2),
     (4, 5, 1),
     (1, 3, 6),
+    (1, 2, 13),  # the largest n = 1 point the guard admits: one coordinate outgrows a block
+    (2, 3, 5),  # m odd: the low half has one plane more than the high half
 ]
 
 
-@pytest.mark.parametrize("chunk", [ffgeom.POINT_CHUNK, 7])
+@pytest.mark.parametrize("chunk", [ffgeom.POINT_CHUNK, 7, 1])
 def test_point_counts_match_per_point_reference(chunk, monkeypatch):
-    # chunk 7 puts chunk boundaries inside every point list and leaves a
-    # short last chunk
+    # a block holds at most `chunk` codes of the last coordinates: at 7 the
+    # tail is at most one coordinate at q < 7, and at 1 no coordinate fits,
+    # so every head code is a block of one point
     monkeypatch.setattr(ffgeom, "POINT_CHUNK", chunk)
     for n, q, m in PLANE_REFERENCE_POINTS:
         on, off = split_by_digit_planes(n, q, m)

@@ -78,7 +78,7 @@ def _point_positions_two_swapped(d, q, m, _orig=ffgeom.point_positions):
 
 def _digits_top_zeroed(q, m, _orig=ffgeom._digits):
     # every element of F_{q^m} loses its top digit, so at m = 2 every point
-    # looks F_q-rational to the column pass
+    # looks F_q-rational to the block pass
     return tuple(d[:-1] + (0,) for d in _orig(q, m))
 
 

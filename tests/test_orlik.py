@@ -5,7 +5,7 @@ from itertools import accumulate
 
 import pytest
 
-from drincoh import cli, gmodules, matching, orlik
+from drincoh import cli, ffgeom, gmodules, matching, orlik
 from drincoh.errors import DeskScaleExceeded, ExactnessError
 from drincoh.ffgeom import enumerate_subspaces, hyperplane_union_points, projective_points
 from drincoh.gmodules import (
@@ -105,6 +105,22 @@ def test_hull_mask_is_the_brute_force_rational_hull(d, q, m):
     points = projective_points(d - 1, q, m)
     generic = bytes(not any(in_extension_span(x, W, F) for W in proper) for x in points)
     assert hull_mask(d, q, m) == generic
+
+
+@pytest.mark.parametrize("d, q, m", [(3, 2, 3), (4, 3, 2)])
+def test_hull_mask_reads_the_masks_without_listing_points(d, q, m, monkeypatch):
+    on = set(hyperplane_union_points(d - 1, q, m))
+    want = bytes(x not in on for x in projective_points(d - 1, q, m))
+
+    def listed(n, q, m=1, _orig=ffgeom.projective_points):
+        # the forms, P^{d-1}(F_q), are listed through rational_forms
+        if m > 1:
+            raise AssertionError(f"P^{n}(F_{{{q}^{m}}}) listed")
+        return _orig(n, q, m)
+
+    monkeypatch.setattr(ffgeom, "projective_points", listed)
+    hull_mask.cache_clear()  # a cached mask would not reach the pass
+    assert hull_mask(d, q, m) == want
 
 
 def _interval():
