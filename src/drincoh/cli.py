@@ -222,18 +222,20 @@ def _check_triple(built: dict, I, J, L, q: int):
     from .gmodules import pullback_matrix
     from .qarith import parabolic_index
 
-    # a pair missing from `built` (one job's pullbacks) is built and shape-checked
+    # a pair missing from `built` (one job's pullbacks) is built and shape-
+    # checked: one cover of value 1, whose column map and width are kept
     for pair in ((I, J), (J, L), (I, L)):
         if pair not in built:
-            P = built[pair] = pullback_matrix(*pair, q)
-            if P.indptr != list(range(P.rows + 1)) or P.data.count(1) != P.nnz:
+            P = pullback_matrix(*pair, q)
+            if len(P.covers) != 1 or [v for _, v, _ in P.covers[0]] != [1]:
                 raise AssertionError("pullback is not one-nonzero-per-row")
-    PIJ, PJL, PIL = built[I, J], built[J, L], built[I, L]
-    composite = PIJ.cols == PJL.rows and list(map(PJL.indices.__getitem__, PIJ.indices))
-    if composite != PIL.indices or PJL.cols != PIL.cols:
+            built[pair] = P.covers[0][0][2], P.cols
+    (IJ, cols_IJ), (JL, cols_JL), (IL, cols_IL) = built[I, J], built[J, L], built[I, L]
+    composite = cols_IJ == len(JL) and list(map(JL.__getitem__, IJ))
+    if composite != IL or cols_JL != cols_IL:
         raise AssertionError(f"functoriality fails for {I}, {J}, {L}")
     fiber = parabolic_index(I, q) // parabolic_index(J, q)
-    if sorted(PIJ.indices) != sorted(list(range(PIJ.cols)) * fiber):
+    if sorted(IJ) != sorted(list(range(cols_IJ)) * fiber):
         raise AssertionError("pullback column sums are not the fiber size")
 
 

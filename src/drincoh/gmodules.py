@@ -15,25 +15,23 @@ This module owns the one walk over the subset lattice (lattice_rows): the
 Steinberg resolutions and, expanded to points, orlik's function complex are
 built from it, and the one d∘d check (check_block_dd) reads both as cover
 forms: per row block, its covers (b, sign, image), each a map of its rows
-into column block b with one sign.  Only the resolutions, being ranked, are
-written in CSR (write_covers: cover k of a row block of w entries per row
-is the slice indices[s+k:e:w]) and read back (_read_covers).  Each is built,
-ranked and checked once per (J, q) and run: steinberg_resolution keeps
-only its verified homology, and orlik reads the E1 rows from that.  The
-closed forms parabolic_index and steinberg_dim live in qarith, cached per
-(I, q).
+into column block b with one sign.  A resolution's differentials are
+ExactMatrix objects that store that form, so rank and the check read the
+same lists.  Each resolution is built, ranked and checked once per (J, q)
+and run: steinberg_resolution keeps only its verified homology, and orlik
+reads the E1 rows from that.  The closed forms parabolic_index and
+steinberg_dim live in qarith, cached per (I, q).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate, pairwise, repeat
 from operator import sub
 
 from .errors import ExactnessError
 from .ffgeom import check_flag_guard, flag_keys, forget_map
-from .homalg import ChainComplex, ExactMatrix
+from .homalg import ChainComplex, ExactMatrix, check_covers
 from .qarith import parabolic_index, steinberg_dim
 from .rootdata import ParabolicType, cover_sign, subsets_of_size
 
@@ -41,15 +39,13 @@ from .rootdata import ParabolicType, cover_sign, subsets_of_size
 def pullback_matrix(I: ParabolicType, J: ParabolicType, q: int) -> ExactMatrix:
     """Matrix of precomposition with G/P_I -> G/P_J on function spaces.
 
-    Maps functions on type-J flags to functions on type-I flags: one 1 per
-    row, at the column of the row flag's image under forgetting.  Requires
-    I ⊆ J; forget_map raises ValueError otherwise.
+    Maps functions on type-J flags to functions on type-I flags: one cover
+    of value 1, its column map the row flags' images under forgetting.
+    Requires I ⊆ J; forget_map raises ValueError otherwise.
     """
-    image = forget_map(I, J, q)
-    rows = len(image)
-    return ExactMatrix(
-        rows, len(flag_keys(J, q)), list(range(rows + 1)), list(image), [1] * rows
-    )
+    image = list(forget_map(I, J, q))
+    return ExactMatrix([(I.subset_str(), len(image))],
+                       [(J.subset_str(), len(flag_keys(J, q)))], [[(0, 1, image)]])
 
 
 def interval_levels(J: ParabolicType) -> list[list[ParabolicType]]:
@@ -84,23 +80,6 @@ def lattice_rows(sources: list[ParabolicType], targets: list[ParabolicType],
         yield covers, signs, images
 
 
-def write_covers(csr: tuple[list, list, list], signs: list[int], images, size: int) -> None:
-    """Append a row block of `size` rows to the CSR lists csr = (indptr,
-    indices, data): entry k of every row is cover k, whose columns are
-    images[k] (one per row, any iterable) and whose value is signs[k].
-    Cover k is written with one slice assignment, indices[s+k:e:w] = image,
-    which is the slice _read_covers reads it back from.
-    """
-    indptr, indices, data = csr
-    w, s = len(signs), len(indices)
-    e = s + w * size
-    indices += repeat(0, e - s)
-    for k, image in enumerate(images, s):
-        indices[k:e:w] = image
-    data += signs * size
-    indptr += range(s + w, e + 1, w) if w else repeat(s, size)
-
-
 def lattice_differential(
     sources: list[ParabolicType],
     targets: list[ParabolicType],
@@ -110,63 +89,15 @@ def lattice_differential(
     """Signed block matrix of pullbacks for one layer of the subset lattice.
 
     Block (I, J) is cover_sign(I, a) * pullback(I, J) when J = I ∪ {a},
-    zero otherwise.  Each row block I is written by write_covers from
-    lattice_rows' column maps, one entry per cover in every row.
+    zero otherwise: row block I has one cover per such J, its column map
+    lattice_rows' as a list.
     """
-    csr = [0], [], []
-    for I, (_, signs, images) in zip(targets, lattice_rows(sources, targets, dims, q)):
-        write_covers(csr, signs, images, dims[I])
-    cols = sum(dims[J] for J in sources)
-    return ExactMatrix(len(csr[0]) - 1, cols, *csr)
-
-
-def _read_covers(d: ExactMatrix, t: int, rows, cols) -> list[list[tuple]]:
-    """The cover form of d = d_t, `rows` and `cols` the (label, size) blocks
-    of its target and source: in a row block of w entries per row, cover k
-    is entry k of every row, b the block of its first column.  Rows of
-    unequal length or a cover of two values raise ExactnessError."""
-    col_off = list(accumulate((size for _, size in cols), initial=0))
-    n_rows = sum(size for _, size in rows)
-    if (d.rows, d.cols) != (n_rows, col_off[-1]):
-        raise ExactnessError(
-            f"d∘d check: d_{t} is {d.rows}x{d.cols}, its blocks give {n_rows}x{col_off[-1]}"
-        )
-    ptr, idx, val = d.indptr, d.indices, d.data
-    out, r = [], 0
-    for label, size in rows:
-        s, e = ptr[r], ptr[r + size]
-        w = (e - s) // size if size else 0
-        if ptr[r:r + size + 1] != (list(range(s, e + 1, w)) if w else [s] * (size + 1)):
-            raise ExactnessError(
-                f"d∘d check: d_{t}, row block {label}: rows hold different numbers of entries"
-            )
-        covers = []
-        for k in range(w):
-            sign = val[s + k]
-            if val[s + k:e:w].count(sign) != size:
-                raise ExactnessError(
-                    f"d∘d check: d_{t}, row block {label}: entry {k} of its rows "
-                    "is not one constant sign"
-                )
-            covers.append((bisect_right(col_off, idx[s + k]) - 1, sign, idx[s + k:e:w]))
-        out.append(covers)
-        r += size
-    return out
-
-
-def check_covers(covers, t: int, rows, cols, check: str) -> None:
-    """Raise ExactnessError, prefixed by `check`, unless each cover (b, sign,
-    image) of the form `covers` of d_t maps its row block into block b."""
-    col_off = list(accumulate((size for _, size in cols), initial=0))
-    if len(covers) != len(rows):
-        raise ExactnessError(f"{check}: d_{t} has {len(covers)} row blocks, not {len(rows)}")
-    for (label, size), block in zip(rows, covers):
-        for k, (b, _, image) in enumerate(block):
-            if len(image) != size or not 0 <= b < len(cols) or image and (
-                min(image) < col_off[b] or max(image) >= col_off[b + 1]
-            ):
-                raise ExactnessError(f"{check}: d_{t}, row block {label}: entry {k} of its "
-                                     f"rows does not map its {size} rows into block {b}")
+    covers = [
+        [(sources.index(J), sign, list(image)) for J, sign, image in zip(*row)]
+        for row in lattice_rows(sources, targets, dims, q)
+    ]
+    return ExactMatrix([(I.subset_str(), dims[I]) for I in targets],
+                       [(J.subset_str(), dims[J]) for J in sources], covers)
 
 
 def _first_nonzero_row(paths):
@@ -224,7 +155,7 @@ def check_block_dd(covers, blocks) -> None:
     Only two adjacent forms of the iterable `covers` are held at a time."""
     low = None
     for t, high in enumerate(covers):
-        check_covers(high, t, blocks[t + 1], blocks[t], "d∘d check")
+        check_covers(high, blocks[t + 1], blocks[t], f"d∘d check: d_{t}")
         if low is not None:
             _check_pair(low, high, t - 1, blocks)
         low = high
@@ -234,19 +165,17 @@ def lattice_complex(J: ParabolicType, q: int) -> tuple[tuple, ChainComplex]:
     """The levels interval_levels(J) and the complex over them of
     ⊕ Ind_{P_I}^G K, level by level, with lattice_differential between.  The
     flag guard comes first, before any subset is listed.  d∘d = 0 is checked
-    by check_block_dd, one block per subset, on the covers read back from
-    the CSR; a failure is raised again naming J and q."""
+    by check_block_dd, one block per subset, on the differentials' own
+    covers; a failure is raised again naming J and q."""
     check_flag_guard(J.n, q)
     levels = tuple(map(tuple, interval_levels(J)))
     dims = {I: parabolic_index(I, q) for level in levels for I in level}
     terms = tuple(sum(dims[I] for I in level) for level in levels)
     diffs = tuple(lattice_differential(*pair, dims, q) for pair in pairwise(levels))
     cx = ChainComplex(terms, diffs)
-    blocks = [[(I.subset_str(), dims[I]) for I in level] for level in levels]
+    blocks = [diffs[0].col_blocks, *(d.row_blocks for d in diffs)]
     try:
-        check_block_dd(
-            (_read_covers(d, t, blocks[t + 1], blocks[t]) for t, d in enumerate(diffs)), blocks
-        )
+        check_block_dd([d.covers for d in diffs], blocks)
     except ExactnessError as exc:
         raise ExactnessError(f"lattice complex J={J.subset_str()}, q={q}: {exc}") from exc
     return levels, cx

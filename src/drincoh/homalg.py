@@ -1,156 +1,146 @@
 """Exact sparse integer matrices and chain-complex homology dimensions.
 
-A matrix is stored in compressed sparse row (CSR) form: three flat lists,
-`indptr` (row i's entries sit at positions indptr[i]:indptr[i+1]),
-`indices` (their columns, strictly increasing within a row) and `data`
-(their values, nonzero Python ints).  The builders write rows in order
-and hand the lists to the one constructor, so no (i, j) tuple is made
-between a builder and the rank.  Validation runs at C level over the
-lists (types, zeros, column range, row order, the last against a byte
-mask of the row starts) and raises, so it holds under python -O.
+A matrix is stored in cover form, the block layout of every differential
+built here: its row and column (label, size) blocks, and per row block its
+covers (b, value, image), each a column map `image` of the block's rows
+into column block b with the one value `value`.  Row r of a block holds
+image[r] of each of its covers, so its columns must rise strictly along
+them.  The one constructor takes that form and keeps it once it has
+validated it (check_covers, the values, the rising columns); every check
+raises, so it holds under python -O.  gmodules.check_block_dd and
+matching.check_matching read the same form, so nothing converts it.
 
 Every entry is a Python int, and ranks are ranks over the rationals, never
 numerical.  They come from one fraction-free row reduction against a pivot
-table: rows are read from the flat lists in one pass, one zip over row
-ids, columns and values, and taken in index order; each is reduced against
-the pivot stored for its largest column until it is zero or that column
-has no pivot yet, and then it becomes that column's pivot.  A unit pivot
-clears by integer subtraction, any other by scaling the reduced row first.
-Homology ranks its differentials with clearing: the pivot rows of d_i are
-columns of d_{i+1} that lie in the span of its other columns (d∘d = 0), so
-they are skipped.
+table: rows are taken in index order, each read as dict(zip(columns,
+values)) from its block's covers, and reduced against the pivot stored for
+its largest column until it is zero or that column has no pivot yet, and
+then it becomes that column's pivot.  A unit pivot clears by integer
+subtraction, any other by scaling the reduced row first.  Homology ranks
+its differentials with clearing: the pivot rows of d_i are columns of
+d_{i+1} that lie in the span of its other columns (d∘d = 0), so they are
+skipped.
 
 A chain complex checks only the shapes of its differentials.  Homology
 relies on d∘d = 0, which gmodules.check_block_dd checks first.  Only the
 Steinberg resolutions are stored and ranked here; the function complex
-stays cover forms (gmodules), certified exact by drincoh.matching.
+stays bare cover forms (orlik), certified exact by drincoh.matching.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import ge, getitem, le, sub
+from itertools import accumulate, pairwise
+from operator import lt
 from types import MappingProxyType
 
 from .errors import ExactnessError
 
 
-class ExactMatrix:
-    """A rows x cols integer matrix in compressed sparse row storage, ranked over Q.
+def check_covers(covers, rows, cols, where: str) -> None:
+    """Raise ExactnessError, prefixed by `where`, unless the cover form
+    `covers` has one list of covers per (label, size) block of `rows` and
+    each cover (b, value, image) maps its row block into block b of `cols`."""
+    col_off = list(accumulate((size for _, size in cols), initial=0))
+    if len(covers) != len(rows):
+        raise ExactnessError(f"{where} has {len(covers)} row blocks, not {len(rows)}")
+    for (label, size), block in zip(rows, covers):
+        for k, (b, _, image) in enumerate(block):
+            if len(image) != size or not 0 <= b < len(cols) or image and (
+                min(image) < col_off[b] or max(image) >= col_off[b + 1]
+            ):
+                raise ExactnessError(f"{where}, row block {label}: entry {k} of its "
+                                     f"rows does not map its {size} rows into block {b}")
 
-    Row i's entries sit at positions indptr[i]:indptr[i+1] of `indices`
-    (their columns, strictly increasing) and `data` (their values, nonzero
-    ints); `indptr` runs from 0 to nnz in rows + 1 steps.  The builders hand
-    over these three lists, rows written in order, and the constructor keeps
-    them once it has validated them: it raises TypeError on a value that is
-    not an int (bool included) and ValueError on a malformed layout, under
-    python -O too.  `rank` reads the rows back in one pass over the lists;
-    `entries` is a read-only dict copy for tests and debugging.  The matrix
-    acts on coordinate columns of its source: a map V -> W with dim V = cols
-    and dim W = rows.
+
+class ExactMatrix:
+    """An integer matrix in cover form, ranked over Q.
+
+    `row_blocks` and `col_blocks` list (label, size) blocks, and `covers`
+    holds per row block its covers (b, value, image): value at column
+    image[r] of each row r of the block, image inside column block b.  The
+    constructor raises TypeError on a value or column that is not an int
+    (bool included), ValueError on a zero value, a negative block size or
+    columns that do not rise strictly along a row's covers, and
+    ExactnessError where check_covers does, under python -O too.  `rank`
+    reads the rows off the covers; `entries` is a read-only dict copy for
+    tests and debugging.  The matrix acts on coordinate columns of its
+    source: a map V -> W with dim V = cols and dim W = rows.
     """
 
-    __slots__ = ("rows", "cols", "indptr", "indices", "data")
+    __slots__ = ("rows", "cols", "row_blocks", "col_blocks", "covers")
 
-    def __init__(self, rows: int, cols: int, indptr, indices, data):
-        # C-level passes over the flat lists; raises, never asserts, so the
+    def __init__(self, row_blocks, col_blocks, covers):
+        # C-level passes over each cover; raises, never asserts, so the
         # checks hold under python -O
-        if rows < 0 or cols < 0:
-            raise ValueError("negative matrix dimensions")
-        if {type(indptr), type(indices), type(data)} != {list}:
-            raise TypeError("CSR storage is three lists")
-        nnz = len(data)
-        if len(indptr) != rows + 1 or len(indices) != nnz:
-            raise ValueError(
-                f"CSR lists of lengths {len(indptr)}, {len(indices)}, {nnz} "
-                f"do not fit {rows} rows"
-            )
-        if not set(map(type, indptr)) | set(map(type, indices)) <= {int}:
-            raise TypeError("CSR row offsets and columns must be ints")
-        if indptr[0] != 0 or indptr[-1] != nnz or not all(
-            map(le, indptr, islice(indptr, 1, None))
-        ):
-            raise ValueError("indptr must rise from 0 to nnz")
-        if not set(map(type, data)) <= {int}:
-            bad = next(v for v in data if type(v) is not int)
-            raise TypeError(f"entry {bad!r} is not an int")
-        if 0 in data:
-            raise ValueError("a stored entry is zero")
-        if indices and (min(indices) < 0 or max(indices) >= cols):
-            raise ValueError(f"a column lies outside 0..{cols - 1}")
-        # a column not above its predecessor may only start a row; the row
-        # starts are marked in a byte mask, not hashed into a set
-        starts = bytearray(nnz + 1)
-        for k in indptr:
-            starts[k] = 1
-        descents = compress(range(1, nnz), map(ge, indices, islice(indices, 1, None)))
-        if not all(map(getitem, repeat(starts), descents)):
-            raise ValueError("columns must be strictly increasing within each row")
-        self.rows, self.cols = rows, cols
-        self.indptr, self.indices, self.data = indptr, indices, data
+        if any(size < 0 for _, size in (*row_blocks, *col_blocks)):
+            raise ValueError("negative block size")
+        for block in covers:
+            for _, value, image in block:
+                if type(value) is not int:
+                    raise TypeError(f"entry {value!r} is not an int")
+                if not value:
+                    raise ValueError("a cover's value is zero")
+                if not set(map(type, image)) <= {int}:
+                    raise TypeError("columns must be ints")
+        check_covers(covers, row_blocks, col_blocks, "ExactMatrix")
+        for (label, _), block in zip(row_blocks, covers):
+            for k, (low, high) in enumerate(pairwise(image for _, _, image in block), 1):
+                if not all(map(lt, low, high)):
+                    raise ValueError(f"row block {label}: the columns of entry {k} do not "
+                                     f"lie right of entry {k - 1} in every row")
+        self.rows = sum(size for _, size in row_blocks)
+        self.cols = sum(size for _, size in col_blocks)
+        self.row_blocks, self.col_blocks, self.covers = row_blocks, col_blocks, covers
 
     @staticmethod
     def from_blocks(row_dims, col_dims, blocks) -> "ExactMatrix":
-        """Assemble from a dict mapping (block_row, block_col) to ExactMatrix."""
+        """Assemble from a dict mapping (block_row, block_col) to ExactMatrix:
+        block column j is column block j, and each row is its own row block,
+        its entries one cover each.  ValueError on a block index outside the
+        grid or a block of the wrong shape."""
+        row_off = list(accumulate(row_dims, initial=0))
         col_off = list(accumulate(col_dims, initial=0))
+        rows: list[list] = [[] for _ in range(row_off[-1])]
         for (bi, bj), block in blocks.items():
+            if not (0 <= bi < len(row_dims) and 0 <= bj < len(col_dims)):
+                raise ValueError(f"block ({bi},{bj}) lies outside the "
+                                 f"{len(row_dims)}x{len(col_dims)} grid")
             if block.rows != row_dims[bi] or block.cols != col_dims[bj]:
                 raise ValueError(f"block ({bi},{bj}) has wrong shape")
-        indptr, indices, data = [0], [], []
-        for bi, dim in enumerate(row_dims):
-            # this block row's blocks left to right, so columns come out sorted
-            parts = sorted((bj, b) for (i, bj), b in blocks.items() if i == bi)
-            for i in range(dim):
-                for bj, b in parts:
-                    s, e = b.indptr[i], b.indptr[i + 1]
-                    indices.extend(map(col_off[bj].__add__, b.indices[s:e]))
-                    data.extend(b.data[s:e])
-                indptr.append(len(data))
-        return ExactMatrix(len(indptr) - 1, col_off[-1], indptr, indices, data)
+            for (i, j), v in block.entries.items():
+                rows[row_off[bi] + i].append((col_off[bj] + j, bj, v))
+        return ExactMatrix(
+            [(str(i), 1) for i in range(row_off[-1])],
+            [(str(j), size) for j, size in enumerate(col_dims)],
+            [[(b, v, [j]) for j, b, v in sorted(row)] for row in rows],
+        )
 
     @property
     def nnz(self) -> int:
-        return len(self.data)
+        return sum(len(image) for block in self.covers for _, _, image in block)
 
     @property
     def entries(self):
         """A read-only {(i, j): value} copy, rebuilt on every access (for tests
         and debugging; nothing on the build and rank path reads it)."""
-        return MappingProxyType(dict(zip(zip(self._row_ids(), self.indices), self.data)))
+        return MappingProxyType({
+            (i, j): v for i, columns, values in self._rows() for j, v in zip(columns, values)
+        })
 
-    def _row_ids(self):
-        """The row of each stored entry, in storage order."""
-        ptr = self.indptr
-        return chain.from_iterable(
-            map(repeat, range(self.rows), map(sub, islice(ptr, 1, None), ptr))
-        )
-
-    def _rows(self, skip):
-        """(i, {col: value}) for each row i with an entry outside `skip`, in
-        order, read in one pass over the flat lists.  Each row is a fresh dict
-        made when the previous one is handed out, so rows a caller drops are
-        freed as it goes."""
-        row, cur = {}, -1
-        for i, j, v in zip(self._row_ids(), self.indices, self.data):
-            if i != cur:
-                if row:
-                    yield cur, row
-                    row = {}
-                cur = i
-            if j not in skip:
-                row[j] = v
-        if row:
-            yield cur, row
+    def _rows(self):
+        """(i, columns, values) for each row i of a row block with covers, in
+        order: the columns are the row's entry of each cover, zip(*images)."""
+        i = 0
+        for (_, size), block in zip(self.row_blocks, self.covers):
+            if block:
+                values = [v for _, v, _ in block]
+                for r, columns in enumerate(zip(*[image for _, _, image in block]), i):
+                    yield r, columns, values
+            i += size
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExactMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.indptr == other.indptr
-            and self.indices == other.indices
-            and self.data == other.data
-        )
+        """Equal shapes and entries, whatever the block layouts."""
+        return isinstance(other, ExactMatrix) and self.dump() == other.dump()
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
@@ -165,8 +155,15 @@ class ExactMatrix:
         those rows, without the skipped columns, are independent and span
         the row space.
         """
+        skip = set(skip_cols)
         pivots: dict[int, dict] = {}  # column -> the row with it as largest column
-        for i, row in self._rows(set(skip_cols)):
+        for i, columns, values in self._rows():
+            if skip and not skip.isdisjoint(columns):
+                row = {j: v for j, v in zip(columns, values) if j not in skip}
+                if not row:
+                    continue
+            else:
+                row = dict(zip(columns, values))
             lead = max(row)
             while lead in pivots:
                 pivot = pivots[lead]
@@ -195,10 +192,11 @@ class ExactMatrix:
     # -- debug dump ----------------------------------------------------------
 
     def dump(self) -> str:
-        """Text dump: header 'rows cols nnz', then 'i j value/1' lines."""
+        """Text dump: header 'rows cols nnz', then 'i j value/1' lines, by
+        rows and, within a row, by column."""
         lines = [f"{self.rows} {self.cols} {self.nnz}"]
-        for i, j, v in zip(self._row_ids(), self.indices, self.data):
-            lines.append(f"{i} {j} {v}/1")
+        for i, columns, values in self._rows():
+            lines += (f"{i} {j} {v}/1" for j, v in zip(columns, values))
         return "\n".join(lines) + "\n"
 
 

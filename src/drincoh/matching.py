@@ -31,7 +31,7 @@ from operator import add, lt, not_, truth
 
 from .errors import ExactnessError
 from .ffgeom import _mask_blocks
-from .gmodules import check_covers
+from .homalg import check_covers
 from .rootdata import i_of_I
 
 
@@ -86,7 +86,7 @@ def check_matching(covers, blocks, down) -> None:
 
     `down[t]` is a byte mask over term t's cells, nonzero for a matched-down
     cell, and `blocks[t]` lists term t's (label, size) blocks; each cover
-    form is checked against them by gmodules.check_covers.  Per cover, one
+    form is checked against them by homalg.check_covers.  Per cover, one
     byte per matched-down row marks whether its column is matched up, and
     these bytes, summed over a row block's covers, must all be 1, so two
     covers of one row that meet one such column count as two partners.  The
@@ -105,7 +105,7 @@ def check_matching(covers, blocks, down) -> None:
             f"term {last}, {_cell(blocks[last], first)}: matched up, with no term above"
         )
     for t, form in enumerate(covers):
-        check_covers(form, t, blocks[t + 1], blocks[t], "matching check")
+        check_covers(form, blocks[t + 1], blocks[t], f"matching check: d_{t}")
         rows_down, up = bytes(map(truth, down[t + 1])), bytes(map(not_, down[t]))
         shape = tuple(sum(size for _, size in blocks[u]) for u in (t + 1, t))
         if (len(rows_down), len(up)) != shape:

@@ -5,7 +5,7 @@
     translates g.Y_I = P(U) indexed by proper subsets I and cosets of G/P_I.
     Its acyclicity, the finite shadow of the sheaf-level statement, is
     certified by drincoh.matching's rational-hull matching, not by rank,
-    so its differentials stay cover column maps, never CSR matrices.
+    so its differentials stay bare cover forms, never ExactMatrix objects.
     It is E1 row 0 expanded to points: after the augmentation, a type-I
     flag stands for the #P^{i(I)}(F_{q^m}) points of P(U), U its first
     member, so one closed-form layout gives the block sizes, the guard and

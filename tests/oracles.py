@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import product
 
 from drincoh.errors import ExactnessError
 from drincoh.ffgeom import (
@@ -22,7 +22,7 @@ from drincoh.ffgeom import (
     rational_forms,
     subspace_points,
 )
-from drincoh.gmodules import _read_covers, check_block_dd, interval_levels, write_covers
+from drincoh.gmodules import check_block_dd, interval_levels
 from drincoh.homalg import ChainComplex, ExactMatrix
 from drincoh.qarith import is_prime, parabolic_index
 from drincoh.rootdata import ParabolicType, standard_subset, subsets_of_size
@@ -412,22 +412,32 @@ def in_extension_span(pt: tuple[int, ...], U, F: GaloisField) -> bool:
 
 def from_dict(rows: int, cols: int, entries=None) -> ExactMatrix:
     """The matrix whose entries are a dict mapping (i, j) to an int, zeros
-    dropped.  ValueError for an entry outside rows x cols; the constructor
-    raises TypeError on a value that is not an int (bool included)."""
+    dropped: each row its own row block, each entry its own cover, in one
+    column block.  ValueError for an entry outside rows x cols; the
+    constructor raises TypeError on a value that is not an int (bool
+    included)."""
     entries = entries or {}
+    covers: list[list] = [[] for _ in range(rows)]
     # int zeros are dropped; any other value is kept for the type check
-    keys = sorted(k for k, v in entries.items() if v or type(v) is not int)
-    counts = [0] * (rows + 1)
-    for i, j in keys:
+    for (i, j), v in sorted(entries.items()):
         if not 0 <= i < rows or not 0 <= j < cols:
             raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
-        counts[i + 1] += 1
-    indptr = list(accumulate(counts))
-    return ExactMatrix(rows, cols, indptr, [j for _, j in keys], [entries[k] for k in keys])
+        if v or type(v) is not int:
+            covers[i].append((0, v, [j]))
+    return ExactMatrix([(str(i), 1) for i in range(rows)], [("", cols)], covers)
+
+
+def rows_of(M: ExactMatrix) -> list[dict[int, int]]:
+    """Row by row, M's entries as {col: value}, read from M.entries."""
+    out: list[dict[int, int]] = [{} for _ in range(M.rows)]
+    for (i, j), v in M.entries.items():
+        out[i][j] = v
+    return out
 
 
 def identity(n: int) -> ExactMatrix:
-    return from_dict(n, n, {(i, i): 1 for i in range(n)})
+    """The n x n identity as one cover of value 1."""
+    return ExactMatrix([("", n)], [("", n)], [[(0, 1, list(range(n)))]])
 
 
 def zero(rows: int, cols: int) -> ExactMatrix:
@@ -440,18 +450,14 @@ def transpose(M: ExactMatrix) -> ExactMatrix:
 
 def product_rows(A: ExactMatrix, B: ExactMatrix):
     """Row by row, the entries of A·B as {col: value}, 0 where terms cancel;
-    rows come in order, one per row of A.  The generic product over the CSR
-    lists, one dict per row, with no use of any block layout."""
-    a_ptr, a_idx, a_val = A.indptr, A.indices, A.data
-    b_ptr, b_idx, b_val = B.indptr, B.indices, B.data
-    for s, e in zip(a_ptr, a_ptr[1:]):
-        acc = {}
-        for k in range(s, e):
-            x = a_val[k]
-            c = a_idx[k]
-            for t in range(b_ptr[c], b_ptr[c + 1]):
-                j = b_idx[t]
-                acc[j] = acc.get(j, 0) + x * b_val[t]
+    rows come in order, one per row of A.  The generic product over rows_of,
+    one dict per row, with no use of any block layout."""
+    b_rows = rows_of(B)
+    for a_row in rows_of(A):
+        acc: dict[int, int] = {}
+        for c, x in a_row.items():
+            for j, y in b_rows[c].items():
+                acc[j] = acc.get(j, 0) + x * y
         yield acc
 
 
@@ -460,19 +466,14 @@ def matmul(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
     ValueError on a shape mismatch."""
     if A.cols != B.rows:
         raise ValueError(f"shape mismatch {A.rows}x{A.cols} @ {B.rows}x{B.cols}")
-    indptr, indices, data = [0], [], []
-    for acc in product_rows(A, B):
-        for j in sorted(acc):
-            if acc[j]:
-                indices.append(j)
-                data.append(acc[j])
-        indptr.append(len(data))
-    return ExactMatrix(A.rows, B.cols, indptr, indices, data)
+    return from_dict(A.rows, B.cols, {
+        (i, j): v for i, acc in enumerate(product_rows(A, B)) for j, v in acc.items()
+    })
 
 
 def reference_product(A: ExactMatrix, B: ExactMatrix) -> dict[tuple[int, int], int]:
     """The nonzero entries of A·B as {(i, j): value}, summed over a
-    dict of (i, j) tuples independently of the CSR layout."""
+    dict of (i, j) tuples independently of any row layout."""
     b_rows: dict[int, list[tuple[int, int]]] = {}
     for (k, j), w in B.entries.items():
         b_rows.setdefault(k, []).append((j, w))
@@ -494,37 +495,40 @@ def reference_dd_failure(diffs) -> tuple[int, int, int, int] | None:
     return None
 
 
-def read_covers(diffs, blocks):
-    """The cover forms of CSR differentials, read by gmodules._read_covers
-    as lattice_complex reads them, lazily, one differential at a time."""
-    return (_read_covers(d, t, blocks[t + 1], blocks[t]) for t, d in enumerate(diffs))
-
-
-def cover_matrix(form, cols: int) -> ExactMatrix:
-    """The CSR matrix of a cover form (gmodules) with `cols` columns, each
-    row block written by gmodules.write_covers, its size that of its first
-    cover's image (every row block of the function complex has a cover):
-    the reference materializer of the function complex's differentials."""
-    csr = [0], [], []
-    for block in form:
-        signs = [sign for _, sign, _ in block]
-        write_covers(csr, signs, [image for _, _, image in block], len(block[0][2]))
-    return ExactMatrix(len(csr[0]) - 1, cols, *csr)
+def form_matrix(form, rows, cols) -> ExactMatrix:
+    """The matrix of a cover form with the (label, size) blocks `rows` and
+    `cols`, whether the form is well made or not: cover (b, v, image) of a
+    row block puts v at (row r of the block, image[r]) for each r of its
+    image, summed where entries meet, through from_dict."""
+    entries: dict[tuple[int, int], int] = {}
+    r0 = 0
+    for (_, size), block in zip(rows, form):
+        for _, v, image in block:
+            for r, c in enumerate(image, r0):
+                entries[r, c] = entries.get((r, c), 0) + v
+        r0 += size
+    return from_dict(r0, sum(size for _, size in cols), entries)
 
 
 def materialized(fc) -> ChainComplex:
-    """orlik.build_function_complex's result as a ChainComplex of CSR matrices."""
-    return ChainComplex(
-        fc.terms, tuple(cover_matrix(form, fc.terms[t]) for t, form in enumerate(fc.covers))
-    )
+    """orlik.build_function_complex's result as a ChainComplex of
+    ExactMatrix objects over its own cover forms: Y is d_0's column block,
+    and each row block is as long as its first cover's image (every row
+    block of the function complex has a cover)."""
+    blocks = [[("Y", fc.terms[0])]] + [
+        [(str(k), len(block[0][2])) for k, block in enumerate(form)] for form in fc.covers
+    ]
+    return ChainComplex(fc.terms, tuple(
+        ExactMatrix(blocks[t + 1], blocks[t], form) for t, form in enumerate(fc.covers)
+    ))
 
 
-def reported_dd_failure(diffs, blocks) -> tuple[int, int, int, int] | None:
+def reported_dd_failure(covers, blocks) -> tuple[int, int, int, int] | None:
     """(t, row, col, value) that gmodules.check_block_dd reports for a d∘d
-    failure of CSR differentials, read back by read_covers, None when it
-    passes; a layout error propagates."""
+    failure of the cover forms `covers`, None when it passes; a layout
+    error propagates."""
     try:
-        check_block_dd(read_covers(diffs, blocks), blocks)
+        check_block_dd(covers, blocks)
     except ExactnessError as exc:
         match = re.fullmatch(
             r"d∘d != 0 between positions (\d+) and (\d+), blocks \(K, L\) = \(.*\): "

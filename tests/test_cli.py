@@ -14,6 +14,7 @@ import pytest
 import drincoh
 from drincoh import cli, plan
 from drincoh.cohomology import h_of_y, hc_of_x, h_of_x
+from drincoh.homalg import ExactMatrix
 from drincoh.qarith import parabolic_index
 from drincoh.rootdata import ParabolicType
 from oracles import from_dict
@@ -514,6 +515,19 @@ def test_checks_hold_under_python_O():
     assert "2 passed, 0 failed" in proc.stdout
 
 
+def _with_row(P, i, row):
+    """The pullback P with row i replaced by `row` ({col: value}): still one
+    cover of value 1 if the row is a single 1, else one cover per entry."""
+    ((cover,),) = P.covers
+    if list(row.values()) == [1]:
+        image = list(cover[2])
+        image[i] = next(iter(row))
+        return ExactMatrix(P.row_blocks, P.col_blocks, [[(0, 1, image)]])
+    entries = {key: v for key, v in P.entries.items() if key[0] != i}
+    entries.update({(i, j): v for j, v in row.items()})
+    return from_dict(P.rows, P.cols, entries)
+
+
 @pytest.mark.parametrize(
     "row_a, message",
     [({"a": 2, "b": -1}, "one-nonzero-per-row"), ({"b": 1}, "column sums")],
@@ -528,7 +542,7 @@ def test_pullback_shape_checks_catch_what_functoriality_misses(monkeypatch, row_
     from drincoh.rootdata import ParabolicType
 
     I, L = ParabolicType.empty(2), ParabolicType.of(2, [0])
-    image = pullback_matrix(I, L, 2).indices
+    (((_, _, image),),) = pullback_matrix(I, L, 2).covers
     a = 0
     b = image.index(image[a], a + 1)
     cols = {"a": a, "b": b}
@@ -537,10 +551,7 @@ def test_pullback_shape_checks_catch_what_functoriality_misses(monkeypatch, row_
         P = pullback_matrix(X, Y, q)
         if X != Y:
             return P
-        entries = dict(P.entries)
-        del entries[(a, a)]
-        entries.update({(a, cols[k]): v for k, v in row_a.items()})
-        return from_dict(P.rows, P.cols, entries)
+        return _with_row(P, a, {cols[k]: v for k, v in row_a.items()})
 
     cli._check_triple({}, I, I, L, 2)
     monkeypatch.setattr(gmodules, "pullback_matrix", tampered)
@@ -572,12 +583,8 @@ def test_pullback_checks_see_every_factor(monkeypatch, factor, keep, message):
         P = pullback_matrix(X, Y, q)
         if (X, Y) != pair:
             return P
-        entries = dict(P.entries)
-        j = P.indices[0]
-        if not keep:
-            del entries[(0, j)]
-        entries[(0, (j + 1) % P.cols)] = 1
-        return from_dict(P.rows, P.cols, entries)
+        j = P.covers[0][0][2][0]
+        return _with_row(P, 0, {j: 1, (j + 1) % P.cols: 1} if keep else {(j + 1) % P.cols: 1})
 
     cli._check_triple({}, I, J, L, 2)
     monkeypatch.setattr(gmodules, "pullback_matrix", tampered)

@@ -1,10 +1,11 @@
 """Golden sha256 digests of every differential on the desk grid.
 
 Each digest hashes the `ExactMatrix.dump()` text of a complex's
-differentials in order; the function complex, kept as cover forms, is
-written into CSR by the reference materializer `oracles.cover_matrix`.  They were taken before the integer-only rewrite
-of `homalg` and must never change: the matrices are reproducible bit for
-bit across refactors of the builders, the matrix class and its dump.
+differentials in order; the function complex, kept as bare cover forms, is
+made into `ExactMatrix` objects by `oracles.materialized`.  They were taken
+before the integer-only rewrite of `homalg` and must never change: the
+matrices are reproducible bit for bit across refactors of the builders, the
+matrix class and its storage, and its dump.
 """
 
 import hashlib

@@ -17,11 +17,9 @@ from drincoh.orlik import build_function_complex, e2_page
 from drincoh.qarith import parabolic_index, steinberg_dim
 from drincoh.rootdata import ParabolicType, subsets_of_size
 from oracles import (
-    cover_matrix,
+    form_matrix,
     identity,
-    materialized,
     matmul,
-    read_covers,
     reference_dd_failure,
     reindexed,
     reported_dd_failure,
@@ -203,14 +201,13 @@ def test_block_dd_check_matches_reference_product_on_desk_complexes(checked):
     lattice = sum(2**n - 1 for n, _ in points)
     assert len(checked) == lattice + 12
     for covers, blocks in checked:
-        diffs = [cover_matrix(form, sum(size for _, size in blocks[t]))
-                 for t, form in enumerate(covers)]
+        diffs = [ExactMatrix(blocks[t + 1], blocks[t], form) for t, form in enumerate(covers)]
         # the builders' block sizes tile every term, and every pair is zero
         assert [sum(size for _, size in term) for term in blocks] == [
             diffs[0].cols, *(d.rows for d in diffs)
         ]
         assert reference_dd_failure(diffs) is None
-        assert reported_dd_failure(diffs, blocks) is None
+        assert reported_dd_failure(covers, blocks) is None
 
 
 def test_lattice_nnz_is_the_nnz_of_the_built_complex():
@@ -226,166 +223,135 @@ def test_lattice_nnz_is_the_nnz_of_the_built_complex():
             assert nnz == sum(d.nnz for d in cx.diffs), (n, q, J)
 
 
-def test_read_covers_returns_the_maps_the_writer_wrote(monkeypatch, checked):
-    written = []
-
-    def recording(csr, signs, images, size, _write=gmodules.write_covers):
-        images = [list(image) for image in images]
-        written.append(list(zip(signs, images)))
-        return _write(csr, signs, images, size)
-
-    monkeypatch.setattr(gmodules, "write_covers", recording)
+def test_lattice_complex_checks_the_covers_rank_reads(checked, monkeypatch):
+    # each form check_block_dd reads is the covers list of the matrix that
+    # rank reads, not a copy
+    ranked = []
+    rank = ExactMatrix.rank
+    monkeypatch.setattr(ExactMatrix, "rank", lambda M, **kw: ranked.append(M) or rank(M, **kw))
     points = [(n, q) for n in (1, 2, 3) for q in (2, 3)] + [(4, 2)]
     for n, q in points:
         for mask in range((1 << n) - 1):
-            written.clear()
-            lattice_complex(ParabolicType(n, mask), q)
-            covers, _ = checked[-1]
-            read = [[(sign, image) for _, sign, image in block] for form in covers for block in form]
-            assert written and read == written
-    # the function complex writes no CSR; its cover forms, written by the
-    # reference materializer and read back, are the forms it checked
-    written.clear()
-    for n, q in points[:-1]:
-        for m in (1, 2):
-            build_function_complex(n, q, m)
+            ranked.clear()
+            levels, cx = lattice_complex(ParabolicType(n, mask), q)
+            cx.homology_dims()
             covers, blocks = checked[-1]
-            assert not written
-            diffs = [cover_matrix(form, sum(size for _, size in blocks[t]))
-                     for t, form in enumerate(covers)]
-            assert list(read_covers(diffs, blocks)) == [list(form) for form in covers]
-    assert len(checked) == sum(2**n - 1 for n, _ in points) + 12
+            assert len(covers) == len(ranked) == len(cx.diffs)
+            assert all(form is M.covers for form, M in zip(covers, ranked))
+            assert blocks == [cx.diffs[0].col_blocks, *(d.row_blocks for d in cx.diffs)]
+    assert len(checked) == sum(2**n - 1 for n, _ in points)
 
 
-def _covers(d, rows):
-    """(s, e, w) for each nonempty row block of d: its entries lie at
-    s..e-1, w to a row."""
-    out, r = [], 0
-    for _, size in rows:
-        s, e = d.indptr[r], d.indptr[r + size]
-        if size:
-            out.append((s, e, (e - s) // size))
-        r += size
-    return out
+def _first_block(form):
+    """The index of the first row block with a cover."""
+    return next(k for k, block in enumerate(form) if block)
 
 
-def _mutate(d, indices=None, data=None):
-    return ExactMatrix(d.rows, d.cols, d.indptr, indices or d.indices, data or d.data)
+def _replaced(form, k, block):
+    return [block if i == k else b for i, b in enumerate(form)]
 
 
-def _flipped_entry(d, rows, cols):
-    s, e, w = next(c for c in _covers(d, rows) if c[1] - c[0] > c[2])
-    data = list(d.data)
-    data[s + w] = -data[s + w]  # entry 0 of the block's second row
-    return _mutate(d, data=data)
+def _dropped_entry(form, rows, cols):
+    # the first cover of a block loses the column of its last row
+    k = _first_block(form)
+    (b, sign, image), *rest = form[k]
+    return _replaced(form, k, [(b, sign, image[:-1]), *rest])
 
 
-def _scaled_entry(d, rows, cols):
-    s, e, w = next(c for c in _covers(d, rows) if c[1] - c[0] > c[2])
-    data = list(d.data)
-    data[s] *= 2
-    return _mutate(d, data=data)
+def _scaled_entry(form, rows, cols):
+    # the value of the last cover of the last block is doubled
+    k = len(form) - 1
+    *rest, (b, sign, image) = form[k]
+    return _replaced(form, k, [*rest, (b, 2 * sign, image)])
 
 
-def _dropped_entry(d, rows, cols):
-    s, e, w = _covers(d, rows)[0]
-    indptr = d.indptr[:1] + [k - (k > s) for k in d.indptr[1:]]
-    return ExactMatrix(d.rows, d.cols, indptr, d.indices[:s] + d.indices[s + 1:],
-                                d.data[:s] + d.data[s + 1:])
+def _flipped_cover_sign(form, rows, cols):
+    k = _first_block(form)
+    (b, sign, image), *rest = form[k]
+    return _replaced(form, k, [(b, -sign, image), *rest])
 
 
-def _flipped_cover_sign(d, rows, cols):
-    s, e, w = _covers(d, rows)[0]
-    data = list(d.data)
-    data[s:e:w] = [-v for v in data[s:e:w]]
-    return _mutate(d, data=data)
-
-
-def _swapped_columns(d, rows, cols):
-    for s, e, w in _covers(d, rows):
-        image = d.indices[s:e:w]
-        other = next((i for i, c in enumerate(image) if c != image[0]), None)
-        if other is not None:
-            indices = list(d.indices)
-            indices[s], indices[s + w * other] = image[other], image[0]
-            return _mutate(d, indices=indices)
+def _swapped_columns(form, rows, cols):
+    for k, block in enumerate(form):
+        for c, (b, sign, image) in enumerate(block):
+            other = next((i for i, col in enumerate(image) if col != image[0]), None)
+            if other is not None:
+                image = list(image)
+                image[0], image[other] = image[other], image[0]
+                return _replaced(form, k, [*block[:c], (b, sign, image), *block[c + 1:]])
     raise AssertionError("no cover map with two distinct columns")
 
 
-def _shifted_cover(d, rows, cols):
-    # cover k moves to a neighbouring column block that holds no other cover
+def _shifted_cover(form, rows, cols):
+    # a cover moves to a neighbouring column block that holds no other cover
     # of its rows, as far as the block's size allows
     col_off = list(itertools.accumulate((size for _, size in cols), initial=0))
-    block_of = {c: j for j in range(len(cols)) for c in range(col_off[j], col_off[j + 1])}
-    for s, e, w in _covers(d, rows):
-        used = [block_of[c] for c in d.indices[s:s + w]]
-        for k, j in enumerate(used):
+    for k, block in enumerate(form):
+        used = [b for b, _, _ in block]
+        for c, (j, sign, image) in enumerate(block):
             for nb in (j - 1, j + 1):
                 if not 0 <= nb < len(cols) or nb in used:
                     continue
-                image = d.indices[s + k:e:w]
                 if max(image) - col_off[j] >= cols[nb][1]:
                     continue
-                order = sorted([*used[:k], nb, *used[k + 1:]])
-                if order != [*used[:k], nb, *used[k + 1:]]:
-                    continue
-                indices = list(d.indices)
-                indices[s + k:e:w] = [c - col_off[j] + col_off[nb] for c in image]
-                return _mutate(d, indices=indices)
+                moved = (nb, sign, [col - col_off[j] + col_off[nb] for col in image])
+                return _replaced(form, k, [*block[:c], moved, *block[c + 1:]])
     raise AssertionError("no cover can move to a neighbouring block")
 
 
 MUTATIONS = {
-    "dropped entry": (_dropped_entry, "rows hold different numbers of entries"),
-    "flipped entry": (_flipped_entry, "is not one constant sign"),
-    "scaled entry": (_scaled_entry, "is not one constant sign"),
+    "dropped entry": (_dropped_entry, "does not map its"),
+    "scaled entry": (_scaled_entry, None),
     "flipped cover sign": (_flipped_cover_sign, None),
     "swapped columns": (_swapped_columns, None),
     "shifted cover": (_shifted_cover, None),
 }
 
 
-def _complex_and_blocks(kind, checked):
-    # the function complex is mutated in its materialized CSR, and both
-    # kinds are read back by _read_covers, as lattice_complex reads them
+def _covers_and_blocks(kind, checked):
     if kind == "lattice":
-        diffs = lattice_complex(ParabolicType.empty(3), 2)[1].diffs
+        lattice_complex(ParabolicType.empty(3), 2)
     else:
-        diffs = materialized(build_function_complex(3, 2, 1)).diffs
-    covers, blocks = checked[-1]
-    assert tuple(read_covers(diffs, blocks)) == covers
-    return diffs, blocks
+        build_function_complex(3, 2, 1)
+    return checked[-1]
 
 
 @pytest.mark.parametrize("kind", ["lattice", "function"])
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
 def test_block_dd_check_rejects_mutations(name, kind, checked):
     mutation, layout_error = MUTATIONS[name]
-    diffs, blocks = _complex_and_blocks(kind, checked)
+    covers, blocks = _covers_and_blocks(kind, checked)
     t = 1  # a middle differential: d_0∘... and ...∘d_2 both see it
-    mutated = list(diffs)
-    mutated[t] = mutation(diffs[t], blocks[t + 1], blocks[t])
-    assert mutated[t] != diffs[t]
-    want = reference_dd_failure(mutated)
+    mutated = list(covers)
+    mutated[t] = mutation(covers[t], blocks[t + 1], blocks[t])
+    assert mutated[t] != covers[t]
+    want = reference_dd_failure(
+        [form_matrix(form, blocks[u + 1], blocks[u]) for u, form in enumerate(mutated)]
+    )
     assert want is not None  # every mutation is a real d∘d failure
     if layout_error:
         where = rf"^d∘d check: d_{t}, row block \S+: .*{layout_error}"
         with pytest.raises(ExactnessError, match=where):
-            gmodules.check_block_dd(read_covers(mutated, blocks), blocks)
+            gmodules.check_block_dd(mutated, blocks)
     else:
         assert reported_dd_failure(mutated, blocks) == want
 
 
 def test_block_dd_check_rejects_a_permuted_basis():
-    # d∘d = 0 still holds, but the layout no longer fits: the intended strictness
+    # term 1 of the (2,2) resolution of ∅ trades its blocks {a0} and {a1},
+    # shuffled within: d∘d = 0 still holds, but the layout no longer fits
     rng = random.Random(17)
     levels, cx = lattice_complex(ParabolicType.empty(2), 2)
     blocks = [[(I.subset_str(), parabolic_index(I, 2)) for I in level] for level in levels]
-    perms = [rng.sample(range(t), t) for t in cx.terms]
-    diffs = [reindexed(d, perms[i + 1], perms[i]) for i, d in enumerate(cx.diffs)]
-    assert reference_dd_failure(diffs) is None
-    # the columns are checked by check_block_dd after _read_covers, whose
-    # constant-sign check sees the permuted layout first
-    where = r"^d∘d check: d_1, row block \{\}: entry 0 of its rows is not one constant sign"
+    d0, d1 = cx.diffs
+    perm = [7 + c for c in rng.sample(range(7), 7)] + rng.sample(range(7), 7)
+    permuted = [reindexed(d0, perm, [0]), reindexed(d1, list(range(21)), perm)]
+    assert reference_dd_failure(permuted) is None
+    # each block of d_0 is one cover of the one constant column, so the
+    # permuted d_0 is its two blocks traded; d_1's columns move with perm
+    forms = [d0.covers[::-1], [[(b, sign, [perm[c] for c in image]) for b, sign, image in block]
+                               for block in d1.covers]]
+    assert [form_matrix(form, blocks[t + 1], blocks[t]) for t, form in enumerate(forms)] == permuted
+    where = r"^d∘d check: d_1, row block \{\}: entry 0 of its rows does not map its 21 rows into block 0$"
     with pytest.raises(ExactnessError, match=where):
-        gmodules.check_block_dd(read_covers(diffs, blocks), blocks)
+        gmodules.check_block_dd(forms, blocks)

@@ -28,7 +28,6 @@ from oracles import (
     matmul,
     parse_dump,
     product_rows,
-    read_covers,
     reference_dd_failure,
     reference_product,
     reindexed,
@@ -130,6 +129,18 @@ def test_matmul_and_blocks():
     C = ExactMatrix.from_blocks([2, 1], [2], {(0, 0): matmul(A, B), (1, 0): from_dense([[1, 1]])})
     assert C.rows == 3 and C.cols == 2
     assert C.entries[(2, 0)] == 1 and C.entries[(2, 1)] == 1
+    # blocks side by side and a block row left empty
+    D = ExactMatrix.from_blocks([2, 1], [2, 1], {(0, 1): from_dense([[3], [0]]), (0, 0): A})
+    assert D == from_dense([[1, 2, 3], [0, 1, 0], [0, 0, 0]])
+    assert D.col_blocks == [("0", 2), ("1", 1)] and D.rank() == naive_rank(D) == 2
+
+
+@pytest.mark.parametrize("key", [(-1, 0), (0, -1), (2, 0), (0, 1)])
+def test_from_blocks_rejects_a_block_outside_the_grid(key):
+    # a negative index also fits row_dims[-1] and col_dims[-1] in shape
+    I2 = identity(2)
+    with pytest.raises(ValueError, match=rf"^block \({key[0]},{key[1]}\) lies outside the 2x1 grid$"):
+        ExactMatrix.from_blocks([2, 2], [2], {(0, 0): I2, key: I2})
 
 
 def test_homology_examples():
@@ -158,9 +169,9 @@ def test_chain_complex_validation(monkeypatch):
     d0 = identity(2)
     d1 = identity(2)
     ChainComplex((2, 2, 2), (d0, d1))
-    blocks = [[("a", 2)], [("b", 2)], [("c", 2)]]
+    blocks = [d0.col_blocks, d0.row_blocks, d1.row_blocks]
     with pytest.raises(ExactnessError, match=r"^d∘d != 0 between positions 0 and 2"):
-        check_block_dd(read_covers((d0, d1), blocks), blocks)
+        check_block_dd([d0.covers, d1.covers], blocks)
 
 
 def test_euler_characteristic_equals_alternating_homology():
@@ -397,24 +408,31 @@ def test_homology_with_clearing_matches_naive_ranks(monkeypatch):
         assert r == rank(M) == naive_rank(M)
 
 
-# -- CSR storage -------------------------------------------------------------------
+# -- the cover form -----------------------------------------------------------------
 
 # constructor arguments that must raise, as source text so that the same cases
-# also run in a `python -O` interpreter
+# also run in a `python -O` interpreter: the values, the columns, the row
+# layout (the row blocks against the covers, the "indptr" cases) and the
+# order of the columns along a row's covers
 BAD_CSR = {
-    "bool value": ("1, 2, [0, 1], [0], [True]", TypeError),
-    "float value": ("1, 2, [0, 1], [0], [1.0]", TypeError),
-    "Fraction value": ("1, 2, [0, 1], [0], [Fraction(1)]", TypeError),
-    "stored zero": ("2, 2, [0, 1, 2], [0, 1], [3, 0]", ValueError),
-    "column too large": ("1, 2, [0, 1], [2], [1]", ValueError),
-    "negative column": ("1, 2, [0, 1], [-1], [1]", ValueError),
-    "repeated column": ("1, 3, [0, 2], [1, 1], [1, 1]", ValueError),
-    "unsorted row": ("2, 3, [0, 1, 3], [0, 2, 1], [1, 1, 1]", ValueError),
-    "indptr too short": ("2, 3, [0, 1], [0], [1]", ValueError),
-    "indptr too long": ("1, 3, [0, 1, 1], [0], [1]", ValueError),
-    "indptr decreasing": ("2, 3, [0, 2, 1], [0, 1], [1, 1]", ValueError),
-    "indptr misses nnz": ("1, 3, [0, 1], [0, 1], [1, 1]", ValueError),
-    "float column": ("1, 3, [0, 1], [1.0], [1]", TypeError),
+    "bool value": ("[('A', 1)], [('B', 2)], [[(0, True, [0])]]", TypeError),
+    "float value": ("[('A', 1)], [('B', 2)], [[(0, 1.0, [0])]]", TypeError),
+    "Fraction value": ("[('A', 1)], [('B', 2)], [[(0, Fraction(1), [0])]]", TypeError),
+    "stored zero": ("[('A', 2)], [('B', 2)], [[(0, 3, [0, 1]), (0, 0, [1, 0])]]", ValueError),
+    "float column": ("[('A', 1)], [('B', 3)], [[(0, 1, [1.0])]]", TypeError),
+    "column too large": ("[('A', 1)], [('B', 2)], [[(0, 1, [2])]]", ExactnessError),
+    "negative column": ("[('A', 1)], [('B', 2)], [[(0, 1, [-1])]]", ExactnessError),
+    "column in another block": ("[('A', 1)], [('B', 1), ('C', 1)], [[(0, 1, [1])]]",
+                                ExactnessError),
+    "block not there": ("[('A', 1)], [('B', 2)], [[(1, 1, [0])]]", ExactnessError),
+    "image too short": ("[('A', 2)], [('B', 2)], [[(0, 1, [0])]]", ExactnessError),
+    "indptr too short": ("[('A', 1)], [('B', 2)], [[(0, 1, [0])], [(0, 1, [1])]]",
+                         ExactnessError),
+    "indptr too long": ("[('A', 1), ('C', 1)], [('B', 2)], [[(0, 1, [0])]]", ExactnessError),
+    "indptr decreasing": ("[('A', -1)], [('B', 2)], [[]]", ValueError),
+    "indptr misses nnz": ("[('A', 1)], [('B', 2)], [[(0, 1, [0, 1])]]", ExactnessError),
+    "repeated column": ("[('A', 1)], [('B', 3)], [[(0, 1, [1]), (0, 1, [1])]]", ValueError),
+    "unsorted row": ("[('A', 2)], [('B', 3)], [[(0, 1, [0, 2]), (0, 1, [1, 1])]]", ValueError),
 }
 
 
@@ -453,26 +471,31 @@ def test_csr_constructor_rejects_under_python_o():
 
 
 def test_csr_constructor_accepts_descents_at_row_starts():
-    M = ExactMatrix(3, 3, [0, 2, 2, 3], [1, 2, 0], [1, -1, 5])
-    assert M == from_dict(3, 3, {(0, 1): 1, (0, 2): -1, (2, 0): 5})
-    assert M.entries == {(0, 1): 1, (0, 2): -1, (2, 0): 5}
-    assert M.dump() == "3 3 3\n0 1 1/1\n0 2 -1/1\n2 0 5/1\n"
+    # a cover's columns may fall from one row to the next
+    M = ExactMatrix([("A", 2), ("C", 1)], [("B", 3)],
+                    [[(0, 1, [1, 0]), (0, -1, [2, 1])], [(0, 5, [0])]])
+    assert M == from_dict(3, 3, {(0, 1): 1, (0, 2): -1, (1, 0): 1, (1, 1): -1, (2, 0): 5})
+    assert M.entries == {(0, 1): 1, (0, 2): -1, (1, 0): 1, (1, 1): -1, (2, 0): 5}
+    assert M.dump() == "3 3 5\n0 1 1/1\n0 2 -1/1\n1 0 1/1\n1 1 -1/1\n2 0 5/1\n"
+    assert (M.rows, M.cols, M.nnz) == (3, 3, 5)
     with pytest.raises(TypeError):
         M.entries[(0, 1)] = 2  # a read-only view
 
 
 def test_row_order_check_allows_a_descent_only_at_a_row_start():
-    # the columns 1, 2, 0 descend at position 2: fine where row 1 starts there
-    M = ExactMatrix(2, 3, [0, 2, 3], [1, 2, 0], [1, 1, 1])
-    assert M.entries == {(0, 1): 1, (0, 2): 1, (1, 0): 1}
-    for indptr in ([0, 1, 3], [0, 3, 3], [0, 0, 3]):  # position 2 is inside a row
-        with pytest.raises(ValueError, match="^columns must be strictly increasing within each row$"):
-            ExactMatrix(2, 3, indptr, [1, 2, 0], [1, 1, 1])
+    # covers 0 and 1 rise in both rows; cover 2 falls below cover 1 in row 1
+    ok = [(0, 1, [0, 0]), (1, 1, [1, 2])]
+    M = ExactMatrix([("A", 2)], [("B", 1), ("C", 2)], [ok])
+    assert M.entries == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 2): 1}
+    for bad in ([(1, 1, [2, 1])], [(1, 1, [2, 2])]):
+        with pytest.raises(ValueError, match="^row block A: the columns of entry 2 do not "
+                                             "lie right of entry 1 in every row$"):
+            ExactMatrix([("A", 2)], [("B", 1), ("C", 2)], [ok + bad])
 
 
 def test_dict_constructor_drops_zeros_and_rejects_non_ints():
     M = from_dict(2, 2, {(1, 1): 0, (1, 0): 4, (0, 1): -2})
-    assert (M.indptr, M.indices, M.data) == ([0, 1, 2], [1, 0], [-2, 4])
+    assert M.covers == [[(0, -2, [1])], [(0, 4, [0])]]
     for bad in (True, False, 1.0, 0.0, Fraction(2)):
         with pytest.raises(TypeError):
             from_dict(2, 2, {(0, 0): bad})
@@ -481,22 +504,21 @@ def test_dict_constructor_drops_zeros_and_rejects_non_ints():
             from_dict(2, 2, {key: 1})
 
 
-def _random_layout(rng, row_sizes, col_sizes, signs):
-    """A random differential with the block layout _read_covers reads:
-    each row block takes a random increasing list of column blocks as its
-    covers, each with a constant sign and a random column map."""
-    col_off = list(itertools.accumulate(col_sizes, initial=0))
-    nonempty = [b for b, size in enumerate(col_sizes) if size]
-    indptr, indices, data = [0], [], []
-    for size in row_sizes:
-        covers = sorted(rng.sample(nonempty, rng.randrange(len(nonempty) + 1)))
-        images = [[col_off[b] + rng.randrange(col_sizes[b]) for _ in range(size)] for b in covers]
-        cover_signs = [rng.choice(signs) for _ in covers]
-        for r in range(size):
-            indices.extend(image[r] for image in images)
-            data.extend(cover_signs)
-            indptr.append(len(data))
-    return ExactMatrix(sum(row_sizes), col_off[-1], indptr, indices, data)
+def _random_layout(rng, rows, cols, signs):
+    """A random differential in cover form over the (label, size) blocks
+    `rows` and `cols`: each row block takes a random increasing list of
+    column blocks as its covers, each with a constant sign and a random
+    column map."""
+    col_off = list(itertools.accumulate((size for _, size in cols), initial=0))
+    nonempty = [b for b, (_, size) in enumerate(cols) if size]
+    covers = []
+    for _, size in rows:
+        chosen = sorted(rng.sample(nonempty, rng.randrange(len(nonempty) + 1)))
+        covers.append([
+            (b, rng.choice(signs), [rng.randrange(col_off[b], col_off[b + 1]) for _ in range(size)])
+            for b in chosen
+        ])
+    return ExactMatrix(rows, cols, covers)
 
 
 def test_product_and_dd_check_match_reference_product():
@@ -518,9 +540,9 @@ def test_product_and_dd_check_match_reference_product():
                  for _ in range(3)]
         blocks = [[(f"b{t}.{i}", size) for i, size in enumerate(term)]
                   for t, term in enumerate(sizes)]
-        diffs = [_random_layout(rng, sizes[t + 1], sizes[t], [-2, -1, -1, 1, 1, 3]) for t in (0, 1)]
+        diffs = [_random_layout(rng, blocks[t + 1], blocks[t], [-2, -1, -1, 1, 1, 3]) for t in (0, 1)]
         want = reference_dd_failure(diffs)
-        assert reported_dd_failure(diffs, blocks) == want
+        assert reported_dd_failure([d.covers for d in diffs], blocks) == want
         zero_products += want is None
     assert 20 <= zero_products <= 180
 
@@ -560,11 +582,11 @@ def test_homology_of_random_split_complexes_matches_naive_ranks():
 
 
 def test_dd_failure_names_the_first_nonzero_entry():
-    d0, d1 = from_dense([[1], [1]]), from_dense([[1, 1]])
     blocks = [[("K", 1)], [("J1", 1), ("J2", 1)], [("L", 1)]]
+    covers = [[[(0, 1, [0])], [(0, 1, [0])]], [[(0, 1, [0]), (1, 1, [1])]]]
     with pytest.raises(ExactnessError, match=r"positions 0 and 2, blocks \(K, L\) = \(K, L\): "
                        r"entry \(0,0\) of d_1∘d_0 is 2"):
-        check_block_dd(read_covers((d0, d1), blocks), blocks)
+        check_block_dd(covers, blocks)
     # one cover's sign flipped in a Steinberg resolution: the report is the
     # first nonzero entry of the product, found by the reference product
     from drincoh.gmodules import lattice_complex
@@ -572,20 +594,13 @@ def test_dd_failure_names_the_first_nonzero_entry():
     levels, cx = lattice_complex(ParabolicType.empty(2), 2)
     blocks = [[(I.subset_str(), parabolic_index(I, 2)) for I in level] for level in levels]
     d0, d1 = cx.diffs
-    assert reported_dd_failure((d0, d1), blocks) is None
-    # the row block of ∅ holds rows 0..20, with its two covers interleaved
-    data = list(d1.data)
-    data[1::2] = [-v for v in data[1::2]]
-    flipped = ExactMatrix(d1.rows, d1.cols, d1.indptr, d1.indices, data)
+    assert reported_dd_failure((d0.covers, d1.covers), blocks) is None
+    # the row block of ∅ holds rows 0..20, with two covers
+    (first, (b, sign, image)), = d1.covers
+    flipped = ExactMatrix(d1.row_blocks, d1.col_blocks, [[first, (b, -sign, image)]])
     want = reference_dd_failure((d0, flipped))
     assert want is not None
-    assert reported_dd_failure((d0, flipped), blocks) == want
-    # one entry flipped: the sign of its cover is no longer constant
-    data = list(d1.data)
-    data[10] = -data[10]
-    flipped = ExactMatrix(d1.rows, d1.cols, d1.indptr, d1.indices, data)
-    with pytest.raises(ExactnessError, match=r"^d∘d check: d_1, row block \{\}: entry 0 .*sign"):
-        check_block_dd(read_covers((d0, flipped), blocks), blocks)
+    assert reported_dd_failure((d0.covers, flipped.covers), blocks) == want
 
 
 def _stored_bytes_per_nonzero(build, nnz):
@@ -603,8 +618,9 @@ def _stored_bytes_per_nonzero(build, nnz):
 
 
 def test_stored_matrices_take_at_most_80_bytes_per_nonzero():
-    # the lattice keeps CSR for rank; the function complex keeps only its
-    # cover forms, one list of columns per cover
+    # both keep one list of columns per cover: the lattice in the ExactMatrix
+    # that rank reads, the function complex as bare cover forms; both stay
+    # within 40 bytes per nonzero
     from drincoh.gmodules import lattice_complex
     from drincoh.orlik import build_function_complex
 
@@ -615,4 +631,4 @@ def test_stored_matrices_take_at_most_80_bytes_per_nonzero():
     assert _stored_bytes_per_nonzero(
         lambda: lattice_complex(ParabolicType.empty(3), 3)[1].diffs,
         lambda diffs: sum(d.nnz for d in diffs),
-    ) <= 80
+    ) <= 40
