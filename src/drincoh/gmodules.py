@@ -13,11 +13,11 @@ the subset lattice (qarith.steinberg_dim).
 
 This module owns the one walk over the subset lattice (lattice_rows): the
 Steinberg resolutions and, expanded to points, orlik's function complex are
-built from it, and the one d∘d check (check_block_dd) reads both as cover
-forms: per row block, its covers (b, sign, image), each a map of its rows
-into column block b with one sign.  A resolution's differentials are
-ExactMatrix objects that store that form, so rank and the check read the
-same lists.  Each resolution is built, ranked and checked once per (J, q)
+built from it, both as ExactMatrix differentials in cover form: per row
+block, its covers (b, sign, image), each a map of its rows into column
+block b with one sign.  The one d∘d check (check_block_dd) reads the
+covers the constructor validated, so rank and the check read the same
+lists.  Each resolution is built, ranked and checked once per (J, q)
 and run: steinberg_resolution keeps only its verified homology, and orlik
 reads the E1 rows from that.  The closed forms parabolic_index and
 steinberg_dim live in qarith, cached per (I, q).
@@ -31,7 +31,7 @@ from operator import sub
 
 from .errors import ExactnessError
 from .ffgeom import check_flag_guard, flag_keys, forget_map
-from .homalg import ChainComplex, ExactMatrix, check_covers
+from .homalg import ChainComplex, ExactMatrix
 from .qarith import parabolic_index, steinberg_dim
 from .rootdata import ParabolicType, cover_sign, subsets_of_size
 
@@ -115,7 +115,7 @@ def _first_nonzero_row(paths):
     return None
 
 
-def _check_pair(low, high, t: int, blocks) -> None:
+def _check_pair(low: ExactMatrix, high: ExactMatrix, t: int) -> None:
     """d_{t+1}∘d_t = 0 from the covers of d_t (low) and d_{t+1} (high).
 
     For a row block L of d_{t+1} and a column block K of d_t, block (L, K)
@@ -124,14 +124,14 @@ def _check_pair(low, high, t: int, blocks) -> None:
     any other block is summed row by row, and the first nonzero entry of
     the product (by row, then column) raises ExactnessError.
     """
-    mid_off = list(accumulate((size for _, size in blocks[t + 1]), initial=0))
+    mid_off = list(accumulate((size for _, size in high.col_blocks), initial=0))
     row0 = 0
-    for (label, size), covers in zip(blocks[t + 2], high):
+    for (label, size), covers in zip(high.row_blocks, high.covers):
         paths: dict[int, list] = {}
         for j, s1, image1 in covers:
             # d_t's images are indexed by the rows of block J
             local = list(map(sub, image1, repeat(mid_off[j]))) if mid_off[j] else image1
-            for b, s2, image2 in low[j]:
+            for b, s2, image2 in low.covers[j]:
                 paths.setdefault(b, []).append((s1 * s2, list(map(image2.__getitem__, local))))
         bad = []
         for b, group in paths.items():
@@ -139,7 +139,7 @@ def _check_pair(low, high, t: int, blocks) -> None:
                 continue
             first = _first_nonzero_row(group)
             if first is not None:
-                bad.append((*first, blocks[t][b][0]))
+                bad.append((*first, low.col_blocks[b][0]))
         if bad:
             r, c, v, source = min(bad)
             raise ExactnessError(
@@ -149,33 +149,32 @@ def _check_pair(low, high, t: int, blocks) -> None:
         row0 += size
 
 
-def check_block_dd(covers, blocks) -> None:
-    """Check d∘d = 0 for the cover forms `covers` of d_t, term t to t+1, each
-    checked first against the (label, size) blocks `blocks[t]` of each term.
-    Only two adjacent forms of the iterable `covers` are held at a time."""
-    low = None
-    for t, high in enumerate(covers):
-        check_covers(high, blocks[t + 1], blocks[t], f"d∘d check: d_{t}")
-        if low is not None:
-            _check_pair(low, high, t - 1, blocks)
-        low = high
+def check_block_dd(diffs) -> None:
+    """Check d∘d = 0 for the ExactMatrix differentials `diffs`, d_t from
+    term t to t+1, on their own covers.  Term t+1 must have the same block
+    sizes as the rows of d_t and the columns of d_{t+1}, or ExactnessError
+    names it."""
+    for t, (low, high) in enumerate(pairwise(diffs)):
+        if [size for _, size in low.row_blocks] != [size for _, size in high.col_blocks]:
+            raise ExactnessError(f"d∘d check: term {t + 1}'s block sizes differ between "
+                                 f"the rows of d_{t} and the columns of d_{t + 1}")
+        _check_pair(low, high, t)
 
 
 def lattice_complex(J: ParabolicType, q: int) -> tuple[tuple, ChainComplex]:
     """The levels interval_levels(J) and the complex over them of
     ⊕ Ind_{P_I}^G K, level by level, with lattice_differential between.  The
     flag guard comes first, before any subset is listed.  d∘d = 0 is checked
-    by check_block_dd, one block per subset, on the differentials' own
-    covers; a failure is raised again naming J and q."""
+    by check_block_dd, one block per subset; a failure is raised again
+    naming J and q."""
     check_flag_guard(J.n, q)
     levels = tuple(map(tuple, interval_levels(J)))
     dims = {I: parabolic_index(I, q) for level in levels for I in level}
     terms = tuple(sum(dims[I] for I in level) for level in levels)
     diffs = tuple(lattice_differential(*pair, dims, q) for pair in pairwise(levels))
     cx = ChainComplex(terms, diffs)
-    blocks = [diffs[0].col_blocks, *(d.row_blocks for d in diffs)]
     try:
-        check_block_dd([d.covers for d in diffs], blocks)
+        check_block_dd(diffs)
     except ExactnessError as exc:
         raise ExactnessError(f"lattice complex J={J.subset_str()}, q={q}: {exc}") from exc
     return levels, cx

@@ -6,9 +6,10 @@ covers (b, value, image), each a column map `image` of the block's rows
 into column block b with the one value `value`.  Row r of a block holds
 image[r] of each of its covers, so its columns must rise strictly along
 them.  The one constructor takes that form and keeps it once it has
-validated it (check_covers, the values, the rising columns); every check
+validated it (the layout, the values, the rising columns); every check
 raises, so it holds under python -O.  gmodules.check_block_dd and
-matching.check_matching read the same form, so nothing converts it.
+matching.check_matching read the same validated form, so nothing converts
+or checks it again.
 
 Every entry is a Python int, and ranks are ranks over the rationals, never
 numerical.  They come from one fraction-free row reduction against a pivot
@@ -22,9 +23,10 @@ d_{i+1} that lie in the span of its other columns (d∘d = 0), so they are
 skipped.
 
 A chain complex checks only the shapes of its differentials.  Homology
-relies on d∘d = 0, which gmodules.check_block_dd checks first.  Only the
-Steinberg resolutions are stored and ranked here; the function complex
-stays bare cover forms (orlik), certified exact by drincoh.matching.
+relies on d∘d = 0, which gmodules.check_block_dd checks first.  Both
+complexes are chain complexes of these matrices, but only the Steinberg
+resolutions are ranked here; the function complex (orlik) is certified
+exact by drincoh.matching.
 """
 
 from __future__ import annotations
@@ -36,22 +38,6 @@ from types import MappingProxyType
 from .errors import ExactnessError
 
 
-def check_covers(covers, rows, cols, where: str) -> None:
-    """Raise ExactnessError, prefixed by `where`, unless the cover form
-    `covers` has one list of covers per (label, size) block of `rows` and
-    each cover (b, value, image) maps its row block into block b of `cols`."""
-    col_off = list(accumulate((size for _, size in cols), initial=0))
-    if len(covers) != len(rows):
-        raise ExactnessError(f"{where} has {len(covers)} row blocks, not {len(rows)}")
-    for (label, size), block in zip(rows, covers):
-        for k, (b, _, image) in enumerate(block):
-            if len(image) != size or not 0 <= b < len(cols) or image and (
-                min(image) < col_off[b] or max(image) >= col_off[b + 1]
-            ):
-                raise ExactnessError(f"{where}, row block {label}: entry {k} of its "
-                                     f"rows does not map its {size} rows into block {b}")
-
-
 class ExactMatrix:
     """An integer matrix in cover form, ranked over Q.
 
@@ -61,10 +47,12 @@ class ExactMatrix:
     constructor raises TypeError on a value or column that is not an int
     (bool included), ValueError on a zero value, a negative block size or
     columns that do not rise strictly along a row's covers, and
-    ExactnessError where check_covers does, under python -O too.  `rank`
-    reads the rows off the covers; `entries` is a read-only dict copy for
-    tests and debugging.  The matrix acts on coordinate columns of its
-    source: a map V -> W with dim V = cols and dim W = rows.
+    ExactnessError unless there is one list of covers per row block and
+    each cover maps its block's rows into its column block b, under
+    python -O too.  `rank` reads the rows off the covers; `entries` is a
+    read-only dict copy for tests and debugging.  The matrix acts on
+    coordinate columns of its source: a map V -> W with dim V = cols and
+    dim W = rows.
     """
 
     __slots__ = ("rows", "cols", "row_blocks", "col_blocks", "covers")
@@ -74,16 +62,22 @@ class ExactMatrix:
         # checks hold under python -O
         if any(size < 0 for _, size in (*row_blocks, *col_blocks)):
             raise ValueError("negative block size")
-        for block in covers:
-            for _, value, image in block:
+        if len(covers) != len(row_blocks):
+            raise ExactnessError(f"{len(covers)} row blocks of covers, not {len(row_blocks)}")
+        col_off = list(accumulate((size for _, size in col_blocks), initial=0))
+        for (label, size), block in zip(row_blocks, covers):
+            for k, (b, value, image) in enumerate(block):
                 if type(value) is not int:
                     raise TypeError(f"entry {value!r} is not an int")
                 if not value:
                     raise ValueError("a cover's value is zero")
                 if not set(map(type, image)) <= {int}:
                     raise TypeError("columns must be ints")
-        check_covers(covers, row_blocks, col_blocks, "ExactMatrix")
-        for (label, _), block in zip(row_blocks, covers):
+                if len(image) != size or not 0 <= b < len(col_blocks) or image and (
+                    min(image) < col_off[b] or max(image) >= col_off[b + 1]
+                ):
+                    raise ExactnessError(f"row block {label}: entry {k} of its rows does "
+                                         f"not map its {size} rows into block {b}")
             for k, (low, high) in enumerate(pairwise(image for _, _, image in block), 1):
                 if not all(map(lt, low, high)):
                     raise ValueError(f"row block {label}: the columns of entry {k} do not "

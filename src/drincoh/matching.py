@@ -2,17 +2,17 @@
 
 A matching labels each cell (basis vector) of each term of a complex as
 matched down, paired with a cell of the term below, or matched up.  For
-d_t from term t to term t+1, given as its cover form (gmodules),
-check_matching asks that every matched-down row of term t+1 has exactly
-one entry in a matched-up column of term t, of value ±1, and that these
-partner columns are distinct and are every matched-up cell of term t; term
-0 has no matched-down cell and the top term no matched-up cell.  Then the
-rows of matched-down cells and the columns of their partners cut out of
-d_t a signed permutation, so rank d_t is at least the number of
-matched-up cells of term t, over Q and over every F_ℓ.  With d∘d = 0,
-which the builder checks first, every homology group is 0, over Z too
-(Forman, Adv. Math. 134, 1998).  The labels are only hints: a wrong one
-can make the check fail, never pass.
+d_t from term t to term t+1, an ExactMatrix read through its validated
+covers (gmodules), check_matching asks that every matched-down row of
+term t+1 has exactly one entry in a matched-up column of term t, of value
+±1, and that these partner columns are distinct and are every matched-up
+cell of term t; term 0 has no matched-down cell and the top term no
+matched-up cell.  Then the rows of matched-down cells and the columns of
+their partners cut out of d_t a signed permutation, so rank d_t is at
+least the number of matched-up cells of term t, over Q and over every
+F_ℓ.  With d∘d = 0, which the builder checks first, every homology group
+is 0, over Z too (Forman, Adv. Math. 134, 1998).  The labels are only
+hints: a wrong one can make the check fail, never pass.
 
 The function complex of orlik is split point by point.  The cells over a
 point x of Y are the flags whose first member U has x in P(U), that is
@@ -31,7 +31,6 @@ from operator import add, lt, not_, truth
 
 from .errors import ExactnessError
 from .ffgeom import _mask_blocks
-from .homalg import check_covers
 from .rootdata import i_of_I
 
 
@@ -79,41 +78,41 @@ def _nth(mask: bytes, k: int) -> int:
     return next(islice(compress(count(), mask), k, None))
 
 
-def check_matching(covers, blocks, down) -> None:
+def check_matching(diffs, down) -> None:
     """Raise ExactnessError unless `down` is an acyclic matching with unit
-    partners of the complex whose differentials have the cover forms
-    `covers`, d_t from term t to term t+1.
+    partners of the complex whose ExactMatrix differentials are `diffs`,
+    d_t from term t to term t+1; ValueError if there are none.
 
     `down[t]` is a byte mask over term t's cells, nonzero for a matched-down
-    cell, and `blocks[t]` lists term t's (label, size) blocks; each cover
-    form is checked against them by homalg.check_covers.  Per cover, one
+    cell; the cells are named by the differentials' blocks.  Per cover, one
     byte per matched-down row marks whether its column is matched up, and
-    these bytes, summed over a row block's covers, must all be 1, so two
-    covers of one row that meet one such column count as two partners.  The
+    these bytes, summed over a row block's covers, must all be 1.  The
     partners' columns must be the matched-up columns once each, and a cover
     with a partner must have sign ±1.
     """
-    if len(down) != len(covers) + 1:
-        raise ValueError(f"{len(down)} label masks for {len(covers) + 1} terms")
+    if not diffs:
+        raise ValueError("no differentials to match across")
+    if len(down) != len(diffs) + 1:
+        raise ValueError(f"{len(down)} label masks for {len(diffs) + 1} terms")
     first = next(compress(count(), down[0]), None)
     if first is not None:
-        raise ExactnessError(f"term 0, {_cell(blocks[0], first)}: matched down, with no term below")
-    last = len(covers)
+        raise ExactnessError(
+            f"term 0, {_cell(diffs[0].col_blocks, first)}: matched down, with no term below"
+        )
+    last = len(diffs)
     first = next(compress(count(), map(not_, down[last])), None)
     if first is not None:
         raise ExactnessError(
-            f"term {last}, {_cell(blocks[last], first)}: matched up, with no term above"
+            f"term {last}, {_cell(diffs[-1].row_blocks, first)}: matched up, with no term above"
         )
-    for t, form in enumerate(covers):
-        check_covers(form, blocks[t + 1], blocks[t], f"matching check: d_{t}")
+    for t, d in enumerate(diffs):
         rows_down, up = bytes(map(truth, down[t + 1])), bytes(map(not_, down[t]))
-        shape = tuple(sum(size for _, size in blocks[u]) for u in (t + 1, t))
-        if (len(rows_down), len(up)) != shape:
+        if (len(rows_down), len(up)) != (d.rows, d.cols):
             raise ValueError(
-                f"d_{t} is {shape[0]}x{shape[1]}, its labels give {len(rows_down)}x{len(up)}"
+                f"d_{t} is {d.rows}x{d.cols}, its labels give {len(rows_down)}x{len(up)}"
             )
         cols, r0 = [], 0
-        for (_, size), block in zip(blocks[t + 1], form):
+        for (_, size), block in zip(d.row_blocks, d.covers):
             mask = rows_down[r0:r0 + size]
             acc = bytes(mask.count(1))
             for _, sign, image in block:
@@ -124,7 +123,7 @@ def check_matching(covers, blocks, down) -> None:
                 if sign != 1 and sign != -1 and 1 in hits:
                     r = r0 + _nth(mask, hits.index(1))
                     raise ExactnessError(
-                        f"d_{t}, row {_cell(blocks[t + 1], r)}: matched down with the "
+                        f"d_{t}, row {_cell(d.row_blocks, r)}: matched down with the "
                         f"partner entry {sign}, not ±1"
                     )
                 acc = bytes(map(add, acc, hits))
@@ -133,7 +132,7 @@ def check_matching(covers, blocks, down) -> None:
                 k = next(k for k, c in enumerate(acc) if c != 1)
                 r = r0 + _nth(mask, k)
                 raise ExactnessError(
-                    f"d_{t}, row {_cell(blocks[t + 1], r)}: matched down with "
+                    f"d_{t}, row {_cell(d.row_blocks, r)}: matched down with "
                     f"{acc[k]} entries in matched-up columns, not 1"
                 )
             r0 += size
@@ -143,6 +142,6 @@ def check_matching(covers, blocks, down) -> None:
         if len(cols) != up.count(1) or not all(map(lt, cols, islice(cols, 1, None))):
             c = _first_difference(cols, list(compress(range(len(up)), up)))
             raise ExactnessError(
-                f"d_{t}, column {_cell(blocks[t], c)}: matched up and the partner of "
+                f"d_{t}, column {_cell(d.col_blocks, c)}: matched up and the partner of "
                 f"{cols.count(c)} matched-down rows, not 1"
             )

@@ -4,8 +4,8 @@
     union Y of all rational hyperplanes in P^n, resolved by functions on the
     translates g.Y_I = P(U) indexed by proper subsets I and cosets of G/P_I.
     Its acyclicity, the finite shadow of the sheaf-level statement, is
-    certified by drincoh.matching's rational-hull matching, not by rank,
-    so its differentials stay bare cover forms, never ExactMatrix objects.
+    certified by drincoh.matching's rational-hull matching, not by rank: a
+    ChainComplex of ExactMatrix differentials, like (b), that nothing ranks.
     It is E1 row 0 expanded to points: after the augmentation, a type-I
     flag stands for the #P^{i(I)}(F_{q^m}) points of P(U), U its first
     member, so one closed-form layout gives the block sizes, the guard and
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from itertools import accumulate, chain, repeat
 from operator import add, itemgetter
-from typing import NamedTuple
 
 from .errors import DeskScaleExceeded, ExactnessError, shown
 from .ffgeom import (
@@ -43,6 +42,7 @@ from .gmodules import (
     lattice_rows,
     steinberg_resolution,
 )
+from .homalg import ChainComplex, ExactMatrix
 from .qarith import parabolic_index, projective_count, steinberg_dim
 from .rootdata import ParabolicType, i_of_I, standard_subset
 from .tables import TwistedModule, summand
@@ -73,13 +73,6 @@ def function_complex_layout(n: int, q: int, m: int):
     return levels, dims, points
 
 
-class FunctionComplex(NamedTuple):
-    """Term dimensions and each differential's cover form (gmodules)."""
-
-    terms: tuple[int, ...]
-    covers: tuple[list, ...]
-
-
 def _augmentation(level, points_of, y_points, q: int) -> list[list[tuple]]:
     """The cover form of d_0: per top-level subset, one cover of sign 1."""
     y_index = {pt: k for k, pt in enumerate(y_points)}
@@ -91,7 +84,7 @@ def _augmentation(level, points_of, y_points, q: int) -> list[list[tuple]]:
     ]
 
 
-def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
+def build_function_complex(n: int, q: int, m: int) -> ChainComplex:
     """The complex 0 -> Fun(Y) -> ⊕_{#I=n-1} ⊕_g Fun(g.Y_I) -> ... -> ⊕_{G/B} -> 0.
 
     After the augmentation, each differential is the lattice differential
@@ -104,12 +97,13 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
     each subvariety's points are listed once.  The block sizes and each
     source summand's first column come from function_complex_layout.
 
-    Each differential is kept as its cover form, one block per subset and
-    Y as d_0's, each cover of lattice_rows one list of columns: ranges if
-    source and target summands share U, else the positions of P(U) in
-    P(V), listed once per (U, V) and differential.  d∘d = 0 is checked by
-    gmodules.check_block_dd, then exactness by matching.check_matching; a
-    failure, or a point off Y, raises ExactnessError naming (n, q, m).
+    Each differential is an ExactMatrix over its cover form, one block per
+    subset and Y as d_0's, each cover of lattice_rows one list of columns:
+    ranges if source and target summands share U, else the positions of
+    P(U) in P(V), listed once per (U, V) and differential.  d∘d = 0 is
+    checked by gmodules.check_block_dd, then exactness by
+    matching.check_matching; a failure, a cover outside its blocks or a
+    point off Y raises ExactnessError naming (n, q, m).
     """
     subsets, dims, points = function_complex_layout(n, q, m)
     y_points = hyperplane_union_points(n, q, m)
@@ -172,11 +166,12 @@ def build_function_complex(n: int, q: int, m: int) -> FunctionComplex:
     from .matching import check_matching, function_complex_labels
 
     try:
-        check_block_dd(covers, blocks)
-        check_matching(covers, blocks, function_complex_labels(subsets, dims, terms[0], q, m))
+        cx = ChainComplex(terms, tuple(map(ExactMatrix, blocks[1:], blocks, covers)))
+        check_block_dd(cx.diffs)
+        check_matching(cx.diffs, function_complex_labels(subsets, dims, terms[0], q, m))
     except ExactnessError as exc:
         raise ExactnessError(f"{where}: {exc}") from exc
-    return FunctionComplex(terms, tuple(covers))
+    return cx
 
 
 # ---------------------------------------------------------------------------

@@ -510,25 +510,12 @@ def form_matrix(form, rows, cols) -> ExactMatrix:
     return from_dict(r0, sum(size for _, size in cols), entries)
 
 
-def materialized(fc) -> ChainComplex:
-    """orlik.build_function_complex's result as a ChainComplex of
-    ExactMatrix objects over its own cover forms: Y is d_0's column block,
-    and each row block is as long as its first cover's image (every row
-    block of the function complex has a cover)."""
-    blocks = [[("Y", fc.terms[0])]] + [
-        [(str(k), len(block[0][2])) for k, block in enumerate(form)] for form in fc.covers
-    ]
-    return ChainComplex(fc.terms, tuple(
-        ExactMatrix(blocks[t + 1], blocks[t], form) for t, form in enumerate(fc.covers)
-    ))
-
-
-def reported_dd_failure(covers, blocks) -> tuple[int, int, int, int] | None:
+def reported_dd_failure(diffs) -> tuple[int, int, int, int] | None:
     """(t, row, col, value) that gmodules.check_block_dd reports for a d∘d
-    failure of the cover forms `covers`, None when it passes; a layout
+    failure of the differentials `diffs`, None when it passes; a layout
     error propagates."""
     try:
-        check_block_dd(covers, blocks)
+        check_block_dd(diffs)
     except ExactnessError as exc:
         match = re.fullmatch(
             r"d∘d != 0 between positions (\d+) and (\d+), blocks \(K, L\) = \(.*\): "

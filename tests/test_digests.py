@@ -1,11 +1,10 @@
 """Golden sha256 digests of every differential on the desk grid.
 
 Each digest hashes the `ExactMatrix.dump()` text of a complex's
-differentials in order; the function complex, kept as bare cover forms, is
-made into `ExactMatrix` objects by `oracles.materialized`.  They were taken
-before the integer-only rewrite of `homalg` and must never change: the
-matrices are reproducible bit for bit across refactors of the builders, the
-matrix class and its storage, and its dump.
+differentials in order, the function complex's as `build_function_complex`
+returns them.  They were taken before the integer-only rewrite of `homalg`
+and must never change: the matrices are reproducible bit for bit across
+refactors of the builders, the matrix class and its storage, and its dump.
 """
 
 import hashlib
@@ -15,7 +14,6 @@ import pytest
 from drincoh.gmodules import lattice_complex
 from drincoh.orlik import build_function_complex
 from drincoh.rootdata import subsets_of_size
-from oracles import materialized
 
 GOLDEN = {
     ("steinberg", 1, 2): "43f2523dd544d5e0a3d84d617ab19ec59d01d090956bbe6c403ed78e1afa5878",
@@ -56,7 +54,7 @@ def _differentials(key):
             for d in lattice_complex(J, q)[1].diffs
         ]
     _, n, q, m = key
-    return materialized(build_function_complex(n, q, m)).diffs
+    return build_function_complex(n, q, m).diffs
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN), ids=lambda k: "-".join(map(str, k)))

@@ -177,13 +177,12 @@ def test_flag_guard_comes_before_the_subset_lattice(monkeypatch):
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Every (cover forms, blocks) the builders pass to check_block_dd."""
+    """Every tuple of differentials the builders pass to check_block_dd."""
     calls = []
 
-    def recording(covers, blocks, _check=gmodules.check_block_dd):
-        covers = tuple(covers)
-        calls.append((covers, blocks))
-        return _check(covers, blocks)
+    def recording(diffs, _check=gmodules.check_block_dd):
+        calls.append(tuple(diffs))
+        return _check(diffs)
 
     for mod in (gmodules, orlik):
         monkeypatch.setattr(mod, "check_block_dd", recording)
@@ -200,14 +199,11 @@ def test_block_dd_check_matches_reference_product_on_desk_complexes(checked):
             build_function_complex(n, q, m)
     lattice = sum(2**n - 1 for n, _ in points)
     assert len(checked) == lattice + 12
-    for covers, blocks in checked:
-        diffs = [ExactMatrix(blocks[t + 1], blocks[t], form) for t, form in enumerate(covers)]
-        # the builders' block sizes tile every term, and every pair is zero
-        assert [sum(size for _, size in term) for term in blocks] == [
-            diffs[0].cols, *(d.rows for d in diffs)
-        ]
+    for diffs in checked:
+        # adjacent differentials share each term's blocks, and every pair is zero
+        assert [d.row_blocks for d in diffs[:-1]] == [d.col_blocks for d in diffs[1:]]
         assert reference_dd_failure(diffs) is None
-        assert reported_dd_failure(covers, blocks) is None
+        assert reported_dd_failure(diffs) is None
 
 
 def test_lattice_nnz_is_the_nnz_of_the_built_complex():
@@ -224,8 +220,7 @@ def test_lattice_nnz_is_the_nnz_of_the_built_complex():
 
 
 def test_lattice_complex_checks_the_covers_rank_reads(checked, monkeypatch):
-    # each form check_block_dd reads is the covers list of the matrix that
-    # rank reads, not a copy
+    # check_block_dd reads the very matrices that rank reads, not copies
     ranked = []
     rank = ExactMatrix.rank
     monkeypatch.setattr(ExactMatrix, "rank", lambda M, **kw: ranked.append(M) or rank(M, **kw))
@@ -235,10 +230,9 @@ def test_lattice_complex_checks_the_covers_rank_reads(checked, monkeypatch):
             ranked.clear()
             levels, cx = lattice_complex(ParabolicType(n, mask), q)
             cx.homology_dims()
-            covers, blocks = checked[-1]
-            assert len(covers) == len(ranked) == len(cx.diffs)
-            assert all(form is M.covers for form, M in zip(covers, ranked))
-            assert blocks == [cx.diffs[0].col_blocks, *(d.row_blocks for d in cx.diffs)]
+            diffs = checked[-1]
+            assert len(diffs) == len(ranked) == len(cx.diffs)
+            assert all(d is M for d, M in zip(diffs, ranked))
     assert len(checked) == sum(2**n - 1 for n, _ in points)
 
 
@@ -308,7 +302,7 @@ MUTATIONS = {
 }
 
 
-def _covers_and_blocks(kind, checked):
+def _checked_diffs(kind, checked):
     if kind == "lattice":
         lattice_complex(ParabolicType.empty(3), 2)
     else:
@@ -320,21 +314,40 @@ def _covers_and_blocks(kind, checked):
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
 def test_block_dd_check_rejects_mutations(name, kind, checked):
     mutation, layout_error = MUTATIONS[name]
-    covers, blocks = _covers_and_blocks(kind, checked)
+    diffs = list(_checked_diffs(kind, checked))
     t = 1  # a middle differential: d_0∘... and ...∘d_2 both see it
-    mutated = list(covers)
-    mutated[t] = mutation(covers[t], blocks[t + 1], blocks[t])
-    assert mutated[t] != covers[t]
-    want = reference_dd_failure(
-        [form_matrix(form, blocks[u + 1], blocks[u]) for u, form in enumerate(mutated)]
-    )
+    d = diffs[t]
+    form = mutation(d.covers, d.row_blocks, d.col_blocks)
+    assert form != d.covers
+    want = reference_dd_failure([
+        form_matrix(form, d.row_blocks, d.col_blocks) if u == t else e for u, e in enumerate(diffs)
+    ])
     assert want is not None  # every mutation is a real d∘d failure
     if layout_error:
-        where = rf"^d∘d check: d_{t}, row block \S+: .*{layout_error}"
-        with pytest.raises(ExactnessError, match=where):
-            gmodules.check_block_dd(mutated, blocks)
+        # the constructor rejects a form that check_block_dd could not read
+        with pytest.raises(ExactnessError, match=rf"^row block \S+: .*{layout_error}"):
+            ExactMatrix(d.row_blocks, d.col_blocks, form)
     else:
-        assert reported_dd_failure(mutated, blocks) == want
+        diffs[t] = ExactMatrix(d.row_blocks, d.col_blocks, form)
+        assert reported_dd_failure(diffs) == want
+
+
+def test_block_dd_check_rejects_blocks_that_differ_on_a_shared_term():
+    # d_0 splits term 1 of the edge's complex as 1 + 1, d_1 reads it as one
+    # block of 2: the products agree entry by entry, the layouts do not
+    d0 = ExactMatrix([("a", 1), ("b", 1)], [("Y", 1)], [[(0, 1, [0])], [(0, 1, [0])]])
+    d1 = ExactMatrix([("E", 1)], [("V", 2)], [[(0, -1, [0]), (0, 1, [1])]])
+    d1_split = ExactMatrix([("E", 1)], [("a", 1), ("b", 1)], [[(0, -1, [0]), (1, 1, [1])]])
+    assert d1.entries == d1_split.entries
+    assert reference_dd_failure([d0, d1]) is None
+    gmodules.check_block_dd([d0, d1_split])
+    with pytest.raises(ExactnessError, match=r"^d∘d check: term 1's block sizes differ "
+                                             r"between the rows of d_0 and the columns of d_1$"):
+        gmodules.check_block_dd([d0, d1])
+    # a later term is named too
+    d2 = ExactMatrix([("F", 1)], [("E0", 1), ("E1", 1)], [[]])
+    with pytest.raises(ExactnessError, match=r"^d∘d check: term 2's block sizes"):
+        gmodules.check_block_dd([d0, d1_split, d2])
 
 
 def test_block_dd_check_rejects_a_permuted_basis():
@@ -348,10 +361,12 @@ def test_block_dd_check_rejects_a_permuted_basis():
     permuted = [reindexed(d0, perm, [0]), reindexed(d1, list(range(21)), perm)]
     assert reference_dd_failure(permuted) is None
     # each block of d_0 is one cover of the one constant column, so the
-    # permuted d_0 is its two blocks traded; d_1's columns move with perm
+    # permuted d_0 is its two blocks traded; d_1's columns move with perm,
+    # across its column blocks, so the constructor rejects its cover form
+    # and the d∘d check never sees it
     forms = [d0.covers[::-1], [[(b, sign, [perm[c] for c in image]) for b, sign, image in block]
                                for block in d1.covers]]
     assert [form_matrix(form, blocks[t + 1], blocks[t]) for t, form in enumerate(forms)] == permuted
-    where = r"^d∘d check: d_1, row block \{\}: entry 0 of its rows does not map its 21 rows into block 0$"
+    where = r"^row block \{\}: entry 0 of its rows does not map its 21 rows into block 0$"
     with pytest.raises(ExactnessError, match=where):
-        gmodules.check_block_dd(forms, blocks)
+        ExactMatrix(d1.row_blocks, d1.col_blocks, forms[1])

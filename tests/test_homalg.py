@@ -17,7 +17,6 @@ from drincoh.errors import ExactnessError
 from drincoh.ffgeom import enumerate_subspaces
 from drincoh.gmodules import check_block_dd
 from drincoh.homalg import ChainComplex, ExactMatrix
-from drincoh.qarith import parabolic_index
 from drincoh.rootdata import ParabolicType
 from oracles import (
     contains,
@@ -169,9 +168,8 @@ def test_chain_complex_validation(monkeypatch):
     d0 = identity(2)
     d1 = identity(2)
     ChainComplex((2, 2, 2), (d0, d1))
-    blocks = [d0.col_blocks, d0.row_blocks, d1.row_blocks]
     with pytest.raises(ExactnessError, match=r"^d∘d != 0 between positions 0 and 2"):
-        check_block_dd([d0.covers, d1.covers], blocks)
+        check_block_dd([d0, d1])
 
 
 def test_euler_characteristic_equals_alternating_homology():
@@ -414,7 +412,7 @@ def test_homology_with_clearing_matches_naive_ranks(monkeypatch):
 # also run in a `python -O` interpreter: the values, the columns, the row
 # layout (the row blocks against the covers, the "indptr" cases) and the
 # order of the columns along a row's covers
-BAD_CSR = {
+BAD_COVERS = {
     "bool value": ("[('A', 1)], [('B', 2)], [[(0, True, [0])]]", TypeError),
     "float value": ("[('A', 1)], [('B', 2)], [[(0, 1.0, [0])]]", TypeError),
     "Fraction value": ("[('A', 1)], [('B', 2)], [[(0, Fraction(1), [0])]]", TypeError),
@@ -440,14 +438,14 @@ def _constructor_source(args: str):
     return eval(f"ExactMatrix({args})", {"ExactMatrix": ExactMatrix, "Fraction": Fraction})
 
 
-@pytest.mark.parametrize("case", sorted(BAD_CSR))
+@pytest.mark.parametrize("case", sorted(BAD_COVERS))
 def test_csr_constructor_rejects(case):
-    args, error = BAD_CSR[case]
+    args, error = BAD_COVERS[case]
     with pytest.raises(error):
         _constructor_source(args)
 
 
-def test_csr_constructor_rejects_under_python_o():
+def test_constructor_rejects_under_python_o():
     # the checks raise rather than assert, so they hold with asserts stripped
     script = (
         "import sys\n"
@@ -461,16 +459,16 @@ def test_csr_constructor_rejects_under_python_o():
         "    except Exception as exc:\n"
         "        print(type(exc).__name__)\n"
     )
-    cases = sorted(BAD_CSR)
+    cases = sorted(BAD_COVERS)
     src = str(Path(drincoh.__file__).resolve().parents[1])
     out = subprocess.run(
-        [sys.executable, "-O", "-c", script, *(BAD_CSR[c][0] for c in cases)],
+        [sys.executable, "-O", "-c", script, *(BAD_COVERS[c][0] for c in cases)],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
     ).stdout.split()
-    assert out == [BAD_CSR[c][1].__name__ for c in cases]
+    assert out == [BAD_COVERS[c][1].__name__ for c in cases]
 
 
-def test_csr_constructor_accepts_descents_at_row_starts():
+def test_constructor_accepts_descents_at_row_starts():
     # a cover's columns may fall from one row to the next
     M = ExactMatrix([("A", 2), ("C", 1)], [("B", 3)],
                     [[(0, 1, [1, 0]), (0, -1, [2, 1])], [(0, 5, [0])]])
@@ -542,7 +540,7 @@ def test_product_and_dd_check_match_reference_product():
                   for t, term in enumerate(sizes)]
         diffs = [_random_layout(rng, blocks[t + 1], blocks[t], [-2, -1, -1, 1, 1, 3]) for t in (0, 1)]
         want = reference_dd_failure(diffs)
-        assert reported_dd_failure([d.covers for d in diffs], blocks) == want
+        assert reported_dd_failure(diffs) == want
         zero_products += want is None
     assert 20 <= zero_products <= 180
 
@@ -584,23 +582,22 @@ def test_homology_of_random_split_complexes_matches_naive_ranks():
 def test_dd_failure_names_the_first_nonzero_entry():
     blocks = [[("K", 1)], [("J1", 1), ("J2", 1)], [("L", 1)]]
     covers = [[[(0, 1, [0])], [(0, 1, [0])]], [[(0, 1, [0]), (1, 1, [1])]]]
+    diffs = [ExactMatrix(blocks[t + 1], blocks[t], form) for t, form in enumerate(covers)]
     with pytest.raises(ExactnessError, match=r"positions 0 and 2, blocks \(K, L\) = \(K, L\): "
                        r"entry \(0,0\) of d_1∘d_0 is 2"):
-        check_block_dd(covers, blocks)
+        check_block_dd(diffs)
     # one cover's sign flipped in a Steinberg resolution: the report is the
     # first nonzero entry of the product, found by the reference product
     from drincoh.gmodules import lattice_complex
 
-    levels, cx = lattice_complex(ParabolicType.empty(2), 2)
-    blocks = [[(I.subset_str(), parabolic_index(I, 2)) for I in level] for level in levels]
-    d0, d1 = cx.diffs
-    assert reported_dd_failure((d0.covers, d1.covers), blocks) is None
+    d0, d1 = lattice_complex(ParabolicType.empty(2), 2)[1].diffs
+    assert reported_dd_failure((d0, d1)) is None
     # the row block of ∅ holds rows 0..20, with two covers
     (first, (b, sign, image)), = d1.covers
     flipped = ExactMatrix(d1.row_blocks, d1.col_blocks, [[first, (b, -sign, image)]])
     want = reference_dd_failure((d0, flipped))
     assert want is not None
-    assert reported_dd_failure((d0.covers, flipped.covers), blocks) == want
+    assert reported_dd_failure((d0, flipped)) == want
 
 
 def _stored_bytes_per_nonzero(build, nnz):
@@ -617,18 +614,15 @@ def _stored_bytes_per_nonzero(build, nnz):
     return size / nnz(stored)
 
 
-def test_stored_matrices_take_at_most_80_bytes_per_nonzero():
-    # both keep one list of columns per cover: the lattice in the ExactMatrix
-    # that rank reads, the function complex as bare cover forms; both stay
-    # within 40 bytes per nonzero
+def test_stored_matrices_take_at_most_40_bytes_per_nonzero():
+    # both complexes keep one list of columns per cover in their ExactMatrix
+    # differentials
     from drincoh.gmodules import lattice_complex
     from drincoh.orlik import build_function_complex
 
-    def cover_nnz(covers):
-        return sum(len(image) for form in covers for block in form for _, _, image in block)
+    def nnz(diffs):
+        return sum(d.nnz for d in diffs)
 
-    assert _stored_bytes_per_nonzero(lambda: build_function_complex(3, 3, 2).covers, cover_nnz) <= 40
-    assert _stored_bytes_per_nonzero(
-        lambda: lattice_complex(ParabolicType.empty(3), 3)[1].diffs,
-        lambda diffs: sum(d.nnz for d in diffs),
-    ) <= 40
+    for build in (lambda: build_function_complex(3, 3, 2).diffs,
+                  lambda: lattice_complex(ParabolicType.empty(3), 3)[1].diffs):
+        assert _stored_bytes_per_nonzero(build, nnz) <= 40

@@ -125,6 +125,14 @@ def _lattice_rows_last_scaled(sources, targets, dims, q, _orig=gmodules.lattice_
         yield covers, signs, images
 
 
+def _lattice_rows_float_signs(sources, targets, dims, q, _orig=gmodules.lattice_rows):
+    # every sign of the function complex's covers is a float: equal to the
+    # int it stands for, so every check that compares values passes, but
+    # the ExactMatrix constructor takes only int entries
+    for covers, signs, images in _orig(sources, targets, dims, q):
+        yield covers, list(map(float, signs)), images
+
+
 def _first_cover_rows_swapped(sources, targets, dims, q, _orig=gmodules.lattice_rows):
     # rows 0 and 1 of the first cover of every row block of at least 4 rows
     # trade columns: rank and homology miss it, the d∘d check does not
@@ -166,6 +174,7 @@ CASES = {
     "hull_mask": (_hull_mask_one_flipped, (matching,), {"orlik"}),
     "augmentation": (_augmentation_without_covers, (orlik,), {"orlik"}),
     "unit_partners": (_lattice_rows_last_scaled, (orlik,), {"orlik"}),
+    "int_signs": (_lattice_rows_float_signs, (orlik,), {"orlik"}),
     "lattice_rows": (_first_cover_rows_swapped, (gmodules,), {"steinberg", "e2", "cohomology"}),
 }
 # cases that patch a name other than their own
@@ -175,6 +184,7 @@ PATCHED_NAME = {
     "digits": "_digits",
     "augmentation": "_augmentation",
     "unit_partners": "lattice_rows",
+    "int_signs": "lattice_rows",
 }
 # cases whose bug shows only past m = 1 (at m = 1 the top digit is the only
 # one), or only past n = 2, where the d∘d check first sees the swapped rows

@@ -26,7 +26,6 @@ from oracles import (
     function_complex_summands,
     in_extension_span,
     intersect_subspaces,
-    materialized,
     rows_of,
 )
 
@@ -52,7 +51,7 @@ def test_function_complex_shapes():
 def test_function_complex_acyclic_on_grid():
     for n, q, m in [(1, 2, 1), (1, 2, 2), (2, 2, 1), (2, 3, 1)]:
         fc = build_function_complex(n, q, m)
-        assert materialized(fc).homology_dims() == (0,) * len(fc.terms)
+        assert fc.homology_dims() == (0,) * len(fc.terms)
         assert euler_characteristic(fc) == 0
 
 
@@ -72,7 +71,7 @@ def test_hull_matching_agrees_with_homology_dims(n, q, m):
     # the builder certified the complex acyclic by the matching; the
     # reference ranks agree, and each rank is exactly the number of matched
     # pairs across it
-    cx = materialized(build_function_complex(n, q, m))
+    cx = build_function_complex(n, q, m)
     assert cx.homology_dims() == (0,) * len(cx.terms)
     _, _, down = _labels(n, q, m)
     assert list(map(len, down)) == list(cx.terms)
@@ -124,58 +123,59 @@ def test_hull_mask_reads_the_masks_without_listing_points(d, q, m, monkeypatch):
     assert hull_mask(d, q, m) == want
 
 
-def _interval():
-    # the augmented cochain complex of an edge as cover forms: Y's one cell,
-    # two vertices, one edge, matched as Y-a and b-edge
+def _interval(d1_covers=((0, -1, [0]), (0, 1, [1]))):
+    # the augmented cochain complex of an edge: Y's one cell, two vertices,
+    # one edge, matched as Y-a and b-edge
     blocks = [[("Y", 1)], [("V", 2)], [("E", 1)]]
-    covers = [[[(0, 1, [0, 0])]], [[(0, -1, [0]), (0, 1, [1])]]]
-    return covers, blocks, [b"\x00", b"\x01\x00", b"\x01"]
+    covers = [[[(0, 1, [0, 0])]], [list(d1_covers)]]
+    diffs = [ExactMatrix(blocks[t + 1], blocks[t], form) for t, form in enumerate(covers)]
+    return diffs, [b"\x00", b"\x01\x00", b"\x01"]
 
 
 def test_check_matching_on_a_hand_built_complex():
-    covers, blocks, down = _interval()
-    check_matching(covers, blocks, down)
+    diffs, down = _interval()
+    check_matching(diffs, down)
     # a partner entry must be ±1, so that the matched minor is a signed
     # permutation over Z
-    doubled = [[[(b, 2 * sign, image) for b, sign, image in block] for block in form]
-               for form in covers]
-    with pytest.raises(ExactnessError, match=r"^d_0, row cell 0 of block V: .* entry 2, not ±1"):
-        check_matching(doubled, blocks, down)
+    doubled, _ = _interval(((0, -2, [0]), (0, 2, [1])))
+    with pytest.raises(ExactnessError, match=r"^d_1, row cell 0 of block E: .* entry 2, not ±1"):
+        check_matching(doubled, down)
     # the ends: nothing below term 0, nothing above the top term
     with pytest.raises(ExactnessError, match=r"^term 0, cell 0 of block Y: matched down"):
-        check_matching(covers, blocks, [b"\x01", b"\x01\x00", b"\x01"])
+        check_matching(diffs, [b"\x01", b"\x01\x00", b"\x01"])
     with pytest.raises(ExactnessError, match=r"^term 2, cell 0 of block E: matched up"):
-        check_matching(covers, blocks, [b"\x00", b"\x01\x00", b"\x00"])
+        check_matching(diffs, [b"\x00", b"\x01\x00", b"\x00"])
     # a d_0 with no covers keeps d∘d = 0, but H_0 = 1 shows as a row short
-    empty = [[[]], covers[1]]
+    empty = [ExactMatrix([("V", 2)], [("Y", 1)], [[]]), diffs[1]]
     with pytest.raises(ExactnessError, match=r"^d_0, row cell 0 of block V: .* 0 entries"):
-        check_matching(empty, blocks, down)
+        check_matching(empty, down)
     with pytest.raises(ValueError):
-        check_matching(covers, blocks, down[:2])
+        check_matching(diffs, down[:2])
+    with pytest.raises(ValueError, match="no differentials"):
+        check_matching([], [b"\x00"])
 
 
 def test_check_matching_rejects_a_row_with_two_partners():
     # the edge's row meets both matched-up vertices
-    covers = [[[(0, -1, [0]), (0, 1, [1])]]]
+    d = ExactMatrix([("E", 1)], [("V", 2)], [[(0, -1, [0]), (0, 1, [1])]])
     with pytest.raises(ExactnessError, match=r"^d_0, row cell 0 of block E: .* 2 entries"):
-        check_matching(covers, [[("V", 2)], [("E", 1)]], [b"\x00\x00", b"\x01"])
-    # two covers of the edge's row meet the one matched-up vertex b: the
-    # entry there is their sum, 0, so they count as two partners
-    covers, blocks, down = _interval()
-    covers[1] = [[(0, 1, [1]), (0, -1, [1])]]
-    with pytest.raises(ExactnessError, match=r"^d_1, row cell 0 of block E: .* 2 entries"):
-        check_matching(covers, blocks, down)
+        check_matching([d], [b"\x00\x00", b"\x01"])
+    # two covers of the edge's row cannot both meet the one matched-up
+    # vertex b, where their entries would sum to 0: the constructor wants
+    # the columns of a row to rise strictly along its covers
+    with pytest.raises(ValueError, match="columns of entry 1 do not lie right of entry 0"):
+        _interval(((0, 1, [1]), (0, -1, [1])))
 
 
 def test_check_matching_rejects_an_unmatched_or_doubly_matched_cell():
     # vertex a is matched up, but no matched-down row has an entry there
-    covers = [[[(0, 1, [1])]]]
+    d = ExactMatrix([("E", 1)], [("V", 2)], [[(0, 1, [1])]])
     with pytest.raises(ExactnessError, match=r"^d_0, column cell 0 of block V: .* of 0 "):
-        check_matching(covers, [[("V", 2)], [("E", 1)]], [b"\x00\x00", b"\x01"])
+        check_matching([d], [b"\x00\x00", b"\x01"])
     # both vertices claim Y's one cell
-    covers = [[[(0, 1, [0, 0])]]]
+    d = ExactMatrix([("V", 2)], [("Y", 1)], [[(0, 1, [0, 0])]])
     with pytest.raises(ExactnessError, match=r"^d_0, column cell 0 of block Y: .* of 2 "):
-        check_matching(covers, [[("Y", 1)], [("V", 2)]], [b"\x00", b"\x01\x01"])
+        check_matching([d], [b"\x00", b"\x01\x01"])
 
 
 @pytest.mark.parametrize("cover", [
@@ -185,16 +185,16 @@ def test_check_matching_rejects_an_unmatched_or_doubly_matched_cell():
     (1, 1, [0, 0]),  # a block that is not there
 ])
 def test_both_checks_reject_a_malformed_cover_form(cover):
-    covers, blocks, down = _interval()
-    gmodules.check_block_dd(covers, blocks)
-    with pytest.raises(ExactnessError, match=r"^d∘d check: d_1 has 2 row blocks, not 1"):
-        gmodules.check_block_dd([covers[0], covers[1] * 2], blocks)
-    covers[0] = [[cover]]
-    where = rf"check: d_0, row block V: entry 0 .* its 2 rows into block {cover[0]}$"
-    with pytest.raises(ExactnessError, match="^d∘d " + where):
-        gmodules.check_block_dd(covers, blocks)
-    with pytest.raises(ExactnessError, match="^matching " + where):
-        check_matching(covers, blocks, down)
+    # both checks read only ExactMatrix differentials, and the constructor
+    # validates each cover form once, so a malformed one never reaches them
+    diffs, down = _interval()
+    gmodules.check_block_dd(diffs)
+    check_matching(diffs, down)
+    with pytest.raises(ExactnessError, match=r"^2 row blocks of covers, not 1$"):
+        ExactMatrix([("E", 1)], [("V", 2)], diffs[1].covers * 2)
+    where = rf"^row block V: entry 0 of its rows does not map its 2 rows into block {cover[0]}$"
+    with pytest.raises(ExactnessError, match=where):
+        ExactMatrix([("V", 2)], [("Y", 1)], [[cover]])
 
 
 def test_matching_failure_names_the_function_complex(monkeypatch):
@@ -219,13 +219,12 @@ def test_summand_point_off_y_names_the_function_complex(monkeypatch):
 
 
 def test_orlik_suite_ranks_nothing(monkeypatch, capsys):
-    # the function complex is kept as its cover forms: nothing is ranked
-    # and no ExactMatrix is made
-    def no_matrix(*args, **kwargs):
-        raise AssertionError("a matrix made or ranked on the orlik path")
+    # the function complex's differentials are ExactMatrix objects, but the
+    # hull matching certifies it: nothing is ranked
+    def no_rank(*args, **kwargs):
+        raise AssertionError("a matrix ranked on the orlik path")
 
-    for name in ("rank", "__init__"):
-        monkeypatch.setattr(ExactMatrix, name, no_matrix)
+    monkeypatch.setattr(ExactMatrix, "rank", no_rank)
     argv = ["verify", "--suite", "orlik", "--n-max", "3", "--q", "2,3", "--m-max", "2"]
     assert cli.main(argv) == cli.EXIT_OK
     assert "FAIL" not in capsys.readouterr().out
@@ -237,7 +236,7 @@ def test_function_complex_nnz_is_the_nnz_of_the_built_complex(n, q, m):
     # augmentation's rows, #I = n-1, one each), so the differentials hold
     # Σ_{I⊊Δ} (n-#I)·[G:P_I]·#P^{i(I)}(F_{q^m}) nonzeros
     _, dims, points = orlik.function_complex_layout(n, q, m)
-    diffs = materialized(build_function_complex(n, q, m)).diffs
+    diffs = build_function_complex(n, q, m).diffs
     assert sum((n - I.size) * dims[I] * points[I] for I in dims) == sum(d.nnz for d in diffs)
 
 
@@ -347,7 +346,7 @@ def test_function_complex_is_e1_row_0_expanded_to_points():
     # back, summand by summand, to that flag's row of E1 row 0, with the same
     # signs, and each entry restricts to the same point of the source summand
     for n, q, m in [(2, 2, 1), (2, 3, 2), (3, 2, 1)]:
-        fc = materialized(build_function_complex(n, q, m))
+        fc = build_function_complex(n, q, m)
         levels = function_complex_summands(n, q, m)
         row0 = lattice_complex(ParabolicType.empty(n), q)[1].diffs[1:]
         assert len(fc.diffs) == len(row0) + 1
@@ -441,10 +440,10 @@ def test_page_guard():
 
 
 def test_function_complex_is_reproducible_bit_for_bit():
-    fc = materialized(build_function_complex(1, 2, 1))
+    fc = build_function_complex(1, 2, 1)
     assert hyperplane_union_points(1, 2, 1) == [(0, 1), (1, 0), (1, 1)]
     assert fc.diffs[0].dump() == "3 3 3\n0 0 1/1\n1 1 1/1\n2 2 1/1\n"
-    again = materialized(build_function_complex(1, 2, 1))
+    again = build_function_complex(1, 2, 1)
     assert [d.dump() for d in again.diffs] == [
         d.dump() for d in fc.diffs
     ]
