@@ -15,19 +15,18 @@ This module owns the one walk over the subset lattice (lattice_rows): the
 Steinberg resolutions and, expanded to points, orlik's function complex are
 built from it, both as ExactMatrix differentials in cover form: per row
 block, its covers (b, sign, image), each a map of its rows into column
-block b with one sign.  The one d∘d check (check_block_dd) reads the
-covers the constructor validated, so rank and the check read the same
-lists.  Each resolution is built, ranked and checked once per (J, q)
-and run: steinberg_resolution keeps only its verified homology, and orlik
-reads the E1 rows from that.  The closed forms parabolic_index and
+block b with one sign.  The ChainComplex constructor checks d∘d = 0 on
+the covers the ExactMatrix constructor validated, so rank and the check
+read the same lists.  Each resolution is built, ranked and checked once
+per (J, q) and run: steinberg_resolution keeps only its verified
+homology, and orlik reads the E1 rows from that.  The closed forms parabolic_index and
 steinberg_dim live in qarith, cached per (I, q).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, pairwise, repeat
-from operator import sub
+from itertools import accumulate, pairwise
 
 from .errors import ExactnessError
 from .ffgeom import check_flag_guard, flag_keys, forget_map
@@ -100,81 +99,19 @@ def lattice_differential(
                        [(J.subset_str(), dims[J]) for J in sources], covers)
 
 
-def _first_nonzero_row(paths):
-    """(row, col, value) of the first nonzero entry of Σ sign·P(image) over
-    the paths, P(image) having one 1 per row at its image; None if zero."""
-    signs = [sign for sign, _ in paths]
-    for r, cols in enumerate(zip(*(image for _, image in paths))):
-        acc: dict[int, int] = {}
-        for sign, c in zip(signs, cols):
-            acc[c] = acc.get(c, 0) + sign
-        nonzero = [c for c, v in acc.items() if v]
-        if nonzero:
-            c = min(nonzero)
-            return r, c, acc[c]
-    return None
-
-
-def _check_pair(low: ExactMatrix, high: ExactMatrix, t: int) -> None:
-    """d_{t+1}∘d_t = 0 from the covers of d_t (low) and d_{t+1} (high).
-
-    For a row block L of d_{t+1} and a column block K of d_t, block (L, K)
-    of the product is the sum over the paths K -> J -> L of the signed
-    composite maps.  Two paths with equal maps and opposite signs cancel;
-    any other block is summed row by row, and the first nonzero entry of
-    the product (by row, then column) raises ExactnessError.
-    """
-    mid_off = list(accumulate((size for _, size in high.col_blocks), initial=0))
-    row0 = 0
-    for (label, size), covers in zip(high.row_blocks, high.covers):
-        paths: dict[int, list] = {}
-        for j, s1, image1 in covers:
-            # d_t's images are indexed by the rows of block J
-            local = list(map(sub, image1, repeat(mid_off[j]))) if mid_off[j] else image1
-            for b, s2, image2 in low.covers[j]:
-                paths.setdefault(b, []).append((s1 * s2, list(map(image2.__getitem__, local))))
-        bad = []
-        for b, group in paths.items():
-            if len(group) == 2 and group[0][0] == -group[1][0] and group[0][1] == group[1][1]:
-                continue
-            first = _first_nonzero_row(group)
-            if first is not None:
-                bad.append((*first, low.col_blocks[b][0]))
-        if bad:
-            r, c, v, source = min(bad)
-            raise ExactnessError(
-                f"d∘d != 0 between positions {t} and {t + 2}, blocks (K, L) = "
-                f"({source}, {label}): entry ({row0 + r},{c}) of d_{t + 1}∘d_{t} is {v}"
-            )
-        row0 += size
-
-
-def check_block_dd(diffs) -> None:
-    """Check d∘d = 0 for the ExactMatrix differentials `diffs`, d_t from
-    term t to t+1, on their own covers.  Term t+1 must have the same block
-    sizes as the rows of d_t and the columns of d_{t+1}, or ExactnessError
-    names it."""
-    for t, (low, high) in enumerate(pairwise(diffs)):
-        if [size for _, size in low.row_blocks] != [size for _, size in high.col_blocks]:
-            raise ExactnessError(f"d∘d check: term {t + 1}'s block sizes differ between "
-                                 f"the rows of d_{t} and the columns of d_{t + 1}")
-        _check_pair(low, high, t)
-
-
 def lattice_complex(J: ParabolicType, q: int) -> tuple[tuple, ChainComplex]:
     """The levels interval_levels(J) and the complex over them of
     ⊕ Ind_{P_I}^G K, level by level, with lattice_differential between.  The
-    flag guard comes first, before any subset is listed.  d∘d = 0 is checked
-    by check_block_dd, one block per subset; a failure is raised again
-    naming J and q."""
+    flag guard comes first, before any subset is listed.  The ChainComplex
+    constructor checks d∘d = 0, one block per subset; a failure is raised
+    again naming J and q."""
     check_flag_guard(J.n, q)
     levels = tuple(map(tuple, interval_levels(J)))
     dims = {I: parabolic_index(I, q) for level in levels for I in level}
     terms = tuple(sum(dims[I] for I in level) for level in levels)
     diffs = tuple(lattice_differential(*pair, dims, q) for pair in pairwise(levels))
-    cx = ChainComplex(terms, diffs)
     try:
-        check_block_dd(diffs)
+        cx = ChainComplex(terms, diffs)
     except ExactnessError as exc:
         raise ExactnessError(f"lattice complex J={J.subset_str()}, q={q}: {exc}") from exc
     return levels, cx

@@ -7,7 +7,7 @@ into column block b with the one value `value`.  Row r of a block holds
 image[r] of each of its covers, so its columns must rise strictly along
 them.  The one constructor takes that form and keeps it once it has
 validated it (the layout, the values, the rising columns); every check
-raises, so it holds under python -O.  gmodules.check_block_dd and
+raises, so it holds under python -O.  The d∘d check below and
 matching.check_matching read the same validated form, so nothing converts
 or checks it again.
 
@@ -22,17 +22,17 @@ its differentials with clearing: the pivot rows of d_i are columns of
 d_{i+1} that lie in the span of its other columns (d∘d = 0), so they are
 skipped.
 
-A chain complex checks only the shapes of its differentials.  Homology
-relies on d∘d = 0, which gmodules.check_block_dd checks first.  Both
-complexes are chain complexes of these matrices, but only the Steinberg
-resolutions are ranked here; the function complex (orlik) is certified
-exact by drincoh.matching.
+A chain complex checks the shapes of its differentials and then d∘d = 0
+on their covers when it is built, so homology, which relies on d∘d = 0,
+never ranks an unchecked complex.  Both complexes are chain complexes of
+these matrices, but only the Steinberg resolutions are ranked here; the
+function complex (orlik) is certified exact by drincoh.matching.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, pairwise
-from operator import lt
+from itertools import accumulate, pairwise, repeat
+from operator import lt, sub
 from types import MappingProxyType
 
 from .errors import ExactnessError
@@ -194,12 +194,65 @@ class ExactMatrix:
         return "\n".join(lines) + "\n"
 
 
+def _first_nonzero_row(paths):
+    """(row, col, value) of the first nonzero entry of Σ sign·P(image) over
+    the paths, P(image) having one 1 per row at its image; None if zero."""
+    signs = [sign for sign, _ in paths]
+    for r, cols in enumerate(zip(*(image for _, image in paths))):
+        acc: dict[int, int] = {}
+        for sign, c in zip(signs, cols):
+            acc[c] = acc.get(c, 0) + sign
+        nonzero = [c for c, v in acc.items() if v]
+        if nonzero:
+            c = min(nonzero)
+            return r, c, acc[c]
+    return None
+
+
+def _check_pair(low: ExactMatrix, high: ExactMatrix, t: int) -> None:
+    """d_{t+1}∘d_t = 0 from the covers of d_t (low) and d_{t+1} (high).
+
+    For a row block L of d_{t+1} and a column block K of d_t, block (L, K)
+    of the product is the sum over the paths K -> J -> L of the signed
+    composite maps.  Two paths with equal maps and opposite signs cancel;
+    any other block is summed row by row, and the first nonzero entry of
+    the product (by row, then column) raises ExactnessError.
+    """
+    mid_off = list(accumulate((size for _, size in high.col_blocks), initial=0))
+    row0 = 0
+    for (label, size), covers in zip(high.row_blocks, high.covers):
+        paths: dict[int, list] = {}
+        for j, s1, image1 in covers:
+            # d_t's images are indexed by the rows of block J
+            local = list(map(sub, image1, repeat(mid_off[j]))) if mid_off[j] else image1
+            for b, s2, image2 in low.covers[j]:
+                paths.setdefault(b, []).append((s1 * s2, list(map(image2.__getitem__, local))))
+        bad = []
+        for b, group in paths.items():
+            if len(group) == 2 and group[0][0] == -group[1][0] and group[0][1] == group[1][1]:
+                continue
+            first = _first_nonzero_row(group)
+            if first is not None:
+                bad.append((*first, low.col_blocks[b][0]))
+        if bad:
+            r, c, v, source = min(bad)
+            raise ExactnessError(
+                f"d∘d != 0 between positions {t} and {t + 2}, blocks (K, L) = "
+                f"({source}, {label}): entry ({row0 + r},{c}) of d_{t + 1}∘d_{t} is {v}"
+            )
+        row0 += size
+
+
 class ChainComplex:
     """A finite complex 0 -> V_0 -> V_1 -> ... -> V_k -> 0 of Q-vector spaces.
 
-    `diffs[i]` maps V_i to V_{i+1}; __post_init__ checks their number and
-    shapes and raises ValueError.  d∘d = 0 is not checked here: homology_dims
-    relies on it, so a builder checks it first (gmodules.check_block_dd).
+    `diffs[i]` maps V_i to V_{i+1}.  __post_init__ raises ValueError unless
+    there is one differential of the right shape between consecutive terms,
+    then checks d∘d = 0 on the differentials' own covers: ExactnessError
+    names a term whose block sizes differ between the rows of d_t and the
+    columns of d_{t+1}, or the first nonzero entry of the first nonzero
+    product.  So every complex that is ranked or matched has d∘d = 0,
+    under python -O too.
     """
 
     __slots__ = ("terms", "diffs")
@@ -218,13 +271,19 @@ class ChainComplex:
                     f"differential {i} is {d.rows}x{d.cols}, expected "
                     f"{self.terms[i + 1]}x{self.terms[i]}"
                 )
+        for t, (low, high) in enumerate(pairwise(self.diffs)):
+            if [size for _, size in low.row_blocks] != [size for _, size in high.col_blocks]:
+                raise ExactnessError(f"d∘d check: term {t + 1}'s block sizes differ between "
+                                     f"the rows of d_{t} and the columns of d_{t + 1}")
+            _check_pair(low, high, t)
 
     def homology_dims(self) -> tuple[int, ...]:
         """dim H_i = dim V_i - rank(d_i) - rank(d_{i-1}), off-end ranks zero.
 
         The pivot rows of d_i carry a nonsingular minor of d_i, so by
-        d∘d = 0 (which the builder checked) the same columns of d_{i+1} are
-        combinations of its other columns, and d_{i+1} is ranked without them.
+        d∘d = 0 (which the constructor checked) the same columns of d_{i+1}
+        are combinations of its other columns, and d_{i+1} is ranked without
+        them.
         """
         ranks = [0]
         cleared: list[int] = []

@@ -2,17 +2,17 @@
 
 A matching labels each cell (basis vector) of each term of a complex as
 matched down, paired with a cell of the term below, or matched up.  For
-d_t from term t to term t+1, an ExactMatrix read through its validated
-covers (gmodules), check_matching asks that every matched-down row of
+d_t from term t to term t+1 of a ChainComplex, an ExactMatrix read through
+its validated covers, check_matching asks that every matched-down row of
 term t+1 has exactly one entry in a matched-up column of term t, of value
 ±1, and that these partner columns are distinct and are every matched-up
 cell of term t; term 0 has no matched-down cell and the top term no
 matched-up cell.  Then the rows of matched-down cells and the columns of
 their partners cut out of d_t a signed permutation, so rank d_t is at
 least the number of matched-up cells of term t, over Q and over every
-F_ℓ.  With d∘d = 0, which the builder checks first, every homology group
-is 0, over Z too (Forman, Adv. Math. 134, 1998).  The labels are only
-hints: a wrong one can make the check fail, never pass.
+F_ℓ.  With d∘d = 0, which the ChainComplex constructor checked, every
+homology group is 0, over Z too (Forman, Adv. Math. 134, 1998).  The
+labels are only hints: a wrong one can make the check fail, never pass.
 
 The function complex of orlik is split point by point.  The cells over a
 point x of Y are the flags whose first member U has x in P(U), that is
@@ -78,10 +78,10 @@ def _nth(mask: bytes, k: int) -> int:
     return next(islice(compress(count(), mask), k, None))
 
 
-def check_matching(diffs, down) -> None:
+def check_matching(cx, down) -> None:
     """Raise ExactnessError unless `down` is an acyclic matching with unit
-    partners of the complex whose ExactMatrix differentials are `diffs`,
-    d_t from term t to term t+1; ValueError if there are none.
+    partners of the ChainComplex `cx`; ValueError if it has no
+    differentials.
 
     `down[t]` is a byte mask over term t's cells, nonzero for a matched-down
     cell; the cells are named by the differentials' blocks.  Per cover, one
@@ -90,6 +90,7 @@ def check_matching(diffs, down) -> None:
     partners' columns must be the matched-up columns once each, and a cover
     with a partner must have sign ±1.
     """
+    diffs = cx.diffs
     if not diffs:
         raise ValueError("no differentials to match across")
     if len(down) != len(diffs) + 1:

@@ -5,7 +5,8 @@
     translates g.Y_I = P(U) indexed by proper subsets I and cosets of G/P_I.
     Its acyclicity, the finite shadow of the sheaf-level statement, is
     certified by drincoh.matching's rational-hull matching, not by rank: a
-    ChainComplex of ExactMatrix differentials, like (b), that nothing ranks.
+    ChainComplex of ExactMatrix differentials like (b), whose constructor
+    checks d∘d = 0, but that nothing ranks.
     It is E1 row 0 expanded to points: after the augmentation, a type-I
     flag stands for the #P^{i(I)}(F_{q^m}) points of P(U), U its first
     member, so one closed-form layout gives the block sizes, the guard and
@@ -36,12 +37,7 @@ from .ffgeom import (
     point_positions,
     subspace_points,
 )
-from .gmodules import (
-    check_block_dd,
-    interval_levels,
-    lattice_rows,
-    steinberg_resolution,
-)
+from .gmodules import interval_levels, lattice_rows, steinberg_resolution
 from .homalg import ChainComplex, ExactMatrix
 from .qarith import parabolic_index, projective_count, steinberg_dim
 from .rootdata import ParabolicType, i_of_I, standard_subset
@@ -100,10 +96,10 @@ def build_function_complex(n: int, q: int, m: int) -> ChainComplex:
     Each differential is an ExactMatrix over its cover form, one block per
     subset and Y as d_0's, each cover of lattice_rows one list of columns:
     ranges if source and target summands share U, else the positions of
-    P(U) in P(V), listed once per (U, V) and differential.  d∘d = 0 is
-    checked by gmodules.check_block_dd, then exactness by
-    matching.check_matching; a failure, a cover outside its blocks or a
-    point off Y raises ExactnessError naming (n, q, m).
+    P(U) in P(V), listed once per (U, V) and differential.  The
+    ChainComplex constructor checks d∘d = 0, then matching.check_matching
+    checks exactness; a failure, a cover outside its blocks or a point off
+    Y raises ExactnessError naming (n, q, m).
     """
     subsets, dims, points = function_complex_layout(n, q, m)
     y_points = hyperplane_union_points(n, q, m)
@@ -167,8 +163,7 @@ def build_function_complex(n: int, q: int, m: int) -> ChainComplex:
 
     try:
         cx = ChainComplex(terms, tuple(map(ExactMatrix, blocks[1:], blocks, covers)))
-        check_block_dd(cx.diffs)
-        check_matching(cx.diffs, function_complex_labels(subsets, dims, terms[0], q, m))
+        check_matching(cx, function_complex_labels(subsets, dims, terms[0], q, m))
     except ExactnessError as exc:
         raise ExactnessError(f"{where}: {exc}") from exc
     return cx

@@ -22,7 +22,7 @@ from drincoh.ffgeom import (
     rational_forms,
     subspace_points,
 )
-from drincoh.gmodules import check_block_dd, interval_levels
+from drincoh.gmodules import interval_levels
 from drincoh.homalg import ChainComplex, ExactMatrix
 from drincoh.qarith import is_prime, parabolic_index
 from drincoh.rootdata import ParabolicType, standard_subset, subsets_of_size
@@ -412,10 +412,11 @@ def in_extension_span(pt: tuple[int, ...], U, F: GaloisField) -> bool:
 
 def from_dict(rows: int, cols: int, entries=None) -> ExactMatrix:
     """The matrix whose entries are a dict mapping (i, j) to an int, zeros
-    dropped: each row its own row block, each entry its own cover, in one
-    column block.  ValueError for an entry outside rows x cols; the
-    constructor raises TypeError on a value that is not an int (bool
-    included)."""
+    dropped: each row its own row block and each column its own column
+    block, so that such matrices share each term's layout in a complex,
+    and each entry its own cover.  ValueError for an entry outside
+    rows x cols; the constructor raises TypeError on a value that is not
+    an int (bool included)."""
     entries = entries or {}
     covers: list[list] = [[] for _ in range(rows)]
     # int zeros are dropped; any other value is kept for the type check
@@ -423,8 +424,9 @@ def from_dict(rows: int, cols: int, entries=None) -> ExactMatrix:
         if not 0 <= i < rows or not 0 <= j < cols:
             raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
         if v or type(v) is not int:
-            covers[i].append((0, v, [j]))
-    return ExactMatrix([(str(i), 1) for i in range(rows)], [("", cols)], covers)
+            covers[i].append((j, v, [j]))
+    return ExactMatrix([(str(i), 1) for i in range(rows)],
+                       [(str(j), 1) for j in range(cols)], covers)
 
 
 def rows_of(M: ExactMatrix) -> list[dict[int, int]]:
@@ -511,11 +513,12 @@ def form_matrix(form, rows, cols) -> ExactMatrix:
 
 
 def reported_dd_failure(diffs) -> tuple[int, int, int, int] | None:
-    """(t, row, col, value) that gmodules.check_block_dd reports for a d∘d
-    failure of the differentials `diffs`, None when it passes; a layout
-    error propagates."""
+    """(t, row, col, value) that the ChainComplex constructor reports for a
+    d∘d failure of the differentials `diffs`, None when it passes; a shape
+    or layout error propagates."""
+    terms = (diffs[0].cols, *(d.rows for d in diffs))
     try:
-        check_block_dd(diffs)
+        ChainComplex(terms, tuple(diffs))
     except ExactnessError as exc:
         match = re.fullmatch(
             r"d∘d != 0 between positions (\d+) and (\d+), blocks \(K, L\) = \(.*\): "

@@ -5,14 +5,14 @@ import random
 
 import pytest
 
-from drincoh import gmodules, orlik
+from drincoh import gmodules
 from drincoh.errors import DeskScaleExceeded, ExactnessError
 from drincoh.gmodules import (
     lattice_complex,
     pullback_matrix,
     steinberg_resolution,
 )
-from drincoh.homalg import ExactMatrix
+from drincoh.homalg import ChainComplex, ExactMatrix
 from drincoh.orlik import build_function_complex, e2_page
 from drincoh.qarith import parabolic_index, steinberg_dim
 from drincoh.rootdata import ParabolicType, subsets_of_size
@@ -177,15 +177,16 @@ def test_flag_guard_comes_before_the_subset_lattice(monkeypatch):
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Every tuple of differentials the builders pass to check_block_dd."""
+    """The differentials of every ChainComplex whose constructor's checks,
+    d∘d = 0 among them, passed."""
     calls = []
+    check = ChainComplex.__post_init__
 
-    def recording(diffs, _check=gmodules.check_block_dd):
-        calls.append(tuple(diffs))
-        return _check(diffs)
+    def recording(cx):
+        check(cx)
+        calls.append(cx.diffs)
 
-    for mod in (gmodules, orlik):
-        monkeypatch.setattr(mod, "check_block_dd", recording)
+    monkeypatch.setattr(ChainComplex, "__post_init__", recording)
     return calls
 
 
@@ -198,8 +199,9 @@ def test_block_dd_check_matches_reference_product_on_desk_complexes(checked):
         for m in (1, 2):
             build_function_complex(n, q, m)
     lattice = sum(2**n - 1 for n, _ in points)
-    assert len(checked) == lattice + 12
-    for diffs in checked:
+    built = list(checked)  # reported_dd_failure builds complexes of its own
+    assert len(built) == lattice + 12
+    for diffs in built:
         # adjacent differentials share each term's blocks, and every pair is zero
         assert [d.row_blocks for d in diffs[:-1]] == [d.col_blocks for d in diffs[1:]]
         assert reference_dd_failure(diffs) is None
@@ -220,7 +222,7 @@ def test_lattice_nnz_is_the_nnz_of_the_built_complex():
 
 
 def test_lattice_complex_checks_the_covers_rank_reads(checked, monkeypatch):
-    # check_block_dd reads the very matrices that rank reads, not copies
+    # the d∘d check reads the very matrices that rank reads, not copies
     ranked = []
     rank = ExactMatrix.rank
     monkeypatch.setattr(ExactMatrix, "rank", lambda M, **kw: ranked.append(M) or rank(M, **kw))
@@ -324,7 +326,7 @@ def test_block_dd_check_rejects_mutations(name, kind, checked):
     ])
     assert want is not None  # every mutation is a real d∘d failure
     if layout_error:
-        # the constructor rejects a form that check_block_dd could not read
+        # the constructor rejects a form that the d∘d check could not read
         with pytest.raises(ExactnessError, match=rf"^row block \S+: .*{layout_error}"):
             ExactMatrix(d.row_blocks, d.col_blocks, form)
     else:
@@ -340,14 +342,14 @@ def test_block_dd_check_rejects_blocks_that_differ_on_a_shared_term():
     d1_split = ExactMatrix([("E", 1)], [("a", 1), ("b", 1)], [[(0, -1, [0]), (1, 1, [1])]])
     assert d1.entries == d1_split.entries
     assert reference_dd_failure([d0, d1]) is None
-    gmodules.check_block_dd([d0, d1_split])
+    ChainComplex((1, 2, 1), (d0, d1_split))
     with pytest.raises(ExactnessError, match=r"^d∘d check: term 1's block sizes differ "
                                              r"between the rows of d_0 and the columns of d_1$"):
-        gmodules.check_block_dd([d0, d1])
-    # a later term is named too
-    d2 = ExactMatrix([("F", 1)], [("E0", 1), ("E1", 1)], [[]])
+        ChainComplex((1, 2, 1), (d0, d1))
+    # a later term is named too, here split as 1 + 0
+    d2 = ExactMatrix([("F", 1)], [("E0", 1), ("E1", 0)], [[]])
     with pytest.raises(ExactnessError, match=r"^d∘d check: term 2's block sizes"):
-        gmodules.check_block_dd([d0, d1_split, d2])
+        ChainComplex((1, 2, 1, 1), (d0, d1_split, d2))
 
 
 def test_block_dd_check_rejects_a_permuted_basis():

@@ -15,7 +15,6 @@ import pytest
 import drincoh
 from drincoh.errors import ExactnessError
 from drincoh.ffgeom import enumerate_subspaces
-from drincoh.gmodules import check_block_dd
 from drincoh.homalg import ChainComplex, ExactMatrix
 from drincoh.rootdata import ParabolicType
 from oracles import (
@@ -154,7 +153,7 @@ def test_homology_examples():
 
 
 def test_chain_complex_validation(monkeypatch):
-    # the shape check is the __post_init__ hook, called once per construction
+    # the checks are the __post_init__ hook, called once per construction
     calls = []
     check = ChainComplex.__post_init__
     monkeypatch.setattr(ChainComplex, "__post_init__", lambda cx: calls.append(cx) or check(cx))
@@ -164,12 +163,9 @@ def test_chain_complex_validation(monkeypatch):
         ChainComplex((2, 2), ())
     with pytest.raises(ValueError):
         ChainComplex((2, 3), (zero(2, 2),))
-    # d∘d is the builders' check, not the constructor's; d∘d != 0 is fatal there
-    d0 = identity(2)
-    d1 = identity(2)
-    ChainComplex((2, 2, 2), (d0, d1))
+    # d∘d != 0 is fatal at construction, so no such complex is ever ranked
     with pytest.raises(ExactnessError, match=r"^d∘d != 0 between positions 0 and 2"):
-        check_block_dd([d0, d1])
+        ChainComplex((2, 2, 2), (identity(2), identity(2)))
 
 
 def test_euler_characteristic_equals_alternating_homology():
@@ -410,7 +406,7 @@ def test_homology_with_clearing_matches_naive_ranks(monkeypatch):
 
 # constructor arguments that must raise, as source text so that the same cases
 # also run in a `python -O` interpreter: the values, the columns, the row
-# layout (the row blocks against the covers, the "indptr" cases) and the
+# layout (the row blocks against the covers and their images) and the
 # order of the columns along a row's covers
 BAD_COVERS = {
     "bool value": ("[('A', 1)], [('B', 2)], [[(0, True, [0])]]", TypeError),
@@ -424,11 +420,12 @@ BAD_COVERS = {
                                 ExactnessError),
     "block not there": ("[('A', 1)], [('B', 2)], [[(1, 1, [0])]]", ExactnessError),
     "image too short": ("[('A', 2)], [('B', 2)], [[(0, 1, [0])]]", ExactnessError),
-    "indptr too short": ("[('A', 1)], [('B', 2)], [[(0, 1, [0])], [(0, 1, [1])]]",
-                         ExactnessError),
-    "indptr too long": ("[('A', 1), ('C', 1)], [('B', 2)], [[(0, 1, [0])]]", ExactnessError),
-    "indptr decreasing": ("[('A', -1)], [('B', 2)], [[]]", ValueError),
-    "indptr misses nnz": ("[('A', 1)], [('B', 2)], [[(0, 1, [0, 1])]]", ExactnessError),
+    "more cover lists than row blocks": ("[('A', 1)], [('B', 2)], [[(0, 1, [0])], [(0, 1, [1])]]",
+                                         ExactnessError),
+    "fewer cover lists than row blocks": ("[('A', 1), ('C', 1)], [('B', 2)], [[(0, 1, [0])]]",
+                                          ExactnessError),
+    "negative row block size": ("[('A', -1)], [('B', 2)], [[]]", ValueError),
+    "image too long": ("[('A', 1)], [('B', 2)], [[(0, 1, [0, 1])]]", ExactnessError),
     "repeated column": ("[('A', 1)], [('B', 3)], [[(0, 1, [1]), (0, 1, [1])]]", ValueError),
     "unsorted row": ("[('A', 2)], [('B', 3)], [[(0, 1, [0, 2]), (0, 1, [1, 1])]]", ValueError),
 }
@@ -493,7 +490,8 @@ def test_row_order_check_allows_a_descent_only_at_a_row_start():
 
 def test_dict_constructor_drops_zeros_and_rejects_non_ints():
     M = from_dict(2, 2, {(1, 1): 0, (1, 0): 4, (0, 1): -2})
-    assert M.covers == [[(0, -2, [1])], [(0, 4, [0])]]
+    assert M.covers == [[(1, -2, [1])], [(0, 4, [0])]]
+    assert M.col_blocks == [("0", 1), ("1", 1)]
     for bad in (True, False, 1.0, 0.0, Fraction(2)):
         with pytest.raises(TypeError):
             from_dict(2, 2, {(0, 0): bad})
@@ -579,13 +577,39 @@ def test_homology_of_random_split_complexes_matches_naive_ranks():
     assert non_trivial >= 3
 
 
+def test_dd_check_reports_a_perturbed_entry_of_random_complexes():
+    # one entry of a random complex with d∘d = 0 is changed; from_dict gives
+    # each row and each column its own block, so the constructor's check
+    # reads every entry as its own cover
+    rng = random.Random(109)
+    failures = 0
+    for k in range(40):
+        if k % 2:
+            _, diffs = _coboundaries(rng, rng.randrange(5, 9), rng.randrange(3, 8))
+        else:
+            middle = [(rng.randrange(1, 5), rng.randrange(1, 5)) for _ in range(rng.randrange(1, 4))]
+            dims = [(0, rng.randrange(1, 5)), *middle, (rng.randrange(1, 5), 0)]
+            _, diffs = _split_complex(rng, dims, rng.choice([0.2, 0.5, 0.9]))
+        assert reported_dd_failure(diffs) is None
+        t = rng.randrange(len(diffs))
+        d = diffs[t]
+        entries = dict(d.entries)
+        key = rng.randrange(d.rows), rng.randrange(d.cols)
+        entries[key] = entries.get(key, 0) + rng.choice([-2, -1, 1, 3])
+        diffs[t] = from_dict(d.rows, d.cols, entries)
+        want = reference_dd_failure(diffs)
+        assert reported_dd_failure(diffs) == want
+        failures += want is not None
+    assert failures >= 30
+
+
 def test_dd_failure_names_the_first_nonzero_entry():
     blocks = [[("K", 1)], [("J1", 1), ("J2", 1)], [("L", 1)]]
     covers = [[[(0, 1, [0])], [(0, 1, [0])]], [[(0, 1, [0]), (1, 1, [1])]]]
     diffs = [ExactMatrix(blocks[t + 1], blocks[t], form) for t, form in enumerate(covers)]
     with pytest.raises(ExactnessError, match=r"positions 0 and 2, blocks \(K, L\) = \(K, L\): "
                        r"entry \(0,0\) of d_1∘d_0 is 2"):
-        check_block_dd(diffs)
+        ChainComplex((1, 2, 1), tuple(diffs))
     # one cover's sign flipped in a Steinberg resolution: the report is the
     # first nonzero entry of the product, found by the reference product
     from drincoh.gmodules import lattice_complex

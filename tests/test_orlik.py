@@ -128,13 +128,13 @@ def _interval(d1_covers=((0, -1, [0]), (0, 1, [1]))):
     # one edge, matched as Y-a and b-edge
     blocks = [[("Y", 1)], [("V", 2)], [("E", 1)]]
     covers = [[[(0, 1, [0, 0])]], [list(d1_covers)]]
-    diffs = [ExactMatrix(blocks[t + 1], blocks[t], form) for t, form in enumerate(covers)]
-    return diffs, [b"\x00", b"\x01\x00", b"\x01"]
+    diffs = tuple(ExactMatrix(blocks[t + 1], blocks[t], form) for t, form in enumerate(covers))
+    return ChainComplex((1, 2, 1), diffs), [b"\x00", b"\x01\x00", b"\x01"]
 
 
 def test_check_matching_on_a_hand_built_complex():
-    diffs, down = _interval()
-    check_matching(diffs, down)
+    cx, down = _interval()
+    check_matching(cx, down)
     # a partner entry must be ±1, so that the matched minor is a signed
     # permutation over Z
     doubled, _ = _interval(((0, -2, [0]), (0, 2, [1])))
@@ -142,24 +142,24 @@ def test_check_matching_on_a_hand_built_complex():
         check_matching(doubled, down)
     # the ends: nothing below term 0, nothing above the top term
     with pytest.raises(ExactnessError, match=r"^term 0, cell 0 of block Y: matched down"):
-        check_matching(diffs, [b"\x01", b"\x01\x00", b"\x01"])
+        check_matching(cx, [b"\x01", b"\x01\x00", b"\x01"])
     with pytest.raises(ExactnessError, match=r"^term 2, cell 0 of block E: matched up"):
-        check_matching(diffs, [b"\x00", b"\x01\x00", b"\x00"])
+        check_matching(cx, [b"\x00", b"\x01\x00", b"\x00"])
     # a d_0 with no covers keeps d∘d = 0, but H_0 = 1 shows as a row short
-    empty = [ExactMatrix([("V", 2)], [("Y", 1)], [[]]), diffs[1]]
+    empty = ChainComplex(cx.terms, (ExactMatrix([("V", 2)], [("Y", 1)], [[]]), cx.diffs[1]))
     with pytest.raises(ExactnessError, match=r"^d_0, row cell 0 of block V: .* 0 entries"):
         check_matching(empty, down)
     with pytest.raises(ValueError):
-        check_matching(diffs, down[:2])
+        check_matching(cx, down[:2])
     with pytest.raises(ValueError, match="no differentials"):
-        check_matching([], [b"\x00"])
+        check_matching(ChainComplex((1,), ()), [b"\x00"])
 
 
 def test_check_matching_rejects_a_row_with_two_partners():
     # the edge's row meets both matched-up vertices
     d = ExactMatrix([("E", 1)], [("V", 2)], [[(0, -1, [0]), (0, 1, [1])]])
     with pytest.raises(ExactnessError, match=r"^d_0, row cell 0 of block E: .* 2 entries"):
-        check_matching([d], [b"\x00\x00", b"\x01"])
+        check_matching(ChainComplex((2, 1), (d,)), [b"\x00\x00", b"\x01"])
     # two covers of the edge's row cannot both meet the one matched-up
     # vertex b, where their entries would sum to 0: the constructor wants
     # the columns of a row to rise strictly along its covers
@@ -171,11 +171,11 @@ def test_check_matching_rejects_an_unmatched_or_doubly_matched_cell():
     # vertex a is matched up, but no matched-down row has an entry there
     d = ExactMatrix([("E", 1)], [("V", 2)], [[(0, 1, [1])]])
     with pytest.raises(ExactnessError, match=r"^d_0, column cell 0 of block V: .* of 0 "):
-        check_matching([d], [b"\x00\x00", b"\x01"])
+        check_matching(ChainComplex((2, 1), (d,)), [b"\x00\x00", b"\x01"])
     # both vertices claim Y's one cell
     d = ExactMatrix([("V", 2)], [("Y", 1)], [[(0, 1, [0, 0])]])
     with pytest.raises(ExactnessError, match=r"^d_0, column cell 0 of block Y: .* of 2 "):
-        check_matching([d], [b"\x00", b"\x01\x01"])
+        check_matching(ChainComplex((1, 2), (d,)), [b"\x00", b"\x01\x01"])
 
 
 @pytest.mark.parametrize("cover", [
@@ -185,13 +185,13 @@ def test_check_matching_rejects_an_unmatched_or_doubly_matched_cell():
     (1, 1, [0, 0]),  # a block that is not there
 ])
 def test_both_checks_reject_a_malformed_cover_form(cover):
-    # both checks read only ExactMatrix differentials, and the constructor
-    # validates each cover form once, so a malformed one never reaches them
-    diffs, down = _interval()
-    gmodules.check_block_dd(diffs)
-    check_matching(diffs, down)
+    # both checks read only a ChainComplex's ExactMatrix differentials, and
+    # their constructor validates each cover form once, so a malformed one
+    # never reaches them
+    cx, down = _interval()
+    check_matching(cx, down)
     with pytest.raises(ExactnessError, match=r"^2 row blocks of covers, not 1$"):
-        ExactMatrix([("E", 1)], [("V", 2)], diffs[1].covers * 2)
+        ExactMatrix([("E", 1)], [("V", 2)], cx.diffs[1].covers * 2)
     where = rf"^row block V: entry 0 of its rows does not map its 2 rows into block {cover[0]}$"
     with pytest.raises(ExactnessError, match=where):
         ExactMatrix([("V", 2)], [("Y", 1)], [[cover]])
