@@ -11,15 +11,16 @@ parabolics.  Its dimension is computed twice: as the top cokernel of the
 explicit resolution and by inclusion-exclusion over the interval [J, Δ] of
 the subset lattice (qarith.steinberg_dim).
 
-This module owns the one walk over the subset lattice (lattice_rows): the
-Steinberg resolutions and, expanded to points, orlik's function complex are
-built from it, both as ExactMatrix differentials in cover form: per row
-block, its covers (b, sign, image), each a map of its rows into column
-block b with one sign.  The ChainComplex constructor checks d∘d = 0 on
-the covers the ExactMatrix constructor validated, so rank and the check
-read the same lists.  Each resolution is built, ranked and checked once
-per (J, q) and run: steinberg_resolution keeps only its verified
-homology, and orlik reads the E1 rows from that.  The closed forms parabolic_index and
+This module owns the one builder of a subset-lattice layer,
+lattice_differential: an ExactMatrix in cover form, per row block its
+covers (b, sign, image), each a map of its rows into column block b with
+one sign.  The Steinberg resolutions are chain complexes of these layers,
+and orlik's function complex expands their validated covers to points.
+The ChainComplex constructor checks d∘d = 0 on the covers the ExactMatrix
+constructor validated, so rank and the check read the same lists.  Each
+resolution is built, ranked and checked once per (J, q) and run:
+steinberg_resolution keeps only its verified homology, and orlik reads
+the E1 rows from that.  The closed forms parabolic_index and
 steinberg_dim live in qarith, cached per (I, q).
 """
 
@@ -56,45 +57,29 @@ def interval_levels(J: ParabolicType) -> list[list[ParabolicType]]:
     ]
 
 
-def lattice_rows(sources: list[ParabolicType], targets: list[ParabolicType],
-                 dims: dict[ParabolicType, int], q: int):
-    """For each target I: its covers J = I ∪ {a} among the sources, their
-    signs cover_sign(I, a) and their column maps, each forget_map(I, J, q)
-    (one column per type-I flag) shifted by J's offset, as an iterator.
-    Covers go in source order, so the columns of each row come out sorted
-    and line up with the signs.
-    """
-    col_off = list(accumulate((dims[J] for J in sources), initial=0))
-    for I in targets:
-        covers, signs, images = [], [], []
-        for J, off in zip(sources, col_off):
-            diff = J.mask & ~I.mask
-            if J.contains(I) and diff.bit_count() == 1:
-                image = forget_map(I, J, q)
-                if len(image) != dims[I] or len(flag_keys(J, q)) != dims[J]:
-                    raise ValueError(f"block ({I.subset_str()}, {J.subset_str()}) has wrong shape")
-                covers.append(J)
-                signs.append(cover_sign(I, diff.bit_length() - 1))
-                images.append(map(off.__add__, image))
-        yield covers, signs, images
-
-
 def lattice_differential(
     sources: list[ParabolicType],
     targets: list[ParabolicType],
     dims: dict[ParabolicType, int],
     q: int,
 ) -> ExactMatrix:
-    """Signed block matrix of pullbacks for one layer of the subset lattice.
-
-    Block (I, J) is cover_sign(I, a) * pullback(I, J) when J = I ∪ {a},
-    zero otherwise: row block I has one cover per such J, its column map
-    lattice_rows' as a list.
-    """
-    covers = [
-        [(sources.index(J), sign, list(image)) for J, sign, image in zip(*row)]
-        for row in lattice_rows(sources, targets, dims, q)
-    ]
+    """Signed block matrix of pullbacks for one layer of the subset lattice:
+    row block I has one cover (b, cover_sign(I, a), image) per source
+    J = I ∪ {a}, b its index, in source order, so each row's columns rise;
+    image is forget_map(I, J, q), one column per type-I flag, shifted by
+    J's offset.  ValueError unless J has dims[J] flags."""
+    col_off = list(accumulate((dims[J] for J in sources), initial=0))
+    covers = []
+    for I in targets:
+        block = []
+        for b, (J, off) in enumerate(zip(sources, col_off)):
+            diff = J.mask & ~I.mask
+            if J.contains(I) and diff.bit_count() == 1:
+                if len(flag_keys(J, q)) != dims[J]:
+                    raise ValueError(f"block ({I.subset_str()}, {J.subset_str()}) has wrong shape")
+                image = list(map(off.__add__, forget_map(I, J, q)))
+                block.append((b, cover_sign(I, diff.bit_length() - 1), image))
+        covers.append(block)
     return ExactMatrix([(I.subset_str(), dims[I]) for I in targets],
                        [(J.subset_str(), dims[J]) for J in sources], covers)
 

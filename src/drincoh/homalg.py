@@ -246,13 +246,14 @@ def _check_pair(low: ExactMatrix, high: ExactMatrix, t: int) -> None:
 class ChainComplex:
     """A finite complex 0 -> V_0 -> V_1 -> ... -> V_k -> 0 of Q-vector spaces.
 
-    `diffs[i]` maps V_i to V_{i+1}.  __post_init__ raises ValueError unless
-    there is one differential of the right shape between consecutive terms,
-    then checks d∘d = 0 on the differentials' own covers: ExactnessError
-    names a term whose block sizes differ between the rows of d_t and the
-    columns of d_{t+1}, or the first nonzero entry of the first nonzero
-    product.  So every complex that is ranked or matched has d∘d = 0,
-    under python -O too.
+    `diffs[i]` maps V_i to V_{i+1}, and adjacent differentials share the
+    layout of their common term: the row block sizes of d_t are the column
+    block sizes of d_{t+1}.  __post_init__ raises ValueError unless there is
+    one differential of the right shape between consecutive terms, and
+    ExactnessError naming a term laid out two ways, with both block sizes;
+    then it checks d∘d = 0 on the differentials' own covers, naming the
+    first nonzero entry of the first nonzero product.  So every complex
+    that is ranked or matched has d∘d = 0, under python -O too.
     """
 
     __slots__ = ("terms", "diffs")
@@ -272,9 +273,11 @@ class ChainComplex:
                     f"{self.terms[i + 1]}x{self.terms[i]}"
                 )
         for t, (low, high) in enumerate(pairwise(self.diffs)):
-            if [size for _, size in low.row_blocks] != [size for _, size in high.col_blocks]:
-                raise ExactnessError(f"d∘d check: term {t + 1}'s block sizes differ between "
-                                     f"the rows of d_{t} and the columns of d_{t + 1}")
+            rows = tuple(size for _, size in low.row_blocks)
+            cols = tuple(size for _, size in high.col_blocks)
+            if rows != cols:
+                raise ExactnessError(f"term {t + 1}'s block sizes differ: {rows} in the rows "
+                                     f"of d_{t}, {cols} in the columns of d_{t + 1}")
             _check_pair(low, high, t)
 
     def homology_dims(self) -> tuple[int, ...]:

@@ -10,7 +10,7 @@
     It is E1 row 0 expanded to points: after the augmentation, a type-I
     flag stands for the #P^{i(I)}(F_{q^m}) points of P(U), U its first
     member, so one closed-form layout gives the block sizes, the guard and
-    the nonzeros; the covers and signs are those of gmodules.lattice_rows.
+    the nonzeros; the covers and signs are gmodules.lattice_differential's.
 
 (b) The E1 rows of the spectral sequence: for each even s, a complex of
     induced modules over the subsets containing the prefix I_{s/2}, with the
@@ -37,7 +37,7 @@ from .ffgeom import (
     point_positions,
     subspace_points,
 )
-from .gmodules import interval_levels, lattice_rows, steinberg_resolution
+from .gmodules import interval_levels, lattice_differential, steinberg_resolution
 from .homalg import ChainComplex, ExactMatrix
 from .qarith import parabolic_index, projective_count, steinberg_dim
 from .rootdata import ParabolicType, i_of_I, standard_subset
@@ -94,7 +94,8 @@ def build_function_complex(n: int, q: int, m: int) -> ChainComplex:
     source summand's first column come from function_complex_layout.
 
     Each differential is an ExactMatrix over its cover form, one block per
-    subset and Y as d_0's, each cover of lattice_rows one list of columns:
+    subset and Y as d_0's: each cover (b, sign, image) of the validated
+    lattice_differential layer becomes one (b, sign, columns), its columns
     ranges if source and target summands share U, else the positions of
     P(U) in P(V), listed once per (U, V) and differential.  The
     ChainComplex constructor checks d∘d = 0, then matching.check_matching
@@ -129,16 +130,16 @@ def build_function_complex(n: int, q: int, m: int) -> ChainComplex:
         # of the points of P(U)}, each list built once per differential
         embedded: dict = {}
         form = []
-        # lattice_rows' column maps index the source summands
-        rows = lattice_rows(subsets[t], subsets[t + 1], dims, q)
-        for I, (sources, signs, images) in zip(subsets[t + 1], rows):
+        # the lattice layer's covers: their column maps index the source summands
+        for I, row in zip(subsets[t + 1],
+                          lattice_differential(subsets[t], subsets[t + 1], dims, q).covers):
             p = points[I]  # each summand of I has p points
             keys, members = flag_keys(I, q), chain_dims(I)
             block = []
-            for J, sign, image in zip(sources, signs, images):
+            for b, sign, image in row:
                 # each target summand's source summand, by its first column
                 starts = list(map(col0.__getitem__, image))
-                d = chain_dims(J)[0]
+                d = chain_dims(subsets[t][b])[0]
                 if d == members[0]:
                     # the cover keeps each flag's first member U, so each
                     # source summand is P(U) again, its points in order
@@ -155,7 +156,7 @@ def build_function_complex(n: int, q: int, m: int) -> ChainComplex:
                         table[u, v] = list(map(positions.__getitem__, map(pivots, U_points[u])))
                     columns = map(add, chain.from_iterable(map(repeat, starts, repeat(p))),
                                   chain.from_iterable(map(table.__getitem__, map(UV, keys))))
-                block.append((subsets[t].index(J), sign, list(columns)))
+                block.append((b, sign, list(columns)))
             form.append(block)
         covers.append(form)
     del points_of  # the checks' temporaries need not stack on it at the peak

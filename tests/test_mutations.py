@@ -115,32 +115,38 @@ def _augmentation_without_covers(*args, _orig=orlik._augmentation):
     return [[] for _ in _orig(*args)]
 
 
-def _lattice_rows_last_scaled(sources, targets, dims, q, _orig=gmodules.lattice_rows):
+def _lattice_last_scaled(sources, targets, dims, q, _orig=gmodules.lattice_differential):
     # the function complex's last differential, into the full flags, has
     # its signs doubled: d∘d stays 0 and every rank over Q is unchanged,
     # but its matched minor is no longer a signed permutation over Z
-    for covers, signs, images in _orig(sources, targets, dims, q):
-        if targets[0].mask == 0:
-            signs = [2 * sign for sign in signs]
-        yield covers, signs, images
+    d = _orig(sources, targets, dims, q)
+    if targets[0].mask == 0:
+        d = ExactMatrix(d.row_blocks, d.col_blocks,
+                        [[(b, 2 * sign, image) for b, sign, image in row] for row in d.covers])
+    return d
 
 
-def _lattice_rows_float_signs(sources, targets, dims, q, _orig=gmodules.lattice_rows):
+def _lattice_float_signs(sources, targets, dims, q, _orig=gmodules.lattice_differential):
     # every sign of the function complex's covers is a float: equal to the
     # int it stands for, so every check that compares values passes, but
-    # the ExactMatrix constructor takes only int entries
-    for covers, signs, images in _orig(sources, targets, dims, q):
-        yield covers, list(map(float, signs)), images
+    # the ExactMatrix constructor takes only int entries (set past this
+    # layer's own constructor, so the function complex's rejects them)
+    d = _orig(sources, targets, dims, q)
+    d.covers = [[(b, float(sign), image) for b, sign, image in row] for row in d.covers]
+    return d
 
 
-def _first_cover_rows_swapped(sources, targets, dims, q, _orig=gmodules.lattice_rows):
+def _first_cover_rows_swapped(sources, targets, dims, q, _orig=gmodules.lattice_differential):
     # rows 0 and 1 of the first cover of every row block of at least 4 rows
     # trade columns: rank and homology miss it, the d∘d check does not
-    for I, (covers, signs, images) in zip(targets, _orig(sources, targets, dims, q)):
+    d = _orig(sources, targets, dims, q)
+    covers = []
+    for I, row in zip(targets, d.covers):
         if dims[I] >= 4:
-            images = [list(image) for image in images]
-            images[0][:2] = images[0][1::-1]
-        yield covers, signs, images
+            (b, sign, image), *rest = row
+            row = [(b, sign, [image[1], image[0], *image[2:]]), *rest]
+        covers.append(row)
+    return ExactMatrix(d.row_blocks, d.col_blocks, covers)
 
 
 CASES = {
@@ -173,9 +179,13 @@ CASES = {
     "clearing": (_clearing_one_too_many, (ExactMatrix,), {"steinberg", "e2", "cohomology"}),
     "hull_mask": (_hull_mask_one_flipped, (matching,), {"orlik"}),
     "augmentation": (_augmentation_without_covers, (orlik,), {"orlik"}),
-    "unit_partners": (_lattice_rows_last_scaled, (orlik,), {"orlik"}),
-    "int_signs": (_lattice_rows_float_signs, (orlik,), {"orlik"}),
-    "lattice_rows": (_first_cover_rows_swapped, (gmodules,), {"steinberg", "e2", "cohomology"}),
+    "unit_partners": (_lattice_last_scaled, (orlik,), {"orlik"}),
+    "int_signs": (_lattice_float_signs, (orlik,), {"orlik"}),
+    "lattice_differential": (
+        _first_cover_rows_swapped,
+        (gmodules,),
+        {"steinberg", "e2", "cohomology"},
+    ),
 }
 # cases that patch a name other than their own
 PATCHED_NAME = {
@@ -183,12 +193,12 @@ PATCHED_NAME = {
     "superspaces": "_superspaces",
     "digits": "_digits",
     "augmentation": "_augmentation",
-    "unit_partners": "lattice_rows",
-    "int_signs": "lattice_rows",
+    "unit_partners": "lattice_differential",
+    "int_signs": "lattice_differential",
 }
 # cases whose bug shows only past m = 1 (at m = 1 the top digit is the only
 # one), or only past n = 2, where the d∘d check first sees the swapped rows
-ARGV = {"digits": [*VERIFY[:-1], "2"], "lattice_rows": VERIFY_N3}
+ARGV = {"digits": [*VERIFY[:-1], "2"], "lattice_differential": VERIFY_N3}
 
 
 # the caches themselves: the steinberg_dim, digits and hull_mask cases

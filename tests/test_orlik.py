@@ -31,9 +31,8 @@ from oracles import (
 
 
 # every desk point, and past q = 3 at n <= 2
-FUNCTION_COMPLEX_GRID = [(n, q, m) for n in (1, 2, 3) for q in (2, 3) for m in (1, 2)] + [
-    (n, q, m) for n in (1, 2) for q in (5, 7) for m in (1, 2)
-]
+DESK_GRID = [(n, q, m) for n in (1, 2, 3) for q in (2, 3) for m in (1, 2)]
+FUNCTION_COMPLEX_GRID = DESK_GRID + [(n, q, m) for n in (1, 2) for q in (5, 7) for m in (1, 2)]
 
 
 def test_function_complex_shapes():
@@ -368,6 +367,31 @@ def test_function_complex_is_e1_row_0_expanded_to_points():
                         got[g] = v
                     assert got == want, (n, q, m, t, f)
             assert next(point_rows, None) is None
+
+
+@pytest.mark.parametrize("n, q, m", DESK_GRID)
+def test_function_complex_expands_the_lattice_differentials(n, q, m, monkeypatch):
+    # each differential past the augmentation expands the validated lattice
+    # layer it was built from: per row block I the same (b, sign) covers,
+    # each image points[I] times as long as the lattice image
+    recorded = []
+
+    def record(*args, _orig=orlik.lattice_differential):
+        recorded.append(_orig(*args))
+        return recorded[-1]
+
+    monkeypatch.setattr(orlik, "lattice_differential", record)
+    fc = build_function_complex(n, q, m)
+    levels, _, points = orlik.function_complex_layout(n, q, m)
+    assert len(recorded) == len(fc.diffs) - 1
+    for t, lattice in enumerate(recorded):
+        d = fc.diffs[t + 1]
+        assert len(d.covers) == len(lattice.covers) == len(levels[t + 1])
+        for I, row, lattice_row in zip(levels[t + 1], d.covers, lattice.covers):
+            assert [(b, sign) for b, sign, _ in row] == [(b, sign) for b, sign, _ in lattice_row]
+            assert [len(image) for _, _, image in row] == [
+                points[I] * len(image) for _, _, image in lattice_row
+            ], (n, q, m, t, I)
 
 
 def test_e1_row_rejects_bad_s():
