@@ -12,16 +12,17 @@ explicit resolution and by inclusion-exclusion over the interval [J, Δ] of
 the subset lattice (qarith.steinberg_dim).
 
 This module owns the one builder of a subset-lattice layer,
-lattice_differential: an ExactMatrix in cover form, per row block its
-covers (b, sign, image), each a map of its rows into column block b with
-one sign.  The Steinberg resolutions are chain complexes of these layers,
-and orlik's function complex expands their validated covers to points.
-The ChainComplex constructor checks d∘d = 0 on the covers the ExactMatrix
-constructor validated, so rank and the check read the same lists.  Each
-resolution is built, ranked and checked once per (J, q) and run:
-steinberg_resolution keeps only its verified homology, and orlik reads
-the E1 rows from that.  The closed forms parabolic_index and
-steinberg_dim live in qarith, cached per (I, q).
+lattice_differential: an ExactMatrix in cover form, its block sizes the
+closed form parabolic_index, per row block its covers (b, sign, image),
+each a map of its rows into column block b with one sign.  The Steinberg
+resolutions are chain complexes of these layers, and orlik's function
+complex expands their validated covers to points.  The ChainComplex
+constructor reads the terms off the blocks and checks d∘d = 0 on the
+covers the ExactMatrix constructor validated, so rank and the check read
+the same lists.  Each resolution is built, ranked and checked once per
+(J, q) and run: steinberg_resolution keeps only its verified homology,
+and orlik reads the E1 rows from that.  The closed forms parabolic_index
+and steinberg_dim live in qarith, cached per (I, q).
 """
 
 from __future__ import annotations
@@ -58,45 +59,39 @@ def interval_levels(J: ParabolicType) -> list[list[ParabolicType]]:
 
 
 def lattice_differential(
-    sources: list[ParabolicType],
-    targets: list[ParabolicType],
-    dims: dict[ParabolicType, int],
-    q: int,
+    sources: list[ParabolicType], targets: list[ParabolicType], q: int
 ) -> ExactMatrix:
-    """Signed block matrix of pullbacks for one layer of the subset lattice:
-    row block I has one cover (b, cover_sign(I, a), image) per source
-    J = I ∪ {a}, b its index, in source order, so each row's columns rise;
-    image is forget_map(I, J, q), one column per type-I flag, shifted by
-    J's offset.  ValueError unless J has dims[J] flags."""
-    col_off = list(accumulate((dims[J] for J in sources), initial=0))
+    """Signed block matrix of pullbacks for one layer of the subset lattice,
+    its blocks of parabolic_index(·, q) flags: row block I has one cover
+    (b, cover_sign(I, a), image) per source J = I ∪ {a}, b its index, in
+    source order, so each row's columns rise; image is forget_map(I, J, q),
+    one column per type-I flag, shifted by J's offset.  The ExactMatrix
+    constructor rejects an enumeration that disagrees with the closed form."""
+    cols = [(J.subset_str(), parabolic_index(J, q)) for J in sources]
+    col_off = list(accumulate((size for _, size in cols), initial=0))
     covers = []
     for I in targets:
         block = []
         for b, (J, off) in enumerate(zip(sources, col_off)):
             diff = J.mask & ~I.mask
             if J.contains(I) and diff.bit_count() == 1:
-                if len(flag_keys(J, q)) != dims[J]:
-                    raise ValueError(f"block ({I.subset_str()}, {J.subset_str()}) has wrong shape")
                 image = list(map(off.__add__, forget_map(I, J, q)))
                 block.append((b, cover_sign(I, diff.bit_length() - 1), image))
         covers.append(block)
-    return ExactMatrix([(I.subset_str(), dims[I]) for I in targets],
-                       [(J.subset_str(), dims[J]) for J in sources], covers)
+    return ExactMatrix([(I.subset_str(), parabolic_index(I, q)) for I in targets], cols, covers)
 
 
 def lattice_complex(J: ParabolicType, q: int) -> tuple[tuple, ChainComplex]:
     """The levels interval_levels(J) and the complex over them of
     ⊕ Ind_{P_I}^G K, level by level, with lattice_differential between.  The
     flag guard comes first, before any subset is listed.  The ChainComplex
-    constructor checks d∘d = 0, one block per subset; a failure is raised
-    again naming J and q."""
+    reads its terms off the blocks and checks d∘d = 0, one block per
+    subset; a failure of a layer or of the complex is raised again naming
+    J and q."""
     check_flag_guard(J.n, q)
     levels = tuple(map(tuple, interval_levels(J)))
-    dims = {I: parabolic_index(I, q) for level in levels for I in level}
-    terms = tuple(sum(dims[I] for I in level) for level in levels)
-    diffs = tuple(lattice_differential(*pair, dims, q) for pair in pairwise(levels))
     try:
-        cx = ChainComplex(terms, diffs)
+        cx = ChainComplex(tuple(lattice_differential(*pair, q) for pair in pairwise(levels)))
     except ExactnessError as exc:
         raise ExactnessError(f"lattice complex J={J.subset_str()}, q={q}: {exc}") from exc
     return levels, cx

@@ -22,11 +22,12 @@ its differentials with clearing: the pivot rows of d_i are columns of
 d_{i+1} that lie in the span of its other columns (d∘d = 0), so they are
 skipped.
 
-A chain complex checks the shapes of its differentials and then d∘d = 0
-on their covers when it is built, so homology, which relies on d∘d = 0,
-never ranks an unchecked complex.  Both complexes are chain complexes of
-these matrices, but only the Steinberg resolutions are ranked here; the
-function complex (orlik) is certified exact by drincoh.matching.
+A chain complex reads its terms off its differentials and checks that
+adjacent ones share a layout and d∘d = 0 on their covers when it is built,
+so homology, which relies on d∘d = 0, never ranks an unchecked complex.
+Both complexes are chain complexes of these matrices, but only the
+Steinberg resolutions are ranked here; the function complex (orlik) is
+certified exact by drincoh.matching.
 """
 
 from __future__ import annotations
@@ -244,34 +245,30 @@ def _check_pair(low: ExactMatrix, high: ExactMatrix, t: int) -> None:
 
 
 class ChainComplex:
-    """A finite complex 0 -> V_0 -> V_1 -> ... -> V_k -> 0 of Q-vector spaces.
+    """A finite complex 0 -> V_0 -> V_1 -> ... -> V_k -> 0 of Q-vector spaces,
+    k >= 1, given by its differentials.
 
     `diffs[i]` maps V_i to V_{i+1}, and adjacent differentials share the
     layout of their common term: the row block sizes of d_t are the column
-    block sizes of d_{t+1}.  __post_init__ raises ValueError unless there is
-    one differential of the right shape between consecutive terms, and
-    ExactnessError naming a term laid out two ways, with both block sizes;
-    then it checks d∘d = 0 on the differentials' own covers, naming the
-    first nonzero entry of the first nonzero product.  So every complex
-    that is ranked or matched has d∘d = 0, under python -O too.
+    block sizes of d_{t+1}.  The terms are read off the blocks: V_0 from
+    the columns of d_0, V_{t+1} from the rows of d_t.  The constructor
+    raises ValueError on no differentials; then __post_init__ raises
+    ExactnessError naming a term laid out two ways, with both block sizes,
+    and checks d∘d = 0 on the differentials' own covers, naming the first
+    nonzero entry of the first nonzero product.  So every complex that is
+    ranked or matched has d∘d = 0, under python -O too.
     """
 
     __slots__ = ("terms", "diffs")
 
-    def __init__(self, terms: tuple[int, ...], diffs: tuple[ExactMatrix, ...]):
-        self.terms = terms
+    def __init__(self, diffs: tuple[ExactMatrix, ...]):
+        if not diffs:
+            raise ValueError("a complex needs at least one differential")
+        self.terms = (diffs[0].cols, *(d.rows for d in diffs))
         self.diffs = diffs
         self.__post_init__()
 
     def __post_init__(self):
-        if len(self.diffs) != max(len(self.terms) - 1, 0):
-            raise ValueError("need exactly one differential between consecutive terms")
-        for i, d in enumerate(self.diffs):
-            if d.cols != self.terms[i] or d.rows != self.terms[i + 1]:
-                raise ValueError(
-                    f"differential {i} is {d.rows}x{d.cols}, expected "
-                    f"{self.terms[i + 1]}x{self.terms[i]}"
-                )
         for t, (low, high) in enumerate(pairwise(self.diffs)):
             rows = tuple(size for _, size in low.row_blocks)
             cols = tuple(size for _, size in high.col_blocks)

@@ -80,8 +80,7 @@ def _nth(mask: bytes, k: int) -> int:
 
 def check_matching(cx, down) -> None:
     """Raise ExactnessError unless `down` is an acyclic matching with unit
-    partners of the ChainComplex `cx`; ValueError if it has no
-    differentials.
+    partners of the ChainComplex `cx`.
 
     `down[t]` is a byte mask over term t's cells, nonzero for a matched-down
     cell; the cells are named by the differentials' blocks.  Per cover, one
@@ -91,8 +90,6 @@ def check_matching(cx, down) -> None:
     with a partner must have sign ±1.
     """
     diffs = cx.diffs
-    if not diffs:
-        raise ValueError("no differentials to match across")
     if len(down) != len(diffs) + 1:
         raise ValueError(f"{len(down)} label masks for {len(diffs) + 1} terms")
     first = next(compress(count(), down[0]), None)

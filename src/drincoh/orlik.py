@@ -98,9 +98,10 @@ def build_function_complex(n: int, q: int, m: int) -> ChainComplex:
     lattice_differential layer becomes one (b, sign, columns), its columns
     ranges if source and target summands share U, else the positions of
     P(U) in P(V), listed once per (U, V) and differential.  The
-    ChainComplex constructor checks d∘d = 0, then matching.check_matching
-    checks exactness; a failure, a cover outside its blocks or a point off
-    Y raises ExactnessError naming (n, q, m).
+    ChainComplex reads its terms off these blocks and checks d∘d = 0, then
+    matching.check_matching checks exactness; a failure, a cover outside
+    its blocks (in a lattice layer too) or a point off Y raises
+    ExactnessError naming (n, q, m).
     """
     subsets, dims, points = function_complex_layout(n, q, m)
     y_points = hyperplane_union_points(n, q, m)
@@ -114,57 +115,55 @@ def build_function_complex(n: int, q: int, m: int) -> ChainComplex:
     blocks = [[("Y", len(y_points))]] + [
         [(I.subset_str(), dims[I] * points[I]) for I in level] for level in subsets
     ]
-    terms = tuple(sum(size for _, size in sizes) for sizes in blocks)
     try:
         covers = [_augmentation(subsets[0], points_of, y_points, q)]
     except KeyError as exc:
         raise ExactnessError(f"{where}: summand point {exc} is not in Y") from exc
-
-    for t in range(len(subsets) - 1):
-        # the first column of each source summand: each source subset J has
-        # dims[J] summands of points[J] columns, in flag order
-        col0 = list(accumulate(
-            chain.from_iterable(repeat(points[J], dims[J]) for J in subsets[t]), initial=0
-        ))
-        # (dim U, dim V) -> {(index of U, index of V): the positions in P(V)
-        # of the points of P(U)}, each list built once per differential
-        embedded: dict = {}
-        form = []
-        # the lattice layer's covers: their column maps index the source summands
-        for I, row in zip(subsets[t + 1],
-                          lattice_differential(subsets[t], subsets[t + 1], dims, q).covers):
-            p = points[I]  # each summand of I has p points
-            keys, members = flag_keys(I, q), chain_dims(I)
-            block = []
-            for b, sign, image in row:
-                # each target summand's source summand, by its first column
-                starts = list(map(col0.__getitem__, image))
-                d = chain_dims(subsets[t][b])[0]
-                if d == members[0]:
-                    # the cover keeps each flag's first member U, so each
-                    # source summand is P(U) again, its points in order
-                    columns = chain.from_iterable(map(range, starts, map(p.__add__, starts)))
-                else:
-                    # the source's subspace V is the flag's member of dim d:
-                    # its points' places in P(V) follow U's and V's keys
-                    UV = itemgetter(0, members.index(d))
-                    table = embedded.setdefault((members[0], d), {})
-                    Vs, U_points = enumerate_subspaces(n + 1, d, q), points_of[members[0]]
-                    positions = point_positions(d, q, m)
-                    for u, v in set(map(UV, keys)).difference(table):
-                        pivots = itemgetter(*map(tuple.index, Vs[v], repeat(1)))
-                        table[u, v] = list(map(positions.__getitem__, map(pivots, U_points[u])))
-                    columns = map(add, chain.from_iterable(map(repeat, starts, repeat(p))),
-                                  chain.from_iterable(map(table.__getitem__, map(UV, keys))))
-                block.append((b, sign, list(columns)))
-            form.append(block)
-        covers.append(form)
-    del points_of  # the checks' temporaries need not stack on it at the peak
     from .matching import check_matching, function_complex_labels
 
     try:
-        cx = ChainComplex(terms, tuple(map(ExactMatrix, blocks[1:], blocks, covers)))
-        check_matching(cx, function_complex_labels(subsets, dims, terms[0], q, m))
+        for t in range(len(subsets) - 1):
+            # the first column of each source summand: each source subset J has
+            # dims[J] summands of points[J] columns, in flag order
+            col0 = list(accumulate(
+                chain.from_iterable(repeat(points[J], dims[J]) for J in subsets[t]), initial=0
+            ))
+            # (dim U, dim V) -> {(index of U, index of V): the positions in P(V)
+            # of the points of P(U)}, each list built once per differential
+            embedded: dict = {}
+            form = []
+            # the lattice layer's covers: their column maps index the source summands
+            for I, row in zip(subsets[t + 1],
+                              lattice_differential(subsets[t], subsets[t + 1], q).covers):
+                p = points[I]  # each summand of I has p points
+                keys, members = flag_keys(I, q), chain_dims(I)
+                block = []
+                for b, sign, image in row:
+                    # each target summand's source summand, by its first column
+                    starts = list(map(col0.__getitem__, image))
+                    d = chain_dims(subsets[t][b])[0]
+                    if d == members[0]:
+                        # the cover keeps each flag's first member U, so each
+                        # source summand is P(U) again, its points in order
+                        columns = chain.from_iterable(map(range, starts, map(p.__add__, starts)))
+                    else:
+                        # the source's subspace V is the flag's member of dim d:
+                        # its points' places in P(V) follow U's and V's keys
+                        UV = itemgetter(0, members.index(d))
+                        table = embedded.setdefault((members[0], d), {})
+                        Vs, U_points = enumerate_subspaces(n + 1, d, q), points_of[members[0]]
+                        position = point_positions(d, q, m).__getitem__
+                        for u, v in set(map(UV, keys)).difference(table):
+                            pivots = itemgetter(*map(tuple.index, Vs[v], repeat(1)))
+                            table[u, v] = list(map(position, map(pivots, U_points[u])))
+                        columns = map(add, chain.from_iterable(map(repeat, starts, repeat(p))),
+                                      chain.from_iterable(map(table.__getitem__, map(UV, keys))))
+                    block.append((b, sign, list(columns)))
+                form.append(block)
+            covers.append(form)
+        del points_of  # the checks' temporaries need not stack on it at the peak
+        cx = ChainComplex(tuple(map(ExactMatrix, blocks[1:], blocks, covers)))
+        check_matching(cx, function_complex_labels(subsets, dims, len(y_points), q, m))
     except ExactnessError as exc:
         raise ExactnessError(f"{where}: {exc}") from exc
     return cx

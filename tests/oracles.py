@@ -514,11 +514,10 @@ def form_matrix(form, rows, cols) -> ExactMatrix:
 
 def reported_dd_failure(diffs) -> tuple[int, int, int, int] | None:
     """(t, row, col, value) that the ChainComplex constructor reports for a
-    d∘d failure of the differentials `diffs`, None when it passes; a shape
-    or layout error propagates."""
-    terms = (diffs[0].cols, *(d.rows for d in diffs))
+    d∘d failure of the differentials `diffs`, None when it passes; a layout
+    error propagates."""
     try:
-        ChainComplex(terms, tuple(diffs))
+        ChainComplex(tuple(diffs))
     except ExactnessError as exc:
         match = re.fullmatch(
             r"d∘d != 0 between positions (\d+) and (\d+), blocks \(K, L\) = \(.*\): "

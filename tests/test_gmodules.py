@@ -342,15 +342,15 @@ def test_chain_complex_rejects_blocks_that_differ_on_a_shared_term():
     d1_split = ExactMatrix([("E", 1)], [("a", 1), ("b", 1)], [[(0, -1, [0]), (1, 1, [1])]])
     assert d1.entries == d1_split.entries
     assert reference_dd_failure([d0, d1]) is None
-    ChainComplex((1, 2, 1), (d0, d1_split))
+    ChainComplex((d0, d1_split))
     with pytest.raises(ExactnessError, match=r"^term 1's block sizes differ: \(1, 1\) in the "
                                              r"rows of d_0, \(2,\) in the columns of d_1$"):
-        ChainComplex((1, 2, 1), (d0, d1))
+        ChainComplex((d0, d1))
     # a later term is named too, here split as 1 + 0
     d2 = ExactMatrix([("F", 1)], [("E0", 1), ("E1", 0)], [[]])
     with pytest.raises(ExactnessError, match=r"^term 2's block sizes differ: \(1,\) in the "
                                              r"rows of d_1, \(1, 0\) in the columns of d_2$"):
-        ChainComplex((1, 2, 1, 1), (d0, d1_split, d2))
+        ChainComplex((d0, d1_split, d2))
 
 
 def test_block_dd_check_rejects_a_permuted_basis():

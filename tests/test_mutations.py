@@ -17,9 +17,10 @@ VERIFY = ["verify", "--n-max", "2", "--q", "2", "--m-max", "1"]
 VERIFY_N3 = ["verify", "--n-max", "3", "--q", "2", "--m-max", "1"]
 
 
-def _failed_suites(capsys) -> set[str]:
+def _failures(capsys) -> list[tuple[str, str]]:
+    """(suite, line) of each FAIL line of the captured output."""
     out = capsys.readouterr().out
-    return {ln.split()[1] for ln in out.splitlines() if ln.startswith("FAIL")}
+    return [(ln.split()[1], ln) for ln in out.splitlines() if ln.startswith("FAIL")]
 
 
 def _patch_everywhere(monkeypatch, name, fn, modules):
@@ -115,34 +116,34 @@ def _augmentation_without_covers(*args, _orig=orlik._augmentation):
     return [[] for _ in _orig(*args)]
 
 
-def _lattice_last_scaled(sources, targets, dims, q, _orig=gmodules.lattice_differential):
+def _lattice_last_scaled(sources, targets, q, _orig=gmodules.lattice_differential):
     # the function complex's last differential, into the full flags, has
     # its signs doubled: d∘d stays 0 and every rank over Q is unchanged,
     # but its matched minor is no longer a signed permutation over Z
-    d = _orig(sources, targets, dims, q)
+    d = _orig(sources, targets, q)
     if targets[0].mask == 0:
         d = ExactMatrix(d.row_blocks, d.col_blocks,
                         [[(b, 2 * sign, image) for b, sign, image in row] for row in d.covers])
     return d
 
 
-def _lattice_float_signs(sources, targets, dims, q, _orig=gmodules.lattice_differential):
+def _lattice_float_signs(sources, targets, q, _orig=gmodules.lattice_differential):
     # every sign of the function complex's covers is a float: equal to the
     # int it stands for, so every check that compares values passes, but
     # the ExactMatrix constructor takes only int entries (set past this
     # layer's own constructor, so the function complex's rejects them)
-    d = _orig(sources, targets, dims, q)
+    d = _orig(sources, targets, q)
     d.covers = [[(b, float(sign), image) for b, sign, image in row] for row in d.covers]
     return d
 
 
-def _first_cover_rows_swapped(sources, targets, dims, q, _orig=gmodules.lattice_differential):
+def _first_cover_rows_swapped(sources, targets, q, _orig=gmodules.lattice_differential):
     # rows 0 and 1 of the first cover of every row block of at least 4 rows
     # trade columns: rank and homology miss it, the d∘d check does not
-    d = _orig(sources, targets, dims, q)
+    d = _orig(sources, targets, q)
     covers = []
-    for I, row in zip(targets, d.covers):
-        if dims[I] >= 4:
+    for (_, size), row in zip(d.row_blocks, d.covers):
+        if size >= 4:
             (b, sign, image), *rest = row
             row = [(b, sign, [image[1], image[0], *image[2:]]), *rest]
         covers.append(row)
@@ -162,6 +163,12 @@ CASES = {
     ),
     "closed_form_h_of_y": (_shifted_h_of_y, (cohomology,), {"cohomology"}),
     "flag_keys": (_flag_keys_missing_one, (orlik,), {"orlik"}),
+    # the enumeration itself disagrees with the closed form parabolic_index
+    "flag_count": (
+        _flag_keys_missing_one,
+        (ffgeom, gmodules, orlik),
+        {"steinberg", "e2", "cohomology", "orlik", "pullbacks"},
+    ),
     "forget_map": (_forget_map_one_wrong, (gmodules,), {"orlik", "pullbacks"}),
     "superspaces": (
         _superspaces_missing_one,
@@ -192,6 +199,7 @@ PATCHED_NAME = {
     "clearing": "rank",
     "superspaces": "_superspaces",
     "digits": "_digits",
+    "flag_count": "flag_keys",
     "augmentation": "_augmentation",
     "unit_partners": "lattice_differential",
     "int_signs": "lattice_differential",
@@ -199,15 +207,26 @@ PATCHED_NAME = {
 # cases whose bug shows only past m = 1 (at m = 1 the top digit is the only
 # one), or only past n = 2, where the d∘d check first sees the swapped rows
 ARGV = {"digits": [*VERIFY[:-1], "2"], "lattice_differential": VERIFY_N3}
+# cases whose FAIL lines must say what failed, per suite: a helper that
+# raised TypeError on a stale signature would fail the same suites
+DETAIL = {
+    "unit_partners": {"orlik": "not ±1"},
+    "int_signs": {"orlik": "entry 1.0 is not an int"},
+    "lattice_differential": dict.fromkeys(("steinberg", "e2", "cohomology"), "d∘d != 0"),
+    # a layer that fails its own constructor names its complex
+    "flag_count": {**dict.fromkeys(("steinberg", "e2", "cohomology"), "lattice complex J="),
+                   "orlik": "function complex (n, q, m) = "},
+}
 
 
-# the caches themselves: the steinberg_dim, digits and hull_mask cases
-# replace the module's name
-STEINBERG_DIM, DIGITS, HULL_MASK = qarith.steinberg_dim, ffgeom._digits, matching.hull_mask
+# the caches themselves: the steinberg_dim, flag_count, digits and hull_mask
+# cases replace the module's name
+STEINBERG_DIM, FLAG_KEYS = qarith.steinberg_dim, ffgeom.flag_keys
+DIGITS, HULL_MASK = ffgeom._digits, matching.hull_mask
 
 
 def _clear_tables():
-    for table in (ffgeom.flag_keys, ffgeom.forget_map, ffgeom.point_positions,
+    for table in (FLAG_KEYS, ffgeom.forget_map, ffgeom.point_positions,
                   ffgeom._coordinate, ffgeom._digit_planes, qarith.parabolic_index,
                   STEINBERG_DIM, DIGITS, HULL_MASK):
         table.cache_clear()
@@ -226,13 +245,16 @@ def test_injected_bug_fails_verify(name, monkeypatch, capsys):
         assert cli.main(ARGV.get(name, VERIFY)) == cli.EXIT_FAIL
     finally:
         _clear_tables()
-    failed = _failed_suites(capsys)
+    failures = _failures(capsys)
+    failed = {suite for suite, _ in failures}
     assert failed == suites, (name, failed)
+    for suite, line in failures:
+        assert DETAIL.get(name, {}).get(suite, "") in line, (name, line)
 
 
 def test_unpatched_battery_passes(capsys):
     assert cli.main(VERIFY) == cli.EXIT_OK
-    assert _failed_suites(capsys) == set()
+    assert _failures(capsys) == []
 
 
 def test_dd_failure_names_the_complex(monkeypatch):

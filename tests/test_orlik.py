@@ -128,7 +128,7 @@ def _interval(d1_covers=((0, -1, [0]), (0, 1, [1]))):
     blocks = [[("Y", 1)], [("V", 2)], [("E", 1)]]
     covers = [[[(0, 1, [0, 0])]], [list(d1_covers)]]
     diffs = tuple(ExactMatrix(blocks[t + 1], blocks[t], form) for t, form in enumerate(covers))
-    return ChainComplex((1, 2, 1), diffs), [b"\x00", b"\x01\x00", b"\x01"]
+    return ChainComplex(diffs), [b"\x00", b"\x01\x00", b"\x01"]
 
 
 def test_check_matching_on_a_hand_built_complex():
@@ -145,20 +145,18 @@ def test_check_matching_on_a_hand_built_complex():
     with pytest.raises(ExactnessError, match=r"^term 2, cell 0 of block E: matched up"):
         check_matching(cx, [b"\x00", b"\x01\x00", b"\x00"])
     # a d_0 with no covers keeps d∘d = 0, but H_0 = 1 shows as a row short
-    empty = ChainComplex(cx.terms, (ExactMatrix([("V", 2)], [("Y", 1)], [[]]), cx.diffs[1]))
+    empty = ChainComplex((ExactMatrix([("V", 2)], [("Y", 1)], [[]]), cx.diffs[1]))
     with pytest.raises(ExactnessError, match=r"^d_0, row cell 0 of block V: .* 0 entries"):
         check_matching(empty, down)
     with pytest.raises(ValueError):
         check_matching(cx, down[:2])
-    with pytest.raises(ValueError, match="no differentials"):
-        check_matching(ChainComplex((1,), ()), [b"\x00"])
 
 
 def test_check_matching_rejects_a_row_with_two_partners():
     # the edge's row meets both matched-up vertices
     d = ExactMatrix([("E", 1)], [("V", 2)], [[(0, -1, [0]), (0, 1, [1])]])
     with pytest.raises(ExactnessError, match=r"^d_0, row cell 0 of block E: .* 2 entries"):
-        check_matching(ChainComplex((2, 1), (d,)), [b"\x00\x00", b"\x01"])
+        check_matching(ChainComplex((d,)), [b"\x00\x00", b"\x01"])
     # two covers of the edge's row cannot both meet the one matched-up
     # vertex b, where their entries would sum to 0: the constructor wants
     # the columns of a row to rise strictly along its covers
@@ -170,11 +168,11 @@ def test_check_matching_rejects_an_unmatched_or_doubly_matched_cell():
     # vertex a is matched up, but no matched-down row has an entry there
     d = ExactMatrix([("E", 1)], [("V", 2)], [[(0, 1, [1])]])
     with pytest.raises(ExactnessError, match=r"^d_0, column cell 0 of block V: .* of 0 "):
-        check_matching(ChainComplex((2, 1), (d,)), [b"\x00\x00", b"\x01"])
+        check_matching(ChainComplex((d,)), [b"\x00\x00", b"\x01"])
     # both vertices claim Y's one cell
     d = ExactMatrix([("V", 2)], [("Y", 1)], [[(0, 1, [0, 0])]])
     with pytest.raises(ExactnessError, match=r"^d_0, column cell 0 of block Y: .* of 2 "):
-        check_matching(ChainComplex((1, 2), (d,)), [b"\x00", b"\x01\x01"])
+        check_matching(ChainComplex((d,)), [b"\x00", b"\x01\x01"])
 
 
 @pytest.mark.parametrize("cover", [
@@ -336,8 +334,10 @@ def test_e1_rows_are_truncated_steinberg_resolutions():
     for n, q in [(n, q) for n in (1, 2, 3) for q in (2, 3)] + [(4, 2)]:
         for s in range(0, 2 * n - 1, 2):
             cx = lattice_complex(standard_subset(n, s // 2), q)[1]
-            truncated = ChainComplex(cx.terms[1:], cx.diffs[1:])
-            assert build_e1_row(s, n, q) == truncated.homology_dims(), (n, q, s)
+            # a row of one term, with no differential, is its own homology
+            row = cx.diffs[1:]
+            want = ChainComplex(row).homology_dims() if row else cx.terms[1:]
+            assert build_e1_row(s, n, q) == want, (n, q, s)
 
 
 def test_function_complex_is_e1_row_0_expanded_to_points():
